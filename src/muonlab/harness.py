@@ -82,6 +82,10 @@ def _parse_value(s: str):
     return _parse_scalar(s)
 
 
+RUN_KEYS = ("T", "cadence", "want_J", "want_L", "want_hatJ", "seeds", "out_dir",
+            "name", "lr_grid", "workers", "w0", "checkpoint")
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment (possibly several seeds)."""
@@ -150,20 +154,13 @@ class ExperimentConfig:
                 raise ValueError(f"config line {lineno}: expected 'section.key = value'")
             lhs, rhs = line.split("=", 1)
             section, key = lhs.strip().split(".", 1)
+            key = key.strip()
             if section not in sections:
                 raise ValueError(f"config line {lineno}: unknown section {section!r}")
-            sections[section][key.strip()] = _parse_value(rhs)
-        run = sections["run"]
-        kwargs = {
-            "problem": sections["problem"],
-            "optimizer": sections["optimizer"],
-            "schedule": sections["schedule"],
-        }
-        for key in ("T", "cadence", "want_J", "want_L", "want_hatJ", "seeds",
-                    "out_dir", "name", "lr_grid", "workers", "w0", "checkpoint"):
-            if key in run:
-                kwargs[key] = run[key]
-        return cls(**kwargs)
+            if section == "run" and key not in RUN_KEYS:
+                raise ValueError(f"config line {lineno}: unknown key 'run.{key}'")
+            sections[section][key] = _parse_value(rhs)
+        return cls(**sections.pop("run"), **sections)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -252,56 +249,58 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
+# momentum-free Muon is the Muon stepper with beta = 0
+_STEPPERS = {"muon": "muon_step", "simplified_muon": "muon_step",
+             "gd": "gd_step", "gd_nesterov": "gd_nesterov_step",
+             "adam": "adam_step", "adamw": "adamw_step"}
+
+
 class _OptRun:
     """Stateful adapter from optimizer config to a step function.
 
     step() returns the new parameter together with the semi-orthogonal update
     direction when the optimizer is one of the Muon family (None otherwise).
+    W may be one parameter matrix or a (k, m, n) stack of k runs advancing
+    together, with eta of shape (k, 1, 1); keep() drops runs from the stack.
     """
 
     def __init__(self, spec: dict):
         self.kind = spec.get("kind", "gd")
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        self.spec = spec
-        if self.kind == "muon":
+        self.options = {}
+        self.state = None
+        if self.kind in MUON_KINDS:
+            beta = 0.0 if self.kind == "simplified_muon" else float(spec.get("beta", 0.9))
             self.state = optim.MuonState(
-                beta=float(spec.get("beta", 0.9)),
-                orthogonalizer=spec.get("orthogonalizer", "svd"),
+                beta=beta, orthogonalizer=spec.get("orthogonalizer", "svd"),
                 ns_steps=int(spec.get("ns_steps", 5)))
         elif self.kind == "gd_nesterov":
             self.state = optim.NesterovState()
+            self.options["mu"] = float(spec.get("mu", 0.9))
         elif self.kind in ("adam", "adamw"):
             self.state = optim.AdamState()
-        else:
-            self.state = None
+            for key, default in (("beta1", 0.9), ("beta2", 0.999), ("eps", 1e-8)):
+                self.options[key] = float(spec.get(key, default))
+            if self.kind == "adamw":
+                self.options["weight_decay"] = float(spec.get("weight_decay", 0.01))
 
-    def step(self, W, G, eta):
-        s = self.spec
-        if self.kind == "muon":
-            W_new = optim.muon_step(self.state, W, G, eta)
-            return W_new, self.state.last_direction
-        if self.kind == "simplified_muon":
-            O = optim.orthogonalize(G, s.get("orthogonalizer", "svd"),
-                                    int(s.get("ns_steps", 5)))
-            return W - eta * O, O
-        if self.kind == "gd":
-            return optim.gd_step(W, G, eta), None
-        if self.kind == "gd_nesterov":
-            return optim.gd_nesterov_step(self.state, W, G, eta,
-                                          mu=float(s.get("mu", 0.9))), None
-        if self.kind == "adam":
-            return optim.adam_step(self.state, W, G, eta,
-                                   beta1=float(s.get("beta1", 0.9)),
-                                   beta2=float(s.get("beta2", 0.999)),
-                                   eps=float(s.get("eps", 1e-8))), None
-        if self.kind == "adamw":
-            return optim.adamw_step(self.state, W, G, eta,
-                                    beta1=float(s.get("beta1", 0.9)),
-                                    beta2=float(s.get("beta2", 0.999)),
-                                    eps=float(s.get("eps", 1e-8)),
-                                    weight_decay=float(s.get("weight_decay", 0.01))), None
-        raise AssertionError("unreachable")
+    def step(self, W, G, eta, out=None):
+        """Advance by one step; the new parameter goes to out when given."""
+        # looked up per call, so a wrapper installed on the optim module applies
+        stepper = getattr(optim, _STEPPERS[self.kind])
+        args = (W, G, eta) if self.state is None else (self.state, W, G, eta)
+        W_next = stepper(*args, out=out, **self.options)
+        if self.kind in MUON_KINDS:
+            return W_next, self.state.last_direction
+        return W_next, None
+
+    def keep(self, rows) -> None:
+        """Keep only the given runs of a stacked state."""
+        if self.state is not None:
+            for name, value in vars(self.state).items():
+                if isinstance(value, np.ndarray):
+                    setattr(self.state, name, value[rows])
 
 
 def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
@@ -397,22 +396,56 @@ class RunArtifact:
     wall_clock: float = 0.0  # in-memory only; never serialized
 
 
-def _lean_final_f(problem: Problem, opt_spec: dict, eta: float, T: int,
-                  W0: np.ndarray):
-    """Final loss of a diagnostics-free run; (inf, True) on divergence."""
+def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
+               W0: np.ndarray) -> list:
+    """Final loss of a diagnostics-free run at every stepsize in etas.
+
+    Returns [(final_f, diverged), ...] in grid order, with (inf, True) for a
+    diverged point.  The points advance in lockstep on a (k, m, n) stack:
+    the oracle is called per point, the optimizer steps the whole stack at
+    once (one stacked factorization per Muon step), and a point that trips
+    the divergence guard leaves the stack.  Each point's result is bit for
+    bit the one a separate run would give.
+    """
+    results = [(float("inf"), True)] * len(etas)
+    live = list(range(len(etas)))  # grid index of each stack row
     opt = _OptRun(opt_spec)
-    W = W0.copy()
-    f0 = problem.value(W0)
-    guard = DIVERGENCE_FACTOR * max(abs(f0), 1e-12)
+    W = np.repeat(W0[None], len(etas), axis=0)
+    G = np.empty_like(W)
+    eta = np.array(etas, dtype=np.float64).reshape(-1, 1, 1)
+    guard = DIVERGENCE_FACTOR * max(abs(problem.value(W0)), 1e-12)
+
+    def ok(f):
+        return np.isfinite(f) and f <= guard
+
     for _ in range(T):
-        f, G = problem.eval_value_grad(W)
-        if not np.isfinite(f) or f > guard:
-            return float("inf"), True
-        W, _ = opt.step(W, G, eta)
-    f = problem.value(W)
-    if not np.isfinite(f) or f > guard:
-        return float("inf"), True
-    return float(f), False
+        rows = []
+        for j in range(len(live)):
+            f, G[j] = problem.eval_value_grad(W[j])
+            if ok(f):
+                rows.append(j)
+        if len(rows) < len(live):
+            if not rows:
+                return results
+            live = [live[j] for j in rows]
+            W, G, eta = W[rows], G[rows], eta[rows]
+            opt.keep(rows)
+        opt.step(W, G, eta, out=W)
+    for j, idx in enumerate(live):
+        f = problem.value(W[j])
+        if ok(f):
+            results[idx] = (float(f), False)
+    return results
+
+
+def _best_point(etas: Sequence[float], results: list):
+    """(final_f, eta) of the first grid point with the lowest final loss
+    among those that did not diverge; (inf, None) when all diverged."""
+    best = (float("inf"), None)
+    for eta, (fT, diverged) in zip(etas, results):
+        if not diverged and fT < best[0]:
+            best = (fT, eta)
+    return best
 
 
 def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
@@ -540,15 +573,11 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> RunA
     grid_results = None
     best_eta = None
     if config.lr_grid:
-        grid_results = []
-        best = (float("inf"), None)
-        for eta in config.lr_grid:
-            fT, diverged = _lean_final_f(problem, config.optimizer, eta, config.T, W0)
-            grid_results.append({"eta": float(eta),
-                                 "final_f": None if diverged else fT,
-                                 "diverged": diverged})
-            if not diverged and fT < best[0]:
-                best = (fT, eta)
+        scan = _grid_scan(problem, config.optimizer, config.lr_grid, config.T, W0)
+        grid_results = [{"eta": float(eta), "final_f": None if diverged else fT,
+                         "diverged": diverged}
+                        for eta, (fT, diverged) in zip(config.lr_grid, scan)]
+        best = _best_point(config.lr_grid, scan)
         if best[1] is None:
             raise RuntimeError("every stepsize in the tuning grid diverged")
         best_eta = float(best[1])
@@ -759,14 +788,10 @@ def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
         problem = build_problem(prob_spec, run_seed=seed)
         W0 = np.zeros((m, n))
         grid = default_grid("muon", problem)
-        best_muon = (float("inf"), None)
-        for eta in grid:
-            fT, diverged = _lean_final_f(problem, {"kind": "muon", "beta": muon_beta},
-                                         eta, T, W0)
-            if not diverged and fT < best_muon[0]:
-                best_muon = (fT, eta)
+        best_muon = _best_point(grid, _grid_scan(
+            problem, {"kind": "muon", "beta": muon_beta}, grid, T, W0))
         eta_gd = 1.0 / problem.metadata["L"]
-        f_gd, _ = _lean_final_f(problem, {"kind": "gd"}, eta_gd, T, W0)
+        f_gd = _grid_scan(problem, {"kind": "gd"}, (eta_gd,), T, W0)[0][0]
         results.append({"seed": int(seed), "muon_final_f": best_muon[0],
                         "muon_eta": best_muon[1], "gd_final_f": f_gd,
                         "gd_eta": eta_gd})
@@ -1148,10 +1173,11 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         if args.cmd == "verify":
             return _cmd_verify(args)
         raise AssertionError("unreachable")
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, AssertionError) as exc:
         guard.cleanup()
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # validate_record raises AssertionError when a run breaks a checked bound
+        return 1 if isinstance(exc, AssertionError) else 2
 
 
 def main() -> None:

@@ -36,9 +36,18 @@ DEFAULT_NS_STEPS = 5
 
 def as_matrix(A) -> np.ndarray:
     """Validate and return A as a finite float64 2-D array."""
+    return _as_finite(A, (2,), "a 2-D matrix")
+
+
+def as_matrices(A) -> np.ndarray:
+    """Validate and return A as a finite float64 2-D array or (k, m, n) stack."""
+    return _as_finite(A, (2, 3), "a 2-D matrix or a 3-D stack of matrices")
+
+
+def _as_finite(A, ndims: tuple, what: str) -> np.ndarray:
     M = np.asarray(A, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={M.ndim}")
+    if M.ndim not in ndims:
+        raise ValueError(f"expected {what}, got ndim={M.ndim}")
     if M.size == 0:
         raise ValueError("matrix must have at least one entry")
     if not np.isfinite(M).all():
@@ -131,15 +140,27 @@ def orthogonalize_svd(A, rank_tol: float = RANK_TOL) -> np.ndarray:
     the output has exactly rank r_t with every nonzero singular value equal
     to 1.  The zero matrix maps to the zero matrix.
 
+    A may also be a (k, m, n) stack: all slices are factorized by one LAPACK
+    call and each slice gets exactly the result it would get on its own.
+
     The product U_r @ V_r.T is invariant to paired sign flips, so the raw
     LAPACK factors are used directly.
     """
-    M = as_matrix(A)
+    M = as_matrices(A)
     U, S, Vh = np.linalg.svd(M, full_matrices=False)
-    smax = float(S[0]) if S.size else 0.0
-    if smax == 0.0:
-        return np.zeros(M.shape)
-    keep = S > rank_tol * smax
+    # S is nonincreasing, so every slice keeps full rank when its last value does
+    if (S[..., -1] > rank_tol * S[..., 0]).all():
+        return U @ Vh
+    if M.ndim == 2:
+        return _truncated_polar(U, S, Vh, rank_tol)
+    return np.stack([_truncated_polar(*f, rank_tol) for f in zip(U, S, Vh)])
+
+
+def _truncated_polar(U, S, Vh, rank_tol) -> np.ndarray:
+    """U_r @ V_r.T of one thin SVD; the zero matrix maps to zero."""
+    keep = S > rank_tol * S[0]
+    if not keep[0]:
+        return np.zeros((U.shape[0], Vh.shape[1]))
     return U[:, keep] @ Vh[keep, :]
 
 
@@ -153,12 +174,18 @@ def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS,
     tuple used for every step, may be passed via coeffs).  steps=0 returns
     the normalized input unchanged.
 
+    A may also be a (k, m, n) stack; each slice is normalized by its own
+    Frobenius norm and gets exactly the result it would get on its own.
+
     Raises ValueError on the zero matrix; callers handle the degenerate case
     through the SVD route.
     """
-    M = as_matrix(A)
-    fn = float(np.linalg.norm(M, "fro"))
-    if fn == 0.0:
+    M = as_matrices(A)
+    if M.ndim == 2:
+        fn = float(np.linalg.norm(M, "fro"))
+    else:
+        fn = np.array([np.linalg.norm(S, "fro") for S in M]).reshape(-1, 1, 1)
+    if np.any(fn == 0.0):
         raise ValueError("cannot orthogonalize the zero matrix; use the SVD route")
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -169,14 +196,14 @@ def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS,
     else:
         schedule = tuple(tuple(t) for t in coeffs)
     X = M / fn
-    transposed = X.shape[0] > X.shape[1]
+    transposed = X.shape[-2] > X.shape[-1]
     if transposed:
-        X = X.T
+        X = X.swapaxes(-1, -2)
     for k in range(steps):
         a, b, c = schedule[min(k, len(schedule) - 1)]
-        P = X @ X.T
+        P = X @ X.swapaxes(-1, -2)
         X = a * X + (b * P + c * (P @ P)) @ X
-    return X.T if transposed else X
+    return X.swapaxes(-1, -2) if transposed else X
 
 
 def lambda_norm(A, weight) -> float:

@@ -5,6 +5,11 @@ objects own their buffers and are mutated in place, one per run.  The Muon
 family moves along the semi-orthogonal factor of a (momentum-averaged)
 gradient; the baselines (GD, GD+Nesterov, Adam, AdamW) use the standard
 flattened update rules.
+
+Every stepper also takes a (k, m, n) stack of parameters and gradients with a
+stepsize of shape (k, 1, 1): the k runs advance together, and each slice gets
+exactly the result the 2-D call would give it.  The new parameter is written
+to `out` when given (which may be W itself) and to a fresh array otherwise.
 """
 
 from __future__ import annotations
@@ -16,25 +21,40 @@ import numpy as np
 
 from . import matcore
 
+ORTHOGONALIZERS = ("svd", "ns")
 
-def _check_shapes(W: np.ndarray, G: np.ndarray) -> None:
+
+def _operands(W, G):
+    W = matcore.as_matrices(W)
+    G = matcore.as_matrices(G)
     if W.shape != G.shape:
         raise ValueError(f"gradient shape {G.shape} does not match parameter shape {W.shape}")
+    return W, G
+
+
+def _move(W, eta, D, out):
+    """W - eta * D, written to out when given."""
+    return np.subtract(W, np.multiply(eta, D), out=out)
 
 
 def orthogonalize(M: np.ndarray, method: str = "svd", ns_steps: int = 5) -> np.ndarray:
     """Semi-orthogonal update direction for a momentum/gradient matrix.
 
     The zero matrix yields the zero direction (no movement) regardless of
-    method, since the Newton-Schulz route is undefined there.
+    method, since the Newton-Schulz route is undefined there.  On a stack
+    this holds slice by slice.
     """
-    if not np.any(M):
-        return np.zeros_like(M)
     if method == "svd":
-        return matcore.orthogonalize_svd(M)
-    if method == "ns":
+        return matcore.orthogonalize_svd(M)  # maps zero slices to zero itself
+    if method != "ns":
+        raise ValueError(f"unknown orthogonalizer {method!r}")
+    nonzero = np.any(M, axis=(-2, -1))
+    if nonzero.all():
         return matcore.orthogonalize_ns(M, steps=ns_steps)
-    raise ValueError(f"unknown orthogonalizer {method!r}")
+    O = np.zeros_like(M)
+    if nonzero.any():
+        O[nonzero] = matcore.orthogonalize_ns(M[nonzero], steps=ns_steps)
+    return O
 
 
 @dataclass
@@ -42,7 +62,8 @@ class MuonState:
     """Momentum buffer and counter for the Muon stepper.
 
     M is unset before the first step; the first step copies the gradient into
-    it exactly.  beta stays constant over a run.
+    it exactly, and so does every step when beta is 0 (momentum-free Muon).
+    beta stays constant over a run.
     """
 
     beta: float = 0.9
@@ -55,46 +76,42 @@ class MuonState:
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
+        if self.orthogonalizer not in ORTHOGONALIZERS:
+            raise ValueError(f"unknown orthogonalizer {self.orthogonalizer!r}")
 
 
-def muon_step(state: MuonState, W, G, eta: float) -> np.ndarray:
+def muon_step(state: MuonState, W, G, eta, out=None) -> np.ndarray:
     """One Muon update: momentum average, orthogonalize, move.
 
     M_t = beta*M_{t-1} + (1-beta)*G_t (with M_0 = G_0), then
     W' = W - eta * orthogonalize(M_t).
     """
-    W = matcore.as_matrix(W)
-    G = matcore.as_matrix(G)
-    _check_shapes(W, G)
-    if eta < 0:
+    W, G = _operands(W, G)
+    if np.less(eta, 0).any():
         raise ValueError("eta must be nonnegative")
-    if state.t == 0 or state.M is None:
+    if state.t == 0 or state.M is None or state.beta == 0.0:
         state.M = G.copy()
     else:
-        state.M = state.beta * state.M + (1.0 - state.beta) * G
+        state.M *= state.beta
+        state.M += (1.0 - state.beta) * G
+    state.last_direction = None  # released before the factorization allocates
     O = orthogonalize(state.M, state.orthogonalizer, state.ns_steps)
     state.last_direction = O
     state.t += 1
-    return W - eta * O
+    return _move(W, eta, O, out)
 
 
-def simplified_muon_step(W, G, eta: float, orthogonalizer: str = "svd",
-                         ns_steps: int = 5) -> np.ndarray:
+def simplified_muon_step(W, G, eta, orthogonalizer: str = "svd",
+                         ns_steps: int = 5, out=None) -> np.ndarray:
     """Momentum-free Muon: W' = W - eta * orthogonalize(G)."""
-    W = matcore.as_matrix(W)
-    G = matcore.as_matrix(G)
-    _check_shapes(W, G)
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    return W - eta * orthogonalize(G, orthogonalizer, ns_steps)
+    state = MuonState(beta=0.0, orthogonalizer=orthogonalizer, ns_steps=ns_steps)
+    return muon_step(state, W, G, eta, out=out)
 
 
-def gd_step(W, G, eta: float) -> np.ndarray:
+def gd_step(W, G, eta, out=None) -> np.ndarray:
     """Plain gradient descent."""
-    W = matcore.as_matrix(W)
-    G = matcore.as_matrix(G)
-    _check_shapes(W, G)
-    return W - eta * G
+    W, G = _operands(W, G)
+    return _move(W, eta, G, out)
 
 
 @dataclass
@@ -102,13 +119,18 @@ class NesterovState:
     v: Optional[np.ndarray] = None
 
 
-def gd_nesterov_step(state: NesterovState, W, G, eta: float, mu: float = 0.9) -> np.ndarray:
+def gd_nesterov_step(state: NesterovState, W, G, eta, mu: float = 0.9,
+                     out=None) -> np.ndarray:
     """Gradient descent with Nesterov momentum (velocity form)."""
-    W = matcore.as_matrix(W)
-    G = matcore.as_matrix(G)
-    _check_shapes(W, G)
-    state.v = G.copy() if state.v is None else mu * state.v + G
-    return W - eta * (G + mu * state.v)
+    W, G = _operands(W, G)
+    if state.v is None:
+        state.v = G.copy()
+    else:
+        state.v *= mu
+        state.v += G
+    D = mu * state.v
+    D += G
+    return _move(W, eta, D, out)
 
 
 @dataclass
@@ -118,30 +140,40 @@ class AdamState:
     v: Optional[np.ndarray] = None
 
 
-def adam_step(state: AdamState, W, G, eta: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> np.ndarray:
+def adam_step(state: AdamState, W, G, eta, beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8, out=None) -> np.ndarray:
     """Adam with bias correction."""
-    W = matcore.as_matrix(W)
-    G = matcore.as_matrix(G)
-    _check_shapes(W, G)
+    W, G = _operands(W, G)
     if state.m is None:
         state.m = np.zeros_like(G)
         state.v = np.zeros_like(G)
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * G
-    state.v = beta2 * state.v + (1.0 - beta2) * (G * G)
-    m_hat = state.m / (1.0 - beta1 ** state.t)
-    v_hat = state.v / (1.0 - beta2 ** state.t)
-    return W - eta * m_hat / (np.sqrt(v_hat) + eps)
+    # in place, in the order of m = beta1*m + (1-beta1)*G and
+    # W' = W - (eta*m_hat) / (sqrt(v_hat) + eps), so every rounding is kept
+    scratch = np.multiply(1.0 - beta1, G)
+    state.m *= beta1
+    state.m += scratch
+    np.multiply(G, G, out=scratch)
+    scratch *= 1.0 - beta2
+    state.v *= beta2
+    state.v += scratch
+    step = np.divide(state.m, 1.0 - beta1 ** state.t)
+    step *= eta
+    np.divide(state.v, 1.0 - beta2 ** state.t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    step /= scratch
+    return np.subtract(W, step, out=out)
 
 
-def adamw_step(state: AdamState, W, G, eta: float, beta1: float = 0.9,
+def adamw_step(state: AdamState, W, G, eta, beta1: float = 0.9,
                beta2: float = 0.999, eps: float = 1e-8,
-               weight_decay: float = 0.01) -> np.ndarray:
+               weight_decay: float = 0.01, out=None) -> np.ndarray:
     """Adam with decoupled weight decay."""
-    W = matcore.as_matrix(W)
-    W_new = adam_step(state, W, G, eta, beta1, beta2, eps)
-    return W_new - eta * weight_decay * W
+    W = matcore.as_matrices(W)
+    decay = np.multiply(np.multiply(eta, weight_decay), W)
+    W_new = adam_step(state, W, G, eta, beta1, beta2, eps, out=out)
+    return np.subtract(W_new, decay, out=W_new)
 
 
 # ---------------------------------------------------------------------------

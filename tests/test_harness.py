@@ -59,6 +59,13 @@ def test_config_rejects_malformed_text():
         harness.ExperimentConfig.from_text("nonsense.key = 1\n")
 
 
+def test_config_rejects_unknown_run_key():
+    text = quad_config().to_text() + "run.cadance = 5\n"
+    lineno = text.count("\n")
+    with pytest.raises(ValueError, match=f"line {lineno}: unknown key 'run.cadance'"):
+        harness.ExperimentConfig.from_text(text)
+
+
 def test_config_comments_and_blanks():
     text = quad_config().to_text() + "\n# a comment\n\n"
     assert harness.ExperimentConfig.from_text(text) == quad_config()
@@ -174,6 +181,97 @@ def test_all_grid_points_diverged_raises():
     config = quad_config(lr_grid=(1e6, 1e7), T=50,
                          optimizer={"kind": "simplified_muon"})
     with pytest.raises(RuntimeError):
+        harness.run_experiment(config, 1)
+
+
+SCAN_SPECS = [
+    {"kind": "muon", "beta": 0.9},
+    {"kind": "muon", "beta": 0.9, "orthogonalizer": "ns"},
+    {"kind": "simplified_muon"},
+    {"kind": "gd"},
+    {"kind": "gd_nesterov", "mu": 0.9},
+    {"kind": "adam"},
+    {"kind": "adamw", "weight_decay": 0.05},
+]
+
+
+def separate_run(problem, spec, eta, T, W0):
+    """One grid point run on its own through optim's 2-D steppers.
+
+    Returns ((final_f, diverged), step at which the guard tripped or None).
+    """
+    kind = spec["kind"]
+    muon = optim.MuonState(beta=spec.get("beta", 0.9),
+                           orthogonalizer=spec.get("orthogonalizer", "svd"))
+    nesterov = optim.NesterovState()
+    adam = optim.AdamState()
+    step = {
+        "muon": lambda W, G: optim.muon_step(muon, W, G, eta),
+        "simplified_muon": lambda W, G: optim.simplified_muon_step(W, G, eta),
+        "gd": lambda W, G: optim.gd_step(W, G, eta),
+        "gd_nesterov": lambda W, G: optim.gd_nesterov_step(nesterov, W, G, eta,
+                                                           mu=spec.get("mu", 0.9)),
+        "adam": lambda W, G: optim.adam_step(adam, W, G, eta),
+        "adamw": lambda W, G: optim.adamw_step(adam, W, G, eta,
+                                               weight_decay=spec.get("weight_decay", 0.01)),
+    }[kind]
+    guard = harness.DIVERGENCE_FACTOR * max(abs(problem.value(W0)), 1e-12)
+    W = W0.copy()
+    for t in range(T):
+        f, G = problem.eval_value_grad(W)
+        if not np.isfinite(f) or f > guard:
+            return (float("inf"), True), t
+        W = step(W, G)
+    f = problem.value(W)
+    if not np.isfinite(f) or f > guard:
+        return (float("inf"), True), T
+    return (float(f), False), None
+
+
+@pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: "-".join(map(str, s.values())))
+def test_grid_scan_matches_separate_runs_bitwise(spec):
+    problem = harness.build_problem(QUAD_SPEC, 1)
+    W0 = np.random.default_rng(5).standard_normal(problem.shape)
+    grid = harness.default_grid(spec["kind"], problem)
+    scan = harness._grid_scan(problem, spec, grid, 60, W0)
+    assert scan == [separate_run(problem, spec, eta, 60, W0)[0] for eta in grid]
+    assert any(not diverged for _, diverged in scan)
+
+
+def uphill_problem(shape=(7, 5), seed=3):
+    """f = ||W - W*||^2 with an oracle that points uphill, so every run drifts
+    away from W* and a large stepsize trips the divergence guard after a
+    number of steps that shrinks as the stepsize grows."""
+    W_star = np.random.default_rng(seed).standard_normal(shape)
+
+    def value_grad(W):
+        E = W - W_star
+        return float(np.sum(E * E)), -2.0 * E
+
+    return problems.Problem(shape, lambda W: value_grad(W)[0],
+                            lambda W: value_grad(W)[1], lambda W, D: -2.0 * D,
+                            value_grad=value_grad)
+
+
+@pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: "-".join(map(str, s.values())))
+def test_grid_scan_survivors_match_after_divergence(spec):
+    problem = uphill_problem()
+    W0 = np.zeros(problem.shape)
+    grid, T = (0.01, 1.0, 100.0), 40
+    reference = [separate_run(problem, spec, eta, T, W0) for eta in grid]
+    assert harness._grid_scan(problem, spec, grid, T, W0) == [r for r, _ in reference]
+    # the largest stepsize leaves the stack partway through; the smallest survives
+    assert 1 < reference[-1][1] < T
+    assert not reference[0][0][1]
+
+
+@pytest.mark.parametrize("optimizer", [{"kind": "lion"},
+                                       {"kind": "muon", "beta": 1.5},
+                                       {"kind": "muon", "orthogonalizer": "qr"},
+                                       {"kind": "simplified_muon", "orthogonalizer": "qr"}])
+def test_tuned_config_rejects_bad_optimizer(optimizer):
+    config = quad_config(lr_grid=(0.01, 0.1), T=5, optimizer=optimizer)
+    with pytest.raises(ValueError):
         harness.run_experiment(config, 1)
 
 
@@ -369,6 +467,30 @@ def test_cli_failure_removes_partial_outputs(tmp_path, capsys):
                            "--decay", "bogus", "--out", str(out)])
     assert rc == 2
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_cli_record_check_failure_exits_1_and_cleans_up(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "quad.toml"
+    cfg_path.write_text(quad_config(seeds=(1, 2), T=5).to_text())
+    out = tmp_path / "runs"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept")
+    real = harness.validate_record
+    runs = []
+
+    def failing(rec, *args, **kwargs):
+        # seed 1 runs and writes its artifacts; seed 2 fails on its first record
+        if rec.t == 0:
+            runs.append(rec)
+        if len(runs) > 1:
+            raise AssertionError("Rayleigh bound violated at t=0")
+        return real(rec, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "validate_record", failing)
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: Rayleigh bound violated")
+    assert sorted(os.listdir(out)) == ["earlier.txt"]
 
 
 def test_cli_unknown_flag_exits_2():

@@ -187,6 +187,49 @@ def test_polar_orthogonality_invariants():
         assert abs(np.sum(s) - r_t) <= 1e-9
 
 
+def mixed_stack(m, n, seed):
+    """Full-rank, zero and rank-2 slices: every branch of the stacked polar."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.standard_normal((m, n)) * 30.0,
+                     np.zeros((m, n)),
+                     rng.standard_normal((m, 2)) @ rng.standard_normal((2, n)),
+                     rng.standard_normal((m, n))])
+
+
+@pytest.mark.parametrize("m,n", [(6, 8), (8, 6), (15, 20)])
+def test_polar_stack_matches_slices_bitwise(m, n):
+    A = mixed_stack(m, n, seed=m * n)
+    O = matcore.orthogonalize_svd(A)
+    assert O.shape == A.shape
+    for slice_, o in zip(A, O):
+        np.testing.assert_array_equal(o, matcore.orthogonalize_svd(slice_))
+    assert np.linalg.matrix_rank(O[2]) == 2
+    np.testing.assert_array_equal(O[1], 0.0)
+    # a stack where every slice keeps full rank takes one stacked product
+    full = A[[0, 3]]
+    for slice_, o in zip(full, matcore.orthogonalize_svd(full)):
+        np.testing.assert_array_equal(o, matcore.orthogonalize_svd(slice_))
+
+
+def test_ns_stack_matches_slices_bitwise():
+    for m, n in ((6, 8), (8, 6)):
+        A = mixed_stack(m, n, seed=1)[[0, 2, 3]]
+        O = matcore.orthogonalize_ns(A)
+        for slice_, o in zip(A, O):
+            np.testing.assert_array_equal(o, matcore.orthogonalize_ns(slice_))
+    with pytest.raises(ValueError):
+        matcore.orthogonalize_ns(mixed_stack(3, 4, seed=2))  # holds a zero slice
+
+
+def test_stack_inputs_validated():
+    with pytest.raises(ValueError):
+        matcore.orthogonalize_svd(np.ones((2, 2, 3, 4)))
+    with pytest.raises(ValueError):
+        matcore.orthogonalize_svd(np.full((2, 3, 4), np.inf))
+    with pytest.raises(ValueError):
+        matcore.as_matrix(np.ones((2, 3, 4)))
+
+
 # ---------------------------------------------------------------------------
 # orthogonalize_ns
 # ---------------------------------------------------------------------------

@@ -80,6 +80,41 @@ def test_simplified_muon_zero_gradient():
     np.testing.assert_array_equal(optim.simplified_muon_step(W, np.zeros((3, 2)), 0.5), W)
 
 
+def test_simplified_muon_is_the_orthogonalized_move():
+    rng = np.random.default_rng(12)
+    W = rng.standard_normal((5, 7))
+    G = rng.standard_normal((5, 7))
+    for method in ("svd", "ns"):
+        np.testing.assert_array_equal(
+            optim.simplified_muon_step(W, G, 0.3, orthogonalizer=method),
+            W - 0.3 * optim.orthogonalize(G, method))
+
+
+def test_orthogonalize_stack_zero_slice_each_route():
+    rng = np.random.default_rng(13)
+    M = np.stack([rng.standard_normal((4, 6)), np.zeros((4, 6)),
+                  rng.standard_normal((4, 6))])
+    for method in ("svd", "ns"):
+        O = optim.orthogonalize(M, method)
+        for slice_, o in zip(M, O):
+            np.testing.assert_array_equal(o, optim.orthogonalize(slice_, method))
+    np.testing.assert_array_equal(optim.orthogonalize(np.zeros((2, 3, 4)), "ns"), 0.0)
+    with pytest.raises(ValueError):
+        optim.MuonState(orthogonalizer="qr")
+
+
+def test_step_writes_to_out_and_leaves_inputs():
+    rng = np.random.default_rng(14)
+    W = rng.standard_normal((3, 4))
+    G = rng.standard_normal((3, 4))
+    W_copy, G_copy = W.copy(), G.copy()
+    expected = optim.adamw_step(optim.AdamState(), W, G, 0.1)
+    np.testing.assert_array_equal(W, W_copy)
+    np.testing.assert_array_equal(G, G_copy)
+    assert optim.adamw_step(optim.AdamState(), W, G, 0.1, out=W) is W
+    np.testing.assert_array_equal(W, expected)
+
+
 def test_step_direction_duality():
     rng = np.random.default_rng(4)
     for _ in range(20):

@@ -19,12 +19,12 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import matcore, optim, problems
+from . import matcore, optim, problems, verify
 from .diagnostics import (FLAG_DIVERGED, FLAG_FD_KINK, FLAG_POWER_FALLBACK,
                           FLAG_RAYLEIGH, FLAG_ZERO_DIRECTION, RunSummary,
                           StepRecord, average_j, comparison_ratio,
@@ -82,10 +82,6 @@ def _parse_value(s: str):
     return _parse_scalar(s)
 
 
-RUN_KEYS = ("T", "cadence", "want_J", "want_L", "want_hatJ", "seeds", "out_dir",
-            "name", "lr_grid", "workers", "w0", "checkpoint")
-
-
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment (possibly several seeds)."""
@@ -125,16 +121,8 @@ class ExperimentConfig:
 
     def to_text(self) -> str:
         lines = []
-        run_keys = {
-            "T": self.T, "cadence": self.cadence, "want_J": self.want_J,
-            "want_L": self.want_L, "want_hatJ": self.want_hatJ,
-            "seeds": self.seeds, "name": self.name, "workers": self.workers,
-            "w0": self.w0, "checkpoint": self.checkpoint,
-        }
-        if self.out_dir is not None:
-            run_keys["out_dir"] = self.out_dir
-        if self.lr_grid is not None:
-            run_keys["lr_grid"] = self.lr_grid
+        run_keys = {key: getattr(self, key) for key in RUN_KEYS
+                    if getattr(self, key) is not None}
         for section, data in (("problem", self.problem),
                               ("optimizer", self.optimizer),
                               ("schedule", self.schedule),
@@ -166,6 +154,10 @@ class ExperimentConfig:
     def from_file(cls, path: str) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
+
+
+RUN_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                 if f.name not in ("problem", "optimizer", "schedule"))
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +302,23 @@ def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
     were filled in from metadata, for provenance in the run summary.
     """
     kind = spec.get("kind", "constant")
-    meta = problem.metadata
     r = min(problem.shape)
     resolved = {"kind": kind}
+
+    def lookup(key):
+        """(value, source) of schedule.<key>: the config's, else the metadata's."""
+        value = spec.get(key, problem.metadata.get(key))
+        if value is None:
+            raise ValueError(f"schedule {kind!r} needs {key}, which neither the "
+                             f"config nor the problem metadata gives")
+        if isinstance(value, (tuple, list)):
+            raise ValueError(f"schedule.{key} must be one number, got {value!r}")
+        return float(value), "config" if key in spec else "metadata"
+
     if kind == "constant":
-        sched = optim.constant_schedule(float(spec["eta"]))
-        resolved["eta"] = float(spec["eta"])
-        return sched, resolved
+        eta = lookup("eta")[0]
+        resolved["eta"] = eta
+        return optim.constant_schedule(eta), resolved
 
     fs = f_star(problem)
     delta = None
@@ -327,27 +329,25 @@ def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
 
     beta = float(spec.get("beta", 0.0))
     if kind == "nonconvex_L":
-        L = float(spec.get("L", meta.get("L")))
+        L, source = lookup("L")
         sched = optim.nonconvex_L_schedule(delta, r, T, L, beta)
         resolved.update({"delta": delta, "r": r, "T": T, "L": L, "beta": beta,
-                         "source": "metadata" if "L" not in spec else "config"})
+                         "source": source})
     elif kind == "nonconvex_Lstar":
-        Ls = float(spec.get("L_star", meta.get("L_star")))
+        Ls, source = lookup("L_star")
         sched = optim.nonconvex_Lstar_schedule(delta, T, Ls, beta)
         resolved.update({"delta": delta, "T": T, "L_star": Ls, "beta": beta,
-                         "source": "metadata" if "L_star" not in spec else "config"})
+                         "source": source})
     elif kind == "adaptive_rL":
-        L = float(spec.get("L", meta.get("L")))
+        L, source = lookup("L")
         sched = optim.adaptive_rL_schedule(r, L)
-        resolved.update({"r": r, "L": L,
-                         "source": "metadata" if "L" not in spec else "config"})
+        resolved.update({"r": r, "L": L, "source": source})
     elif kind == "adaptive_Lstar":
-        Ls = float(spec.get("L_star", meta.get("L_star")))
+        Ls, source = lookup("L_star")
         sched = optim.adaptive_Lstar_schedule(Ls)
-        resolved.update({"L_star": Ls,
-                         "source": "metadata" if "L_star" not in spec else "config"})
+        resolved.update({"L_star": Ls, "source": source})
     elif kind == "theory_J":
-        J = float(spec["J"])
+        J = lookup("J")[0]
         sched = optim.theory_J_schedule(delta, J, T)
         resolved.update({"delta": delta, "J": J, "T": T})
     else:
@@ -396,6 +396,12 @@ class RunArtifact:
     wall_clock: float = 0.0  # in-memory only; never serialized
 
 
+def _divergence_guard(f0: float):
+    """Predicate that a loss is finite and at most DIVERGENCE_FACTOR * |f0|."""
+    limit = DIVERGENCE_FACTOR * max(abs(f0), 1e-12)
+    return lambda f: np.isfinite(f) and f <= limit
+
+
 def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
                W0: np.ndarray) -> list:
     """Final loss of a diagnostics-free run at every stepsize in etas.
@@ -413,16 +419,12 @@ def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
     W = np.repeat(W0[None], len(etas), axis=0)
     G = np.empty_like(W)
     eta = np.array(etas, dtype=np.float64).reshape(-1, 1, 1)
-    guard = DIVERGENCE_FACTOR * max(abs(problem.value(W0)), 1e-12)
-
-    def ok(f):
-        return np.isfinite(f) and f <= guard
-
+    in_bounds = _divergence_guard(problem.value(W0))
     for _ in range(T):
         rows = []
         for j in range(len(live)):
             f, G[j] = problem.eval_value_grad(W[j])
-            if ok(f):
+            if in_bounds(f):
                 rows.append(j)
         if len(rows) < len(live):
             if not rows:
@@ -433,7 +435,7 @@ def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
         opt.step(W, G, eta, out=W)
     for j, idx in enumerate(live):
         f = problem.value(W[j])
-        if ok(f):
+        if in_bounds(f):
             results[idx] = (float(f), False)
     return results
 
@@ -454,8 +456,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
     is_muon = opt.kind in MUON_KINDS
     adaptive = schedule.kind in (optim.ADAPTIVE_RL, optim.ADAPTIVE_LSTAR)
     W = W0.copy()
-    f0 = problem.value(W0)
-    guard = DIVERGENCE_FACTOR * max(abs(f0), 1e-12)
+    in_bounds = _divergence_guard(problem.value(W0))
     W_star = problem.metadata.get("W_star")
     r = min(problem.shape)
     records = []
@@ -465,7 +466,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
     t = 0
     while t < config.T:
         f, G = problem.eval_value_grad(W)
-        if not np.isfinite(f) or f > guard:
+        if not in_bounds(f):
             truncated = True
             break
         recording = (t % config.cadence == 0)
@@ -719,12 +720,12 @@ def default_grid(opt_kind: str, problem: Problem) -> tuple:
 
 
 def ratio_study(m: int = 15, n: int = 20, samples: int = 1000, cond: float = 1e4,
-                decay: str = "two_cluster", seed: int = 0, half: bool = True,
-                wstar_scale: float = 50.0, out_dir: Optional[str] = None,
-                workers: int = 1):
+                decay: str = "two_cluster", seed: int = 0,
+                out_dir: Optional[str] = None):
     """Distribution of the rate-comparison ratio over random optima.
 
-    Draws W* with i.i.d. uniform entries, keeps W0 = 0, and computes
+    Draws W* with i.i.d. uniform entries on [-50, 50], keeps W0 = 0, takes the
+    curvature of the half-scaled quadratic (f = trace(E^T Q E) / 2), and computes
     D_F^2 L / (D_op^2 L_star) from the initial displacement for each sample.
     Returns (rows, summary); each row is (sample, dist_F, dist_op, ratio) and
     is reproducible from (seed, sample) alone.
@@ -734,22 +735,14 @@ def ratio_study(m: int = 15, n: int = 20, samples: int = 1000, cond: float = 1e4
     # scalar curvature has no conditioning to speak of; the ratio is exactly 1
     Q = (np.array([[1.0]]) if m == 1
          else problems.make_ill_conditioned_Q(m, cond, decay, seed=seed))
-    c = 0.5 if half else 1.0
     S = matcore.svd(Q).S
-    L = 2.0 * c * float(S[0])
-    L_star = 2.0 * c * float(np.sum(S))
-
-    def one(k: int):
-        rng = np.random.default_rng([seed, k])
-        W_star = rng.uniform(-wstar_scale, wstar_scale, size=(m, n))
+    L = float(S[0])
+    L_star = float(np.sum(S))
+    rows = []
+    for k in range(samples):
+        W_star = np.random.default_rng([seed, k]).uniform(-50.0, 50.0, size=(m, n))
         d_f, d_op = distance_metrics(np.zeros((m, n)), W_star)
-        return (k, d_f, d_op, comparison_ratio(d_f, d_op, L, L_star))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(samples)))
-    else:
-        rows = [one(k) for k in range(samples)]
+        rows.append((k, d_f, d_op, comparison_ratio(d_f, d_op, L, L_star)))
     ratios = np.array([r[3] for r in rows])
     summary = {
         "m": m, "n": n, "samples": samples, "cond": cond, "decay": decay,
@@ -773,30 +766,29 @@ def ratio_study(m: int = 15, n: int = 20, samples: int = 1000, cond: float = 1e4
 
 
 def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
-                  cond: float = 1e4, decay: str = "two_cluster",
-                  muon_beta: float = 0.9, out_dir: Optional[str] = None):
+                  cond: float = 1e4, out_dir: Optional[str] = None):
     """Tuned Muon against fixed-stepsize GD (eta = 1/L) on ill-conditioned quadratics.
 
-    Every seed draws its own optimum; Muon picks its stepsize from the default
-    grid by final loss, GD uses the prescribed 1/L.  Returns per-seed final
-    losses.
+    Every seed draws its own optimum of a two-cluster quadratic; Muon (beta
+    0.9) picks its stepsize from the default grid by final loss, GD uses the
+    prescribed 1/L.  Returns per-seed final losses.
     """
+    prob_spec = {"kind": "quadratic", "m": m, "n": n, "cond": cond,
+                 "decay": "two_cluster", "seed": 0, "seed_mode": "per_run"}
     results = []
     for seed in seeds:
-        prob_spec = {"kind": "quadratic", "m": m, "n": n, "cond": cond,
-                     "decay": decay, "seed": 0, "seed_mode": "per_run"}
         problem = build_problem(prob_spec, run_seed=seed)
         W0 = np.zeros((m, n))
         grid = default_grid("muon", problem)
         best_muon = _best_point(grid, _grid_scan(
-            problem, {"kind": "muon", "beta": muon_beta}, grid, T, W0))
+            problem, {"kind": "muon", "beta": 0.9}, grid, T, W0))
         eta_gd = 1.0 / problem.metadata["L"]
         f_gd = _grid_scan(problem, {"kind": "gd"}, (eta_gd,), T, W0)[0][0]
         results.append({"seed": int(seed), "muon_final_f": best_muon[0],
                         "muon_eta": best_muon[1], "gd_final_f": f_gd,
                         "gd_eta": eta_gd})
     wins = sum(1 for r in results if r["muon_final_f"] < r["gd_final_f"])
-    summary = {"T": T, "m": m, "n": n, "cond": cond, "decay": decay,
+    summary = {"T": T, "m": m, "n": n, "cond": cond, "decay": prob_spec["decay"],
                "seeds": [int(s) for s in seeds], "muon_wins": wins,
                "win_fraction": wins / len(results), "runs": results}
     if out_dir:
@@ -807,8 +799,7 @@ def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
 
 def figure2_suite(kind: str = "lowrank", c: int = 100, seed: int = 0,
                   d: int = 196, B: int = 400, T: int = 400,
-                  paper_dims: bool = False, out_dir: Optional[str] = None,
-                  grids: Optional[dict] = None):
+                  paper_dims: bool = False, out_dir: Optional[str] = None):
     """Four tuned optimizers on the linear classification MSE.
 
     kind selects the feature matrix: 'lowrank' targets the concentrated
@@ -834,10 +825,9 @@ def figure2_suite(kind: str = "lowrank", c: int = 100, seed: int = 0,
     }
     cadence = max(1, T // 50)
     for name, spec in opt_specs.items():
-        grid = (grids or {}).get(name) or default_grid(name, problem)
         config = ExperimentConfig(
             problem=prob_spec, optimizer=spec, schedule={"kind": "constant", "eta": 1.0},
-            T=T, cadence=cadence, seeds=(seed,), lr_grid=tuple(grid),
+            T=T, cadence=cadence, seeds=(seed,), lr_grid=default_grid(name, problem),
             out_dir=out_dir, name=f"fig2_{kind}_c{c}_{name}")
         artifacts[name] = run_experiment(config, seed)
     best_name = min(artifacts, key=lambda k: artifacts[k].summary.final_f)
@@ -861,27 +851,26 @@ def figure2_suite(kind: str = "lowrank", c: int = 100, seed: int = 0,
 
 def figure3_suite(input_dim: int = 10, dims: tuple = (8, 6, 4), B: int = 120,
                   T: int = 200, cadence: int = 10, seed: int = 0,
-                  loss: str = "softmax_ce", data: str = "lowrank",
-                  out_dir: Optional[str] = None, grids: Optional[dict] = None):
+                  out_dir: Optional[str] = None):
     """Curvature diagnostics for GD and momentum-free Muon on a small MLP.
 
+    The network sees low-rank features and is trained on softmax cross-entropy.
     Trains the designated middle layer, logging J_t, L_t, both gradient norms
     and the two sides of the rate-comparison condition at the given cadence.
     Returns (artifacts, summary); the summary counts the sampled steps where
     Muon's nuclear-to-curvature side beats GD's Frobenius-to-curvature side.
     """
     prob_spec = {"kind": "mlp", "input_dim": input_dim, "dims": tuple(dims),
-                 "B": B, "loss": loss, "data": data, "seed": seed}
+                 "B": B, "loss": "softmax_ce", "data": "lowrank", "seed": seed}
     problem = build_problem(prob_spec, run_seed=seed)
     artifacts = {}
     for name, spec in (("gd", {"kind": "gd"}),
                        ("muon", {"kind": "simplified_muon"})):
-        grid = (grids or {}).get(name) or default_grid(name, problem)
         config = ExperimentConfig(
             problem=prob_spec, optimizer=spec,
             schedule={"kind": "constant", "eta": 1.0},
             T=T, cadence=cadence, want_J=True, want_L=True,
-            seeds=(seed,), lr_grid=tuple(grid), out_dir=out_dir,
+            seeds=(seed,), lr_grid=default_grid(name, problem), out_dir=out_dir,
             name=f"fig3_{name}", w0="init", checkpoint=True)
         artifacts[name] = run_experiment(config, seed)
     muon_side = {}
@@ -898,7 +887,7 @@ def figure3_suite(input_dim: int = 10, dims: tuple = (8, 6, 4), B: int = 120,
     wins = sum(1 for t in common if muon_side[t] >= gd_side[t])
     summary = {
         "input_dim": input_dim, "dims": list(dims), "B": B, "T": T,
-        "cadence": cadence, "seed": seed, "loss": loss,
+        "cadence": cadence, "seed": seed, "loss": prob_spec["loss"],
         "sampled_steps": len(common), "muon_side_wins": wins,
         "win_fraction": wins / len(common) if common else None,
         "final_f": {name: art.summary.final_f for name, art in artifacts.items()},
@@ -910,22 +899,20 @@ def figure3_suite(input_dim: int = 10, dims: tuple = (8, 6, 4), B: int = 120,
     return artifacts, summary
 
 
-def quadratic_check_run(m: int = 15, n: int = 20, cond: float = 1e4,
-                        decay: str = "two_cluster", seed: int = 0, T: int = 500,
+def quadratic_check_run(seed: int = 0, T: int = 500,
                         schedule_kind: str = "adaptive_Lstar",
-                        eta: Optional[float] = None, want_J: bool = True,
-                        half: bool = True, wstar_scale: float = 50.0):
+                        eta: Optional[float] = None, want_J: bool = True):
     """Cadence-1 momentum-free Muon run on a random quadratic, for bound checks.
 
+    The quadratic is build_problem's default: 15x20, cond 1e4, two-cluster
+    spectrum, half-scaled, with an optimum drawn per seed on [-50, 50].
     With schedule_kind='constant' and no explicit eta, the stepsize follows
     the epsilon/(C*D) prescription with epsilon set to 1% of the initial gap
     and D the initial operator distance.
     """
-    prob_spec = {"kind": "quadratic", "m": m, "n": n, "cond": cond,
-                 "decay": decay, "seed": 0, "seed_mode": "per_run",
-                 "half": half, "wstar_scale": wstar_scale}
+    prob_spec = {"kind": "quadratic", "seed": 0, "seed_mode": "per_run"}
     problem = build_problem(prob_spec, run_seed=seed)
-    W0 = np.zeros((m, n))
+    W0 = np.zeros(problem.shape)
     if schedule_kind == "constant" and eta is None:
         delta = problem.value(W0)
         d_hat = distance_metrics(W0, problem.metadata["W_star"])[1]
@@ -969,6 +956,46 @@ class _OutputGuard:
                     os.remove(p)
                 except OSError:
                     pass
+
+
+def _quadratic_run(schedule_kind: str):
+    """verify input: the cadence-1 quadratic run whose records the check reads."""
+    return lambda a: (quadratic_check_run(seed=a.seed, T=a.iters,
+                                          schedule_kind=schedule_kind), {})
+
+
+def _nonconvex_run(a):
+    """verify input: an 8x10 quadratic and the settings of the stochastic runs."""
+    problem = build_problem({"kind": "quadratic", "m": 8, "n": 10, "cond": 100.0,
+                             "decay": "two_cluster", "seed": a.seed}, run_seed=a.seed)
+    return (problem,), {"T": min(a.iters, 300), "beta": a.beta, "sigma": a.sigma,
+                        "batch": a.batch, "runs": max(20, a.trials) if a.sigma > 0 else 1,
+                        "seed": a.seed}
+
+
+# verify --check name -> (run, check, which): run(args) gives the check's
+# positional and keyword arguments, and which selects the bound's variant
+VERIFY_CHECKS = {
+    "norm-lemmas": (lambda a: ((a.instances,), {"seed": a.seed}),
+                    verify.check_norm_lemmas, None),
+    "momentum-error": (lambda a: ((), {"sigma": a.sigma, "batch": a.batch, "beta": a.beta,
+                                       "T": min(a.iters, 200), "trials": a.trials,
+                                       "seed": a.seed}),
+                       verify.check_momentum_error_lemma, None),
+    "taylor": (_quadratic_run("constant"), verify.check_quadratic_taylor_identity, None),
+    "descent-rL": (_quadratic_run("constant"), verify.check_descent_inequalities, "rL"),
+    "descent-Lstar": (_quadratic_run("constant"), verify.check_descent_inequalities, "Lstar"),
+    "adaptive-rL": (_quadratic_run("adaptive_rL"), verify.check_adaptive_rate_bound, "rL"),
+    "adaptive-Lstar": (_quadratic_run("adaptive_Lstar"), verify.check_adaptive_rate_bound,
+                       "Lstar"),
+    "constant-rL": (_quadratic_run("constant"), verify.check_constant_step_linear_bound, "rL"),
+    "constant-Lstar": (_quadratic_run("constant"), verify.check_constant_step_linear_bound,
+                       "Lstar"),
+    "constant-J": (_quadratic_run("constant"), verify.check_constant_step_linear_bound, "J"),
+    "rate-J": (_quadratic_run("constant"), verify.check_nonconvex_J_bound, None),
+    "nonconvex-rL": (_nonconvex_run, verify.check_nonconvex_rate_bound, "rL"),
+    "nonconvex-Lstar": (_nonconvex_run, verify.check_nonconvex_rate_bound, "Lstar"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -1021,12 +1048,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--out")
 
     p_ver = sub.add_parser("verify", help="run a bound or inequality check")
-    p_ver.add_argument("--check", required=True,
-                       choices=("norm-lemmas", "momentum-error", "taylor",
-                                "descent-rL", "descent-Lstar", "adaptive-rL",
-                                "adaptive-Lstar", "constant-rL", "constant-Lstar",
-                                "constant-J", "rate-J", "nonconvex-rL",
-                                "nonconvex-Lstar"))
+    p_ver.add_argument("--check", required=True, choices=tuple(VERIFY_CHECKS))
     p_ver.add_argument("--instances", type=int, default=1000)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--iters", type=int, default=500)
@@ -1063,47 +1085,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import verify as _verify
-    check = args.check
-    if check == "norm-lemmas":
-        report = _verify.check_norm_lemmas(args.instances, seed=args.seed)
-    elif check == "momentum-error":
-        report = _verify.check_momentum_error_lemma(
-            sigma=args.sigma, batch=args.batch, beta=args.beta,
-            T=min(args.iters, 200), trials=args.trials, seed=args.seed)
-    elif check in ("taylor", "descent-rL", "descent-Lstar", "constant-rL",
-                   "constant-Lstar", "constant-J", "rate-J", "adaptive-rL",
-                   "adaptive-Lstar"):
-        sched = "constant"
-        if check.startswith("adaptive"):
-            sched = "adaptive_rL" if check.endswith("rL") else "adaptive_Lstar"
-        records, problem = quadratic_check_run(seed=args.seed, T=args.iters,
-                                               schedule_kind=sched)
-        if check == "taylor":
-            report = _verify.check_quadratic_taylor_identity(records, problem)
-        elif check == "rate-J":
-            report = _verify.check_nonconvex_J_bound(records, problem)
-        elif check.startswith("descent"):
-            report = _verify.check_descent_inequalities(
-                records, problem, which="rL" if check.endswith("rL") else "Lstar")
-        elif check.startswith("constant"):
-            which = {"constant-rL": "rL", "constant-Lstar": "Lstar",
-                     "constant-J": "J"}[check]
-            report = _verify.check_constant_step_linear_bound(records, problem, which=which)
-        else:
-            report = _verify.check_adaptive_rate_bound(
-                records, problem, which="rL" if check.endswith("rL") else "Lstar")
-    elif check in ("nonconvex-rL", "nonconvex-Lstar"):
-        prob_spec = {"kind": "quadratic", "m": 8, "n": 10, "cond": 100.0,
-                     "decay": "two_cluster", "seed": args.seed}
-        problem = build_problem(prob_spec, run_seed=args.seed)
-        runs = max(20, args.trials) if args.sigma > 0 else 1
-        report = _verify.check_nonconvex_rate_bound(
-            problem, which="rL" if check.endswith("rL") else "Lstar",
-            T=min(args.iters, 300), beta=args.beta, sigma=args.sigma,
-            batch=args.batch, runs=runs, seed=args.seed)
-    else:
-        raise AssertionError("unreachable")
+    run, check, which = VERIFY_CHECKS[args.check]
+    positional, keywords = run(args)
+    if which is not None:
+        keywords["which"] = which
+    report = check(*positional, **keywords)
     text = report.to_json()
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)

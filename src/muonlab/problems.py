@@ -27,11 +27,13 @@ class Problem:
         value_grad: optional fused oracle returning (value, grad) cheaply.
         kink_margin: optional callable giving the distance of the nearest
             hidden-layer preactivation to zero (MLPs only).
+        probe_clean: optional predicate, true when the hvp(W, D) probe keeps
+            every hidden ReLU mask unchanged (MLPs only).
         metadata: known constants, e.g. L, L_star, W_star, f_star, sigma.
     """
 
     def __init__(self, shape, value, grad, hvp, hvp_exact=True, metadata=None,
-                 value_grad=None, kink_margin=None):
+                 value_grad=None, kink_margin=None, probe_clean=None):
         self.shape = tuple(shape)
         self.value = value
         self.grad = grad
@@ -39,7 +41,7 @@ class Problem:
         self.hvp_exact = hvp_exact
         self.value_grad = value_grad
         self.kink_margin = kink_margin
-        self.probe_clean = None
+        self.probe_clean = probe_clean
         self.metadata = dict(metadata or {})
 
     def eval_value_grad(self, W):
@@ -433,10 +435,9 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
 
     meta = {"kind": "mlp", "loss": loss, "train_layer": train_layer,
             "layer_shapes": shapes, "W_init": frozen[train_layer].copy()}
-    prob = Problem(shapes[train_layer], value, grad, hvp, hvp_exact=False,
-                   metadata=meta, value_grad=value_grad, kink_margin=kink_margin)
-    prob.probe_clean = probe_clean
-    return prob
+    return Problem(shapes[train_layer], value, grad, hvp, hvp_exact=False,
+                   metadata=meta, value_grad=value_grad, kink_margin=kink_margin,
+                   probe_clean=probe_clean)
 
 
 class StochasticGradOracle:
@@ -465,8 +466,3 @@ class StochasticGradOracle:
             return G
         noise = self.rng.standard_normal(G.shape) * self._entry_std
         return G + noise / np.sqrt(self.batch)
-
-
-def stochastic_oracle(problem: Problem, sigma: float, batch: int = 1,
-                      seed: int = 0) -> StochasticGradOracle:
-    return StochasticGradOracle(problem, sigma, batch, seed)

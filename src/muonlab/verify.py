@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matcore, optim
 from .diagnostics import StepRecord, weighted_j_tilde
-from .problems import Problem, quadratic_new, stochastic_oracle, f_star
+from .problems import Problem, StochasticGradOracle, quadratic_new, f_star
 
 
 @dataclass
@@ -81,6 +81,31 @@ def _empirical_d_op(records: Sequence[StepRecord]) -> float:
     return max(dops)
 
 
+def _smoothness_constant(problem: Problem, which: str) -> float:
+    """C = r*L for which="rL" (Frobenius route), L_star for which="Lstar"."""
+    meta = problem.metadata
+    if which == "rL":
+        if "L" not in meta:
+            raise ValueError("problem metadata is missing the constant L")
+        return min(problem.shape) * meta["L"]
+    if which == "Lstar":
+        if "L_star" not in meta:
+            raise ValueError("problem metadata is missing the constant L_star")
+        return meta["L_star"]
+    raise ValueError(f"unknown variant {which!r}")
+
+
+def _constant_eta(records: Sequence[StepRecord], check: str) -> tuple:
+    """(eta, T) of a run that took T steps at the one stepsize eta."""
+    etas = [r.eta for r in records if r.eta is not None]
+    if not etas:
+        raise ValueError("no steps recorded")
+    eta = etas[0]
+    if any(abs(e - eta) > 1e-12 * max(1.0, eta) for e in etas):
+        raise ValueError(f"{check} needs a constant stepsize run")
+    return eta, len(etas)
+
+
 def _require_quadratic(problem: Problem, check: str) -> None:
     if problem.metadata.get("kind") != "quadratic":
         raise ValueError(f"{check} applies to quadratic problems only")
@@ -116,18 +141,7 @@ def check_descent_inequalities(records: Sequence[StepRecord], problem: Problem,
     C = L_star (spectral smoothness route).  Requires exact constants in the
     problem metadata.
     """
-    meta = problem.metadata
-    r = min(problem.shape)
-    if which == "rL":
-        if "L" not in meta:
-            raise ValueError("problem metadata is missing the constant L")
-        coef = r * meta["L"]
-    elif which == "Lstar":
-        if "L_star" not in meta:
-            raise ValueError("problem metadata is missing the constant L_star")
-        coef = meta["L_star"]
-    else:
-        raise ValueError(f"unknown variant {which!r}")
+    coef = _smoothness_constant(problem, which)
     _consecutive_steps(records)
     margins = _Margins(1e-8)
     steps = 0
@@ -139,20 +153,6 @@ def check_descent_inequalities(records: Sequence[StepRecord], problem: Problem,
         margins.check(nxt.f, bound, slack, where=cur.t, label=f"descent-{which}")
         steps += 1
     return margins.report("descent_inequalities", {"which": which, "coef": coef}, steps)
-
-
-def _adaptive_bound_constant(problem: Problem, which: str) -> float:
-    meta = problem.metadata
-    r = min(problem.shape)
-    if which == "rL":
-        if "L" not in meta:
-            raise ValueError("problem metadata is missing the constant L")
-        return r * meta["L"]
-    if which == "Lstar":
-        if "L_star" not in meta:
-            raise ValueError("problem metadata is missing the constant L_star")
-        return meta["L_star"]
-    raise ValueError(f"unknown variant {which!r}")
 
 
 def check_adaptive_rate_bound(records: Sequence[StepRecord], problem: Problem,
@@ -167,7 +167,7 @@ def check_adaptive_rate_bound(records: Sequence[StepRecord], problem: Problem,
     fs = f_star(problem)
     if fs is None:
         raise ValueError("the adaptive bound check needs a known optimal value")
-    C = _adaptive_bound_constant(problem, which)
+    C = _smoothness_constant(problem, which)
     _consecutive_steps(records)
     for rec in records[:-1]:
         if rec.eta is None:
@@ -208,14 +208,8 @@ def check_constant_step_linear_bound(records: Sequence[StepRecord], problem: Pro
     if fs is None:
         raise ValueError("the constant-step bound check needs a known optimal value")
     _consecutive_steps(records)
-    etas = [r.eta for r in records if r.eta is not None]
-    if not etas:
-        raise ValueError("no steps recorded")
-    eta = etas[0]
-    if any(abs(e - eta) > 1e-12 * max(1.0, eta) for e in etas):
-        raise ValueError("the constant-step check needs a constant stepsize run")
+    eta, T = _constant_eta(records, "the constant-step check")
     D = _empirical_d_op(records)
-    T = len(etas)
     delta = records[0].f - fs
     params = {"which": which, "eta": eta, "D_op": D, "T": T, "delta": float(delta)}
     if eta > D:
@@ -223,11 +217,7 @@ def check_constant_step_linear_bound(records: Sequence[StepRecord], problem: Pro
                              instances=1, tolerance=tol, passed=True)
         return report
     base = (1.0 - eta / D) ** T * delta
-    if which == "rL":
-        bound = base + 0.5 * min(problem.shape) * problem.metadata["L"] * D * eta
-    elif which == "Lstar":
-        bound = base + 0.5 * problem.metadata["L_star"] * D * eta
-    elif which == "J":
+    if which == "J":
         _require_quadratic(problem, "the curvature-average bound")
         j_vals = [r.J_t for r in records[:-1]]
         if any(v is None for v in j_vals):
@@ -236,7 +226,7 @@ def check_constant_step_linear_bound(records: Sequence[StepRecord], problem: Pro
         bound = base + 0.5 * eta ** 2 * jt * T
         params["J_tilde"] = jt
     else:
-        raise ValueError(f"unknown variant {which!r}")
+        bound = base + 0.5 * _smoothness_constant(problem, which) * D * eta
     params["bound"] = float(bound)
     margins = _Margins(tol)
     slack = tol * max(1.0, abs(bound))
@@ -257,16 +247,10 @@ def check_nonconvex_J_bound(records: Sequence[StepRecord], problem: Problem,
     """
     _require_quadratic(problem, "the curvature-average rate check")
     _consecutive_steps(records)
-    etas = [r.eta for r in records if r.eta is not None]
-    if not etas:
-        raise ValueError("no steps recorded")
-    eta = etas[0]
-    if any(abs(e - eta) > 1e-12 * max(1.0, eta) for e in etas):
-        raise ValueError("the curvature-average rate check needs a constant stepsize run")
+    eta, T = _constant_eta(records, "the curvature-average rate check")
     j_vals = [r.J_t for r in records[:-1]]
     if any(v is None for v in j_vals):
         raise ValueError("J_t must be logged at every step")
-    T = len(etas)
     lhs = float(np.mean([r.grad_nuc for r in records[:-1]]))
     j_bar = float(np.mean(j_vals))
     rhs = (records[0].f - records[-1].f) / (T * eta) + 0.5 * eta * j_bar
@@ -374,7 +358,7 @@ def check_momentum_error_lemma(sigma: float = 1.0, batch: int = 1, beta: float =
     g = problem.grad(W)
     err_sum = np.zeros(T + 1)
     for k in range(trials):
-        oracle = stochastic_oracle(problem, sigma, batch, seed=seed * 100003 + k + 1)
+        oracle = StochasticGradOracle(problem, sigma, batch, seed=seed * 100003 + k + 1)
         M = None
         C = None
         for t in range(T + 1):
@@ -410,34 +394,22 @@ def check_nonconvex_rate_bound(problem: Problem, which: str = "Lstar",
     bounds hold in expectation, so the empirical average over several seeded
     runs is compared with a Monte-Carlo slack factor.
     """
-    meta = problem.metadata
     fs = f_star(problem)
     if fs is None:
         raise ValueError("the rate bound check needs a known optimal value")
+    C = _smoothness_constant(problem, which)
     r = min(problem.shape)
     W0 = np.zeros(problem.shape)
     delta = problem.value(W0) - fs
-    if which == "rL":
-        L = meta["L"]
-        if eta is None:
-            eta = float(np.sqrt((1.0 - beta) * delta / (r * T * L)))
-        rhs = (delta / (T * eta) + L * r * eta / 2.0
-               + 2.0 * sigma * np.sqrt(r * (1.0 - beta)) / np.sqrt(batch * (1.0 + beta))
-               + 2.0 * beta * sigma * np.sqrt(r) / ((1.0 - beta) * T * np.sqrt(batch))
-               + 2.0 * r * eta * beta * L / (1.0 - beta))
-    elif which == "Lstar":
-        Ls = meta["L_star"]
-        if eta is None:
-            eta = float(np.sqrt((1.0 - beta) * delta / (T * Ls)))
-        rhs = (delta / (T * eta) + Ls * eta / 2.0
-               + 2.0 * sigma * np.sqrt(r * (1.0 - beta)) / np.sqrt(batch * (1.0 + beta))
-               + 2.0 * beta * sigma * np.sqrt(r) / ((1.0 - beta) * T * np.sqrt(batch))
-               + 2.0 * eta * beta * Ls / (1.0 - beta))
-    else:
-        raise ValueError(f"unknown variant {which!r}")
+    if eta is None:
+        eta = float(np.sqrt((1.0 - beta) * delta / (T * C)))
+    rhs = (delta / (T * eta) + C * eta / 2.0
+           + 2.0 * sigma * np.sqrt(r * (1.0 - beta)) / np.sqrt(batch * (1.0 + beta))
+           + 2.0 * beta * sigma * np.sqrt(r) / ((1.0 - beta) * T * np.sqrt(batch))
+           + 2.0 * eta * beta * C / (1.0 - beta))
     total = 0.0
     for k in range(runs):
-        oracle = stochastic_oracle(problem, sigma, batch, seed=seed * 7919 + k)
+        oracle = StochasticGradOracle(problem, sigma, batch, seed=seed * 7919 + k)
         state = optim.MuonState(beta=beta)
         W = W0.copy()
         acc = 0.0

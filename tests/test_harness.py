@@ -1,11 +1,13 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from muonlab import diagnostics as dg
-from muonlab import harness, optim, problems
+from muonlab import harness, optim, problems, verify
 
 
 QUAD_SPEC = {"kind": "quadratic", "m": 6, "n": 8, "cond": 100.0,
@@ -379,8 +381,6 @@ def test_ratio_study_deterministic():
     r1, s1 = harness.ratio_study(m=4, n=5, samples=15, seed=9)
     r2, s2 = harness.ratio_study(m=4, n=5, samples=15, seed=9)
     assert r1 == r2 and s1 == s2
-    r3, _ = harness.ratio_study(m=4, n=5, samples=15, seed=9, workers=4)
-    assert r3 == r1
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +536,83 @@ def test_cli_verify_taylor(tmp_path, capsys):
     rc = harness.cli_main(["verify", "--check", "taylor", "--iters", "50",
                            "--seed", "2"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("problem,schedule", [
+    ({"kind": "mlp", "input_dim": 6, "dims": (5, 4, 3), "B": 20}, {"kind": "adaptive_Lstar"}),
+    ({"kind": "mlp", "input_dim": 6, "dims": (5, 4, 3), "B": 20}, {"kind": "adaptive_rL"}),
+    (QUAD_SPEC, {"kind": "constant", "etta": 0.1}),
+    (QUAD_SPEC, {"kind": "theory_J"}),
+    (QUAD_SPEC, {"kind": "constant", "eta": (0.1, 0.2)}),
+], ids=["mlp-adaptive_Lstar", "mlp-adaptive_rL", "constant-misspelt-eta", "theory_J-no-J",
+        "constant-list-eta"])
+def test_cli_run_bad_schedule_exits_2(tmp_path, capsys, problem, schedule):
+    cfg_path = tmp_path / "bad.toml"
+    cfg_path.write_text(quad_config(problem=problem, schedule=schedule, T=5).to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# verify --check name -> (report name, bound variant)
+VERIFY_REPORTS = {
+    "norm-lemmas": ("norm_lemmas", None),
+    "momentum-error": ("momentum_error_lemma", None),
+    "taylor": ("quadratic_taylor_identity", None),
+    "descent-rL": ("descent_inequalities", "rL"),
+    "descent-Lstar": ("descent_inequalities", "Lstar"),
+    "adaptive-rL": ("adaptive_rate_bound", "rL"),
+    "adaptive-Lstar": ("adaptive_rate_bound", "Lstar"),
+    "constant-rL": ("constant_step_linear_bound", "rL"),
+    "constant-Lstar": ("constant_step_linear_bound", "Lstar"),
+    "constant-J": ("constant_step_linear_bound", "J"),
+    "rate-J": ("nonconvex_J_bound", None),
+    "nonconvex-rL": ("nonconvex_rate_bound", "rL"),
+    "nonconvex-Lstar": ("nonconvex_rate_bound", "Lstar"),
+}
+
+
+def test_verify_checks_table_covers_every_report():
+    assert list(harness.VERIFY_CHECKS) == list(VERIFY_REPORTS)
+
+
+@pytest.mark.parametrize("check", list(harness.VERIFY_CHECKS))
+def test_cli_verify_every_check(tmp_path, capsys, check):
+    out = tmp_path / "report.json"
+    rc = harness.cli_main(["verify", "--check", check, "--iters", "40", "--trials", "50",
+                           "--instances", "20", "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    name, which = VERIFY_REPORTS[check]
+    assert report["name"] == name
+    assert report["params"].get("which") == which
+
+
+def test_verify_smoothness_constants_bit_exact():
+    records, problem = harness.quadratic_check_run(seed=8, T=60, schedule_kind="constant")
+    meta, r = problem.metadata, min(problem.shape)
+    for which, C in (("rL", r * meta["L"]), ("Lstar", meta["L_star"])):
+        report = verify.check_descent_inequalities(records, problem, which=which)
+        assert report.params["coef"] == C
+        # the same seed draws the same quadratic
+        adaptive, same = harness.quadratic_check_run(seed=8, T=30,
+                                                     schedule_kind=f"adaptive_{which}")
+        assert verify.check_adaptive_rate_bound(adaptive, same, which=which).params["C"] == C
+        p = verify.check_constant_step_linear_bound(records, problem, which=which).params
+        assert not p.get("vacuous")
+        base = (1.0 - p["eta"] / p["D_op"]) ** p["T"] * p["delta"]
+        assert p["bound"] == base + 0.5 * C * p["D_op"] * p["eta"]
+        if which == "rL":
+            # scaling by 0.5 is exact, so multiplying r and L separately agrees
+            assert p["bound"] == base + 0.5 * r * meta["L"] * p["D_op"] * p["eta"]
+
+
+def test_readme_lists_every_verify_check():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("`verify --check` accepts:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", block) == list(harness.VERIFY_CHECKS)
 
 
 def test_cli_ratio_study(tmp_path, capsys):

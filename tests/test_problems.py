@@ -411,19 +411,19 @@ def test_mlp_probe_clean_detects_mask_stability():
 # stochastic oracle
 # ---------------------------------------------------------------------------
 
-def test_stochastic_oracle_deterministic_limit():
+def test_stochastic_grad_oracle_deterministic_limit():
     rng = np.random.default_rng(30)
     prob = problems.quadratic_new(np.eye(3), rng.standard_normal((3, 4)))
-    oracle = problems.stochastic_oracle(prob, sigma=0.0, batch=1, seed=31)
+    oracle = problems.StochasticGradOracle(prob, sigma=0.0, batch=1, seed=31)
     W = rng.standard_normal((3, 4))
     np.testing.assert_array_equal(oracle.sample(W), prob.grad(W))
 
 
-def test_stochastic_oracle_variance():
+def test_stochastic_grad_oracle_variance():
     rng = np.random.default_rng(32)
     prob = problems.quadratic_new(np.eye(3), rng.standard_normal((3, 4)))
     sigma, batch = 1.0, 4
-    oracle = problems.stochastic_oracle(prob, sigma, batch, seed=33)
+    oracle = problems.StochasticGradOracle(prob, sigma, batch, seed=33)
     W = rng.standard_normal((3, 4))
     g = prob.grad(W)
     draws = 10_000
@@ -441,9 +441,9 @@ def test_stochastic_oracle_variance():
     np.testing.assert_allclose(acc / draws, g, atol=3.5 * entry_std / np.sqrt(draws))
 
 
-def test_stochastic_oracle_validation():
+def test_stochastic_grad_oracle_validation():
     prob = problems.quadratic_new(np.eye(2), np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        problems.stochastic_oracle(prob, sigma=-1.0)
+        problems.StochasticGradOracle(prob, sigma=-1.0)
     with pytest.raises(ValueError):
-        problems.stochastic_oracle(prob, sigma=1.0, batch=0)
+        problems.StochasticGradOracle(prob, sigma=1.0, batch=0)

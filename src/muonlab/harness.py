@@ -172,17 +172,24 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     mixed in so every run draws its own instance (used for the quadratic
     optimum resampling studies).
     """
+    def number(key, default, cast=int):
+        value = spec.get(key, default)
+        try:
+            return cast(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"problem.{key} must be one number, got {value!r}") from None
+
     kind = spec.get("kind", "quadratic")
-    base_seed = int(spec.get("seed", 0))
+    base_seed = number("seed", 0)
     per_run = spec.get("seed_mode", "fixed") == "per_run"
     eff = np.random.default_rng([base_seed, run_seed] if per_run else [base_seed])
     if kind == "quadratic":
-        m = int(spec.get("m", 15))
-        n = int(spec.get("n", 20))
-        cond = float(spec.get("cond", 1e4))
+        m = number("m", 15)
+        n = number("n", 20)
+        cond = number("cond", 1e4, float)
         decay = spec.get("decay", "two_cluster")
         half = bool(spec.get("half", True))
-        scale = float(spec.get("wstar_scale", 50.0))
+        scale = number("wstar_scale", 50.0, float)
         q_seed = int(eff.integers(0, 2 ** 31))
         Q = problems.make_ill_conditioned_Q(m, cond, decay, seed=q_seed)
         law = spec.get("wstar", "uniform")
@@ -194,14 +201,14 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
             raise ValueError(f"unknown wstar law {law!r}")
         return problems.quadratic_new(Q, W_star, half=half)
     if kind == "linear_mse":
-        d = int(spec.get("d", 196))
-        B = int(spec.get("B", 400))
-        c = int(spec.get("c", 10))
+        d = number("d", 196)
+        B = number("B", 400)
+        c = number("c", 10)
         features = spec.get("features", "gaussian")
         if features == "gaussian":
             X = problems.gaussian_features(d, B, seed=base_seed)
         elif features == "lowrank":
-            X = problems.lowrank_features(d, B, float(spec.get("target_ratio", 1.41)),
+            X = problems.lowrank_features(d, B, number("target_ratio", 1.41, float),
                                           seed=base_seed)
         elif features == "csv":
             X = problems.load_features_csv(spec["path"],
@@ -211,17 +218,20 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
         Y = problems.onehot_labels(c, X.shape[1], seed=base_seed + 1)
         return problems.linear_mse_new(X, Y)
     if kind == "mlp":
-        input_dim = int(spec.get("input_dim", 10))
+        input_dim = number("input_dim", 10)
         dims = spec.get("dims", (8, 6, 4))
         if isinstance(dims, (int, np.integer)):
             dims = (int(dims),)
-        dims = tuple(int(x) for x in dims)
-        B = int(spec.get("B", 120))
+        try:
+            dims = tuple(int(x) for x in dims)
+        except (TypeError, ValueError):
+            raise ValueError(f"problem.dims must be a list of widths, got {dims!r}") from None
+        B = number("B", 120)
         loss = spec.get("loss", "softmax_ce")
         data = spec.get("data", "lowrank")
         if data == "lowrank":
             X = problems.lowrank_features(input_dim, B,
-                                          float(spec.get("target_ratio", 2.0)),
+                                          number("target_ratio", 2.0, float),
                                           seed=base_seed)
             X = X * (np.sqrt(B) / np.linalg.norm(X, "fro"))
         elif data == "gaussian":
@@ -234,10 +244,9 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
         for width in dims:
             shapes.append((width, prev))
             prev = width
-        train_layer = spec.get("train_layer")
-        prob = problems.mlp_new(shapes, X, Y, loss=loss, seed=base_seed + 2,
-                                train_layer=None if train_layer is None else int(train_layer))
-        return prob
+        train_layer = None if spec.get("train_layer") is None else number("train_layer", None)
+        return problems.mlp_new(shapes, X, Y, loss=loss, seed=base_seed + 2,
+                                train_layer=train_layer)
     raise ValueError(f"unknown problem kind {kind!r}")
 
 

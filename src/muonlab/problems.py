@@ -352,9 +352,15 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
     random initialization.  Gradients are exact via backpropagation; hvp uses
     central finite differences on the gradient, with a step scaled to the
     parameter and direction sizes.
+
+    The frozen layers below train_layer never depend on W, so they are
+    evaluated once here: every oracle starts its forward pass at the trained
+    layer from the cached activations.  The problem keeps its own copies of
+    those activations and of Y, so changing the caller's X or Y afterwards
+    does not change the problem.
     """
     X = matcore.as_matrix(X)
-    Y = matcore.as_matrix(Y)
+    Y = matcore.as_matrix(Y).copy(order="K")
     shapes = [tuple(s) for s in layer_shapes]
     for i in range(1, len(shapes)):
         if shapes[i][1] != shapes[i - 1][0]:
@@ -373,29 +379,31 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
     rng = np.random.default_rng(seed)
     frozen = [rng.standard_normal(s) * np.sqrt(2.0 / s[1]) for s in shapes]
 
-    def assemble(W):
-        ws = [w for w in frozen]
-        ws[train_layer] = W
-        return ws
+    # the frozen layers below train_layer, run once: the activation they feed
+    # into the trained layer (X itself when train_layer is 0, hence the copy)
+    # and their smallest |preactivation|
+    pres0, acts0 = _mlp_forward(frozen, X)
+    H_in = acts0[train_layer].copy(order="K")
+    prefix_margin = [min(np.abs(Z).min() for Z in pres0[:train_layer])] if train_layer else []
+
+    def forward(W):
+        """(weights, preactivations, activations) from the trained layer up."""
+        ws = [matcore.as_matrix(W)] + frozen[train_layer + 1:]
+        pres, acts = _mlp_forward(ws, H_in)
+        return ws, pres, acts
 
     def value(W):
-        ws = assemble(matcore.as_matrix(W))
-        _, acts = _mlp_forward(ws, X)
+        _, _, acts = forward(W)
         f, _ = _mlp_loss_and_delta(acts[-1], Y, loss)
         return f
 
     def value_grad(W):
-        ws = assemble(matcore.as_matrix(W))
-        pres, acts = _mlp_forward(ws, X)
+        ws, pres, acts = forward(W)
         f, delta = _mlp_loss_and_delta(acts[-1], Y, loss)
-        for idx in range(len(ws) - 1, -1, -1):
-            G = delta @ acts[idx].T
-            if idx == train_layer:
-                return f, G
+        for idx in range(len(ws) - 1, 0, -1):
             delta = ws[idx].T @ delta
-            if idx > 0:
-                delta = delta * (pres[idx - 1] > 0)
-        raise AssertionError("unreachable")
+            delta = delta * (pres[idx - 1] > 0)
+        return f, delta @ acts[0].T
 
     def grad(W):
         return value_grad(W)[1]
@@ -404,16 +412,15 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
         return fd_hvp(grad, W, D)
 
     def kink_margin(W):
-        ws = assemble(matcore.as_matrix(W))
-        pres, _ = _mlp_forward(ws, X)
-        hidden = pres[:-1]
-        if not hidden:
+        _, pres, _ = forward(W)
+        margins = prefix_margin + [np.abs(Z).min() for Z in pres[:-1]]
+        if not margins:
             return float("inf")
-        return float(min(np.abs(Z).min() for Z in hidden))
+        return float(min(margins))
 
     def _masks(W):
-        ws = assemble(matcore.as_matrix(W))
-        pres, _ = _mlp_forward(ws, X)
+        # hidden masks from train_layer up; those below it never depend on W
+        _, pres, _ = forward(W)
         return [Z > 0 for Z in pres[:-1]]
 
     def probe_clean(W, D):

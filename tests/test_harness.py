@@ -12,6 +12,7 @@ from muonlab import harness, optim, problems, verify
 
 QUAD_SPEC = {"kind": "quadratic", "m": 6, "n": 8, "cond": 100.0,
              "decay": "two_cluster", "seed": 1}
+MLP_SPEC = {"kind": "mlp", "input_dim": 6, "dims": (5, 4, 3), "B": 20}
 
 
 def quad_config(**overrides):
@@ -539,8 +540,8 @@ def test_cli_verify_taylor(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("problem,schedule", [
-    ({"kind": "mlp", "input_dim": 6, "dims": (5, 4, 3), "B": 20}, {"kind": "adaptive_Lstar"}),
-    ({"kind": "mlp", "input_dim": 6, "dims": (5, 4, 3), "B": 20}, {"kind": "adaptive_rL"}),
+    (MLP_SPEC, {"kind": "adaptive_Lstar"}),
+    (MLP_SPEC, {"kind": "adaptive_rL"}),
     (QUAD_SPEC, {"kind": "constant", "etta": 0.1}),
     (QUAD_SPEC, {"kind": "theory_J"}),
     (QUAD_SPEC, {"kind": "constant", "eta": (0.1, 0.2)}),
@@ -554,6 +555,30 @@ def test_cli_run_bad_schedule_exits_2(tmp_path, capsys, problem, schedule):
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,problem", [
+    ("m", dict(QUAD_SPEC, m=(6, 8))),
+    ("cond", dict(QUAD_SPEC, cond="high")),
+    ("seed", dict(QUAD_SPEC, seed=(1, 2))),
+    ("dims", dict(MLP_SPEC, dims="a")),
+    ("dims", dict(MLP_SPEC, dims=5.5)),
+    ("train_layer", dict(MLP_SPEC, train_layer=(1, 2))),
+    ("B", dict(MLP_SPEC, B=(20, 30))),
+    ("c", {"kind": "linear_mse", "d": 8, "B": 12, "c": (3, 4)}),
+], ids=["quad-list-m", "quad-word-cond", "quad-list-seed", "mlp-word-dims",
+        "mlp-float-dims", "mlp-list-train_layer", "mlp-list-B", "linmse-list-c"])
+def test_cli_run_bad_problem_value_exits_2(tmp_path, capsys, key, problem):
+    cfg_path = tmp_path / "bad.toml"
+    out = tmp_path / "out"
+    cfg_path.write_text(quad_config(problem=problem, T=5).to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"problem.{key}" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # verify --check name -> (report name, bound variant)

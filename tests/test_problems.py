@@ -407,6 +407,135 @@ def test_mlp_probe_clean_detects_mask_stability():
             assert abs(s1 - s2) <= 1e-6 * max(1.0, abs(s1))
 
 
+def _uncached_mlp_oracles(shapes, X, Y, loss, seed, train_layer):
+    """The MLP oracles computed with a full forward pass from X on every call."""
+    rng = np.random.default_rng(seed)
+    frozen = [rng.standard_normal(s) * np.sqrt(2.0 / s[1]) for s in shapes]
+
+    def assemble(W):
+        ws = list(frozen)
+        ws[train_layer] = W
+        return ws
+
+    def forward(W):
+        acts, pres, H = [X], [], X
+        ws = assemble(W)
+        for idx, Wi in enumerate(ws):
+            Z = Wi @ H
+            pres.append(Z)
+            H = np.maximum(Z, 0.0) if idx < len(ws) - 1 else Z
+            acts.append(H)
+        return ws, pres, acts
+
+    def value_grad(W):
+        ws, pres, acts = forward(W)
+        f, delta = problems._mlp_loss_and_delta(acts[-1], Y, loss)
+        for idx in range(len(ws) - 1, -1, -1):
+            G = delta @ acts[idx].T
+            if idx == train_layer:
+                return f, G
+            delta = ws[idx].T @ delta
+            if idx > 0:
+                delta = delta * (pres[idx - 1] > 0)
+
+    def grad(W):
+        return value_grad(W)[1]
+
+    def kink_margin(W):
+        hidden = forward(W)[1][:-1]
+        return float(min(np.abs(Z).min() for Z in hidden)) if hidden else float("inf")
+
+    def masks(W):
+        return [Z > 0 for Z in forward(W)[1][:-1]]
+
+    def probe_clean(W, D):
+        dn = float(np.linalg.norm(D, "fro"))
+        if dn == 0.0:
+            return True
+        eps = 1e-4 * (1.0 + float(np.linalg.norm(W, "fro"))) / (1.0 + dn)
+        ref = masks(W)
+        return all(np.array_equal(got, want)
+                   for signed in (W + eps * D, W - eps * D)
+                   for got, want in zip(masks(signed), ref))
+
+    return {"value": lambda W: value_grad(W)[0], "value_grad": value_grad, "grad": grad,
+            "hvp": lambda W, D: fd_hvp(grad, W, D), "kink_margin": kink_margin,
+            "probe_clean": probe_clean}
+
+
+def _assert_oracles_equal(prob, ref, W, D):
+    assert prob.value(W) == ref["value"](W)
+    f, G = prob.value_grad(W)
+    f_ref, G_ref = ref["value_grad"](W)
+    assert f == f_ref and np.array_equal(G, G_ref)
+    assert np.array_equal(prob.grad(W), ref["grad"](W))
+    assert np.array_equal(prob.hvp(W, D), ref["hvp"](W, D))
+    assert prob.kink_margin(W) == ref["kink_margin"](W)
+    assert prob.probe_clean(W, D) == ref["probe_clean"](W, D)
+
+
+@pytest.mark.parametrize("loss", ["softmax_ce", "mse"])
+@pytest.mark.parametrize("train_layer", [0, 1, 2], ids=["first", "middle", "last"])
+def test_mlp_cached_prefix_matches_full_forward(loss, train_layer):
+    rng = np.random.default_rng(34)
+    X = rng.standard_normal((5, 16))
+    Y = problems.onehot_labels(3, 16, seed=20)
+    shapes = [(6, 5), (4, 6), (3, 4)]
+    prob = problems.mlp_new(shapes, X, Y, loss=loss, seed=21, train_layer=train_layer)
+    ref = _uncached_mlp_oracles(shapes, X, Y, loss, 21, train_layer)
+    W0 = prob.metadata["W_init"]
+    probes = []
+    for W in (W0, W0 + 0.3 * rng.standard_normal(prob.shape), 1e-7 * W0):
+        for D in (rng.standard_normal(prob.shape), np.zeros(prob.shape)):
+            _assert_oracles_equal(prob, ref, W, D)
+            probes.append(prob.probe_clean(W, D))
+    # below the last layer, a tiny W puts preactivations at the kinks
+    assert all(probes) == (train_layer == 2)
+
+
+def test_mlp_cached_prefix_matches_full_forward_with_dead_relus():
+    rng = np.random.default_rng(35)
+    # rank-one data with positive sample weights: a first-layer unit is either
+    # alive for every sample or dead for every sample; the zero sample sits on
+    # the kink
+    v = np.abs(rng.standard_normal(12)) + 0.1
+    v[3] = 0.0
+    X = np.outer(rng.standard_normal(5), v)
+    Y = rng.standard_normal((3, 12))
+    shapes = [(6, 5), (5, 6), (4, 5), (3, 4)]
+    prob = problems.mlp_new(shapes, X, Y, loss="mse", seed=36, train_layer=2)
+    ref = _uncached_mlp_oracles(shapes, X, Y, "mse", 36, 2)
+    first = (np.random.default_rng(36).standard_normal(shapes[0]) * np.sqrt(2.0 / 5)) @ X
+    assert np.any(np.all(first <= 0, axis=1)), "no dead unit in the frozen prefix"
+    W0 = prob.metadata["W_init"]
+    for W in (W0, W0 + 0.3 * rng.standard_normal(prob.shape)):
+        _assert_oracles_equal(prob, ref, W, rng.standard_normal(prob.shape))
+    assert prob.kink_margin(W0) == 0.0
+
+
+def test_mlp_copies_its_data():
+    rng = np.random.default_rng(37)
+    X = rng.standard_normal((5, 16))
+    Y = problems.onehot_labels(3, 16, seed=20)
+    for train_layer in (0, 1):
+        prob = problems.mlp_new([(6, 5), (4, 6), (3, 4)], X, Y, seed=21,
+                                train_layer=train_layer)
+        W = prob.metadata["W_init"] + 0.1 * rng.standard_normal(prob.shape)
+        D = rng.standard_normal(prob.shape)
+
+        def outputs():
+            return [prob.value(W), *prob.value_grad(W), prob.grad(W), prob.hvp(W, D),
+                    prob.kink_margin(W), prob.probe_clean(W, D)]
+
+        before = outputs()
+        X_saved, Y_saved = X.copy(), Y.copy()
+        X *= -2.0
+        Y[:] = Y[::-1]
+        after = outputs()
+        X[:], Y[:] = X_saved, Y_saved
+        assert all(np.array_equal(b, a) for b, a in zip(before, after))
+
+
 # ---------------------------------------------------------------------------
 # stochastic oracle
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ CSV schema (one row per recorded step, stable column order):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -47,6 +48,9 @@ OPTIMIZER_KINDS = MUON_KINDS + ("gd", "gd_nesterov", "adam", "adamw")
 # ---------------------------------------------------------------------------
 
 def _format_value(v) -> str:
+    """Text of a config value or a CSV cell; None is the empty cell."""
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -165,6 +169,14 @@ RUN_KEYS = tuple(f.name for f in fields(ExperimentConfig)
 # ---------------------------------------------------------------------------
 
 
+def _whole(value) -> int:
+    """value as an int; ValueError when it is not a whole number."""
+    whole = int(value)
+    if whole != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return whole
+
+
 def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     """Construct a Problem from a config section.
 
@@ -172,12 +184,19 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     mixed in so every run draws its own instance (used for the quadratic
     optimum resampling studies).
     """
-    def number(key, default, cast=int):
+    def number(key, default, cast=_whole):
         value = spec.get(key, default)
         try:
             return cast(value)
         except (TypeError, ValueError):
-            raise ValueError(f"problem.{key} must be one number, got {value!r}") from None
+            what = "whole number" if cast is _whole else "number"
+            raise ValueError(f"problem.{key} must be one {what}, got {value!r}") from None
+
+    def flag(key, default):
+        value = spec.get(key, default)
+        if not isinstance(value, bool):
+            raise ValueError(f"problem.{key} must be true or false, got {value!r}")
+        return value
 
     kind = spec.get("kind", "quadratic")
     base_seed = number("seed", 0)
@@ -188,7 +207,7 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
         n = number("n", 20)
         cond = number("cond", 1e4, float)
         decay = spec.get("decay", "two_cluster")
-        half = bool(spec.get("half", True))
+        half = flag("half", True)
         scale = number("wstar_scale", 50.0, float)
         q_seed = int(eff.integers(0, 2 ** 31))
         Q = problems.make_ill_conditioned_Q(m, cond, decay, seed=q_seed)
@@ -212,7 +231,7 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
                                           seed=base_seed)
         elif features == "csv":
             X = problems.load_features_csv(spec["path"],
-                                           skip_header=bool(spec.get("skip_header", False)))
+                                           skip_header=flag("skip_header", False))
         else:
             raise ValueError(f"unknown features {features!r}")
         Y = problems.onehot_labels(c, X.shape[1], seed=base_seed + 1)
@@ -223,7 +242,7 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
         if isinstance(dims, (int, np.integer)):
             dims = (int(dims),)
         try:
-            dims = tuple(int(x) for x in dims)
+            dims = tuple(_whole(x) for x in dims)
         except (TypeError, ValueError):
             raise ValueError(f"problem.dims must be a list of widths, got {dims!r}") from None
         B = number("B", 120)
@@ -528,8 +547,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
         W = W_next
         t += 1
     # terminal row: state after the last completed step (or at truncation)
-    f_end = problem.value(W)
-    G_end = problem.grad(W)
+    f_end, G_end = problem.eval_value_grad(W)
     rec = StepRecord(t=t, f=float(f_end),
                      grad_F=float(np.linalg.norm(G_end, "fro")),
                      grad_nuc=float(np.sum(matcore.svd(G_end).S)))
@@ -623,83 +641,64 @@ def run_all(config: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _csv_text(header: Sequence[str], rows) -> str:
+    return "".join(",".join(_format_value(v) for v in row) + "\n"
+                   for row in (header, *rows))
 
 
 def emit_csv(records: Sequence[StepRecord], path: str) -> None:
     """Write step records with the stable column order of CSV_COLUMNS."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            row = [rec.t, rec.f, rec.grad_F, rec.grad_nuc, rec.eta, rec.J_t,
-                   rec.L_t, rec.hatJ_t, rec.dist_F, rec.dist_op,
-                   rec.ratio_lhs, rec.ratio_rhs]
-            fh.write(",".join(_fmt_cell(v) for v in row) + "," + rec.flags + "\n")
+    problems.write_atomic(path, _csv_text(CSV_COLUMNS, (
+        (rec.t, rec.f, rec.grad_F, rec.grad_nuc, rec.eta, rec.J_t, rec.L_t,
+         rec.hatJ_t, rec.dist_F, rec.dist_op, rec.ratio_lhs, rec.ratio_rhs,
+         rec.flags) for rec in records)))
 
 
 def read_records_csv(path: str) -> list:
     """Inverse of emit_csv."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != CSV_COLUMNS:
+        if tuple(fh.readline().strip().split(",")) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            vals = dict(zip(CSV_COLUMNS, parts))
-
-            def fnum(key):
-                return float(vals[key]) if vals[key] != "" else None
-
-            lhs, rhs = fnum("ratio_lhs"), fnum("ratio_rhs")
-            records.append(StepRecord(
-                t=int(vals["t"]), f=float(vals["f"]),
-                grad_F=float(vals["grad_F"]), grad_nuc=fnum("grad_nuc"),
-                eta=fnum("eta"), J_t=fnum("J_t"), L_t=fnum("L_t"),
-                hatJ_t=fnum("hatJ_t"), dist_F=fnum("distF"),
-                dist_op=fnum("distOp"), ratio_lhs=lhs, ratio_rhs=rhs,
-                ratio_ok=None if lhs is None else bool(lhs <= rhs),
-                flags=vals["flags"]))
+        for lineno, line in enumerate(fh, 2):
+            cells = line.rstrip("\n").split(",")
+            try:
+                if len(cells) != len(CSV_COLUMNS):
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(cells)}")
+                # the columns follow StepRecord's fields; t, f and grad_F are never empty
+                rec = StepRecord(int(cells[0]), float(cells[1]), float(cells[2]),
+                                 *(None if c == "" else float(c) for c in cells[3:-1]),
+                                 flags=cells[-1])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+            if rec.ratio_lhs is not None and rec.ratio_rhs is not None:
+                rec.ratio_ok = bool(rec.ratio_lhs <= rec.ratio_rhs)
+            records.append(rec)
     return records
 
 
-def emit_summary(summary, path: str) -> None:
-    """Write a summary (RunSummary or plain dict) as stable JSON."""
-    payload = summary.to_dict() if hasattr(summary, "to_dict") else summary
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def emit_summary(summary: dict, path: str) -> None:
+    """Write a summary dict as stable JSON."""
+    problems.write_atomic(path, json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
 def emit_spectrum_csv(singular_values, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("index,sigma\n")
-        for i, s in enumerate(np.asarray(singular_values, dtype=np.float64)):
-            fh.write(f"{i},{repr(float(s))}\n")
+    problems.write_atomic(path, _csv_text(("index", "sigma"), enumerate(
+        np.asarray(singular_values, dtype=np.float64))))
 
 
 def _write_artifact(config: ExperimentConfig, artifact: RunArtifact) -> None:
-    os.makedirs(config.out_dir, exist_ok=True)
     stem = os.path.join(config.out_dir, f"{config.name}_seed{artifact.seed}")
     artifact.csv_path = stem + ".csv"
     emit_csv(artifact.records, artifact.csv_path)
     artifact.summary_path = stem + "_summary.json"
-    payload = artifact.summary.to_dict()
-    payload["seed"] = artifact.seed
-    payload["truncated"] = artifact.truncated
-    payload["schedule_resolved"] = artifact.schedule_resolved
+    payload = dict(artifact.summary.to_dict(), seed=artifact.seed,
+                   truncated=artifact.truncated, schedule_resolved=artifact.schedule_resolved)
     if artifact.best_eta is not None:
         payload["best_eta"] = artifact.best_eta
     emit_summary(payload, artifact.summary_path)
     artifact.config_path = stem + "_config.txt"
-    with open(artifact.config_path, "w", encoding="utf-8") as fh:
-        fh.write(artifact.config_text)
+    problems.write_atomic(artifact.config_path, artifact.config_text)
     if artifact.grid_results is not None:
         artifact.grid_path = stem + "_grid.json"
         emit_summary({"grid": artifact.grid_results}, artifact.grid_path)
@@ -764,12 +763,8 @@ def ratio_study(m: int = 15, n: int = 20, samples: int = 1000, cond: float = 1e4
         "ratio_mean": float(np.mean(ratios)),
     }
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "ratio_study.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("sample,distF,distOp,ratio\n")
-            for k, d_f, d_op, ratio in rows:
-                fh.write(f"{k},{repr(d_f)},{repr(d_op)},{repr(ratio)}\n")
+        problems.write_atomic(os.path.join(out_dir, "ratio_study.csv"),
+                              _csv_text(("sample", "distF", "distOp", "ratio"), rows))
         emit_summary(summary, os.path.join(out_dir, "ratio_study_summary.json"))
     return rows, summary
 
@@ -801,7 +796,6 @@ def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
                "seeds": [int(s) for s in seeds], "muon_wins": wins,
                "win_fraction": wins / len(results), "runs": results}
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         emit_summary(summary, os.path.join(out_dir, "figure1_summary.json"))
     return summary
 
@@ -853,7 +847,6 @@ def figure2_suite(kind: str = "lowrank", c: int = 100, seed: int = 0,
         "best_eta": {name: art.best_eta for name, art in artifacts.items()},
     }
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         emit_summary(summary, os.path.join(out_dir, f"fig2_{kind}_c{c}_summary.json"))
     return artifacts, summary
 
@@ -903,7 +896,6 @@ def figure3_suite(input_dim: int = 10, dims: tuple = (8, 6, 4), B: int = 120,
         "best_eta": {name: art.best_eta for name, art in artifacts.items()},
     }
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         emit_summary(summary, os.path.join(out_dir, "fig3_summary.json"))
     return artifacts, summary
 
@@ -941,30 +933,6 @@ def quadratic_check_run(seed: int = 0, T: int = 500,
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
-
-
-class _OutputGuard:
-    """Removes partially written outputs when a command fails."""
-
-    def __init__(self):
-        self.paths = []
-
-    def track_dir(self, out_dir):
-        if out_dir:
-            self.before = set()
-            self.out_dir = out_dir
-            if os.path.isdir(out_dir):
-                self.before = {os.path.join(out_dir, p) for p in os.listdir(out_dir)}
-        else:
-            self.out_dir = None
-
-    def cleanup(self):
-        if getattr(self, "out_dir", None) and os.path.isdir(self.out_dir):
-            for p in {os.path.join(self.out_dir, q) for q in os.listdir(self.out_dir)} - self.before:
-                try:
-                    os.remove(p)
-                except OSError:
-                    pass
 
 
 def _quadratic_run(schedule_kind: str):
@@ -1070,9 +1038,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if not os.path.isfile(args.config):
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 2
     config = ExperimentConfig.from_file(args.config)
     if args.out:
         config.out_dir = args.out
@@ -1099,13 +1064,10 @@ def _cmd_verify(args) -> int:
     if which is not None:
         keywords["which"] = which
     report = check(*positional, **keywords)
-    text = report.to_json()
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        problems.write_atomic(args.out, report.to_json())
     else:
-        print(text, end="")
+        print(report.to_json(), end="")
     print(f"{report.name}: {'PASS' if report.passed else 'FAIL'} "
           f"({len(report.violations)} violations / {report.instances} instances)")
     return 0 if report.passed else 1
@@ -1124,7 +1086,6 @@ def _cmd_spectra(args) -> int:
     sv = spectrum(A)
     ratio = float(np.sum(sv ** 2) / sv[0] ** 2)
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         emit_spectrum_csv(sv, args.out)
     print(f"top singular value {sv[0]:.6g}, concentration ratio {ratio:.4f}")
     return 0
@@ -1136,8 +1097,8 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    guard = _OutputGuard()
-    guard.track_dir(getattr(args, "out", None))
+    created = []
+    token = problems.new_files.set(created)
     try:
         if args.cmd == "run":
             return _cmd_run(args)
@@ -1168,11 +1129,18 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         if args.cmd == "verify":
             return _cmd_verify(args)
         raise AssertionError("unreachable")
-    except (OSError, ValueError, RuntimeError, AssertionError) as exc:
-        guard.cleanup()
+    except BaseException as exc:
+        # a failed command leaves none of the files it created
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if not isinstance(exc, (OSError, ValueError, RuntimeError, AssertionError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         # validate_record raises AssertionError when a run breaks a checked bound
         return 1 if isinstance(exc, AssertionError) else 2
+    finally:
+        problems.new_files.reset(token)
 
 
 def main() -> None:

@@ -9,7 +9,11 @@ live in problem.metadata.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
+import threading
+from contextvars import ContextVar
 from typing import Optional, Sequence
 
 import numpy as np
@@ -237,12 +241,38 @@ def onehot_labels(c: int, B: int, seed: int = 0) -> np.ndarray:
     return Y
 
 
+# while this holds a list, write_atomic appends every path it newly creates
+new_files: ContextVar[Optional[list]] = ContextVar("new_files", default=None)
+
+
+def write_atomic(path, text: str) -> None:
+    """Put text in the file at path whole, creating its directory.
+
+    The text goes to a temporary file beside path that is then renamed onto
+    it, so on any failure an existing file stays unchanged and the temporary
+    file is removed.  Every artifact is written here.
+    """
+    path = os.fspath(path)
+    folder, name = os.path.split(path)
+    os.makedirs(folder or ".", exist_ok=True)
+    tmp = os.path.join(folder, f".{name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    is_new = not os.path.lexists(path)
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    if is_new and new_files.get() is not None:
+        new_files.get().append(path)
+
+
 def save_matrix_csv(A, path) -> None:
     """Write a matrix as plain comma-separated rows (full float precision)."""
     A = matcore.as_matrix(A)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for row in A:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    write_atomic(path, "".join(",".join(repr(float(x)) for x in row) + "\n" for row in A))
 
 
 def load_features_csv(path, skip_header: bool = False) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from muonlab import diagnostics as dg
 from muonlab import harness, optim, problems, verify
@@ -339,6 +342,125 @@ def test_csv_header_matches_contract(tmp_path):
     assert header == "t,f,grad_F,grad_nuc,eta,J_t,L_t,hatJ_t,distF,distOp,ratio_lhs,ratio_rhs,flags"
 
 
+ANY_FLOAT = st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+OPTIONAL_FLOAT = st.none() | ANY_FLOAT
+FLAGS = (dg.FLAG_ZERO_DIRECTION, dg.FLAG_POWER_FALLBACK, dg.FLAG_FD_KINK,
+         dg.FLAG_DIVERGED, dg.FLAG_RAYLEIGH)
+STEP_RECORDS = st.lists(st.builds(
+    dg.StepRecord, t=st.integers(min_value=0), f=ANY_FLOAT, grad_F=ANY_FLOAT,
+    grad_nuc=OPTIONAL_FLOAT, eta=OPTIONAL_FLOAT, J_t=OPTIONAL_FLOAT, L_t=OPTIONAL_FLOAT,
+    hatJ_t=OPTIONAL_FLOAT, dist_F=OPTIONAL_FLOAT, dist_op=OPTIONAL_FLOAT,
+    ratio_lhs=OPTIONAL_FLOAT, ratio_rhs=OPTIONAL_FLOAT,
+    flags=st.lists(st.sampled_from(FLAGS), max_size=3).map(";".join)), max_size=6)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=STEP_RECORDS)
+def test_csv_emit_read_emit_is_byte_exact(tmp_path, records):
+    # -0.0, subnormals, +-inf and nan all survive the text form
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    harness.emit_csv(records, first)
+    harness.emit_csv(harness.read_records_csv(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _good_row() -> str:
+    return ",".join(["0", "1.0", "2.0", "3.0"] + [""] * (len(harness.CSV_COLUMNS) - 4))
+
+
+@pytest.mark.parametrize("bad", ["0,1.0,2.0", _good_row().replace("1.0", "abc"),
+                                 _good_row().replace("0", "zero", 1), ""],
+                         ids=["too-few-fields", "word-f", "word-t", "blank-line"])
+def test_read_records_csv_names_file_and_line(tmp_path, bad):
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(harness.CSV_COLUMNS) + "\n" + _good_row() + "\n" + bad + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path} line 3: ")):
+        harness.read_records_csv(path)
+
+
+class _Unprintable:
+    """A cell value that no formatter can turn into text."""
+
+    def __float__(self):
+        raise ValueError("unprintable cell")
+
+    __str__ = __float__
+
+
+def test_emit_csv_failure_leaves_existing_file_unchanged(tmp_path):
+    records = harness.run_experiment(quad_config(T=5), 1).records
+    records[-1].L_t = _Unprintable()
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"earlier contents\n")
+    with pytest.raises(ValueError, match="unprintable cell"):
+        harness.emit_csv(records, path)
+    assert path.read_bytes() == b"earlier contents\n"
+    assert os.listdir(tmp_path) == ["trace.csv"]
+
+
+@pytest.mark.parametrize("emit,obj", [
+    (harness.emit_csv, [dg.StepRecord(t=0, f=1.0, grad_F=2.0, grad_nuc=3.0)]),
+    (harness.emit_summary, {"final_f": 1.0}),
+    (harness.emit_spectrum_csv, [3.0, 1.0]),
+    (problems.save_matrix_csv, np.eye(2)),
+], ids=["emit_csv", "emit_summary", "emit_spectrum_csv", "save_matrix_csv"])
+def test_failed_rename_leaves_target_unchanged_and_no_temp_file(tmp_path, monkeypatch,
+                                                                 emit, obj):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"earlier contents\n")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        emit(obj, path)
+    assert path.read_bytes() == b"earlier contents\n"
+    assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_write_atomic_creates_parent_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    problems.write_atomic(path, "text\n")
+    assert path.read_bytes() == b"text\n"
+    assert os.listdir(path.parent) == ["out.txt"]
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """True when a call opens a file in a write mode or writes one whole."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes", "savetxt"):
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg in ("mode", "flags")), None)
+    if mode is None:
+        return False
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return any(c in mode.value for c in "wax+")
+    return True  # a mode worked out at run time counts as a write
+
+
+def test_one_function_in_the_package_opens_files_for_writing():
+    package = Path(harness.__file__).resolve().parent
+    writers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call) and _opens_for_writing(node):
+            writers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert writers == ["problems.write_atomic"]
+
+
 def test_hatJ_recording():
     config = quad_config(optimizer={"kind": "simplified_muon"},
                          schedule={"kind": "constant", "eta": 0.1},
@@ -494,6 +616,30 @@ def test_cli_record_check_failure_exits_1_and_cleans_up(tmp_path, capsys, monkey
     assert sorted(os.listdir(out)) == ["earlier.txt"]
 
 
+def test_cli_unmapped_failure_still_removes_created_files(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "quad.toml"
+    cfg_path.write_text(quad_config(seeds=(1, 2), T=5).to_text())
+    out = tmp_path / "runs"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept")
+    # a file the command replaces existed before it, so it stays
+    (out / "run_seed1_config.txt").write_text("older config")
+    real = harness.run_experiment
+
+    def failing(config, seed=None):
+        # seed 1 runs and writes its artifacts; seed 2 fails before writing
+        if seed == 2:
+            raise KeyError("no such seed")
+        return real(config, seed)
+
+    monkeypatch.setattr(harness, "run_experiment", failing)
+    with pytest.raises(KeyError, match="no such seed"):
+        harness.cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert sorted(os.listdir(out)) == ["earlier.txt", "run_seed1_config.txt"]
+    assert problems.new_files.get() is None  # nothing is recorded outside cli_main
+    assert harness.ExperimentConfig.from_file(out / "run_seed1_config.txt").seeds == (1, 2)
+
+
 def test_cli_unknown_flag_exits_2():
     assert harness.cli_main(["run", "--bogus"]) == 2
 
@@ -566,8 +712,16 @@ def test_cli_run_bad_schedule_exits_2(tmp_path, capsys, problem, schedule):
     ("train_layer", dict(MLP_SPEC, train_layer=(1, 2))),
     ("B", dict(MLP_SPEC, B=(20, 30))),
     ("c", {"kind": "linear_mse", "d": 8, "B": 12, "c": (3, 4)}),
+    ("m", dict(QUAD_SPEC, m=6.7)),
+    ("half", dict(QUAD_SPEC, half="no")),
+    ("dims", dict(MLP_SPEC, dims=(5.5, 4, 3))),
+    ("train_layer", dict(MLP_SPEC, train_layer=1.5)),
+    ("skip_header", {"kind": "linear_mse", "features": "csv", "path": "features.csv",
+                     "skip_header": "no"}),
 ], ids=["quad-list-m", "quad-word-cond", "quad-list-seed", "mlp-word-dims",
-        "mlp-float-dims", "mlp-list-train_layer", "mlp-list-B", "linmse-list-c"])
+        "mlp-float-dims", "mlp-list-train_layer", "mlp-list-B", "linmse-list-c",
+        "quad-fraction-m", "quad-word-half", "mlp-fraction-dims",
+        "mlp-fraction-train_layer", "linmse-word-skip_header"])
 def test_cli_run_bad_problem_value_exits_2(tmp_path, capsys, key, problem):
     cfg_path = tmp_path / "bad.toml"
     out = tmp_path / "out"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -40,7 +41,6 @@ CSV_COLUMNS = ("t", "f", "grad_F", "grad_nuc", "eta", "J_t", "L_t", "hatJ_t",
 DIVERGENCE_FACTOR = 1e6
 
 MUON_KINDS = ("muon", "simplified_muon")
-OPTIMIZER_KINDS = MUON_KINDS + ("gd", "gd_nesterov", "adam", "adamw")
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +230,8 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
             X = problems.lowrank_features(d, B, number("target_ratio", 1.41, float),
                                           seed=base_seed)
         elif features == "csv":
+            if "path" not in spec:
+                raise ValueError("problem.features = csv needs problem.path")
             X = problems.load_features_csv(spec["path"],
                                            skip_header=flag("skip_header", False))
         else:
@@ -269,10 +271,16 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     raise ValueError(f"unknown problem kind {kind!r}")
 
 
+# kind -> (optim stepper, the optimizer.* keys other than kind that it reads);
 # momentum-free Muon is the Muon stepper with beta = 0
-_STEPPERS = {"muon": "muon_step", "simplified_muon": "muon_step",
-             "gd": "gd_step", "gd_nesterov": "gd_nesterov_step",
-             "adam": "adam_step", "adamw": "adamw_step"}
+_OPTIMIZERS = {
+    "muon": ("muon_step", ("beta", "orthogonalizer", "ns_steps")),
+    "simplified_muon": ("muon_step", ("orthogonalizer", "ns_steps")),
+    "gd": ("gd_step", ()),
+    "gd_nesterov": ("gd_nesterov_step", ("mu",)),
+    "adam": ("adam_step", ("beta1", "beta2", "eps")),
+    "adamw": ("adamw_step", ("beta1", "beta2", "eps", "weight_decay")),
+}
 
 
 class _OptRun:
@@ -286,8 +294,13 @@ class _OptRun:
 
     def __init__(self, spec: dict):
         self.kind = spec.get("kind", "gd")
-        if self.kind not in OPTIMIZER_KINDS:
+        if self.kind not in _OPTIMIZERS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        keys = _OPTIMIZERS[self.kind][1]
+        for key in spec:
+            if key != "kind" and key not in keys:
+                raise ValueError(f"optimizer.{key} is not read by optimizer kind "
+                                 f"{self.kind!r}, which reads: {', '.join(('kind',) + keys)}")
         self.options = {}
         self.state = None
         if self.kind in MUON_KINDS:
@@ -308,7 +321,7 @@ class _OptRun:
     def step(self, W, G, eta, out=None):
         """Advance by one step; the new parameter goes to out when given."""
         # looked up per call, so a wrapper installed on the optim module applies
-        stepper = getattr(optim, _STEPPERS[self.kind])
+        stepper = getattr(optim, _OPTIMIZERS[self.kind][0])
         args = (W, G, eta) if self.state is None else (self.state, W, G, eta)
         W_next = stepper(*args, out=out, **self.options)
         if self.kind in MUON_KINDS:
@@ -436,10 +449,11 @@ def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
 
     Returns [(final_f, diverged), ...] in grid order, with (inf, True) for a
     diverged point.  The points advance in lockstep on a (k, m, n) stack:
-    the oracle is called per point, the optimizer steps the whole stack at
-    once (one stacked factorization per Muon step), and a point that trips
-    the divergence guard leaves the stack.  Each point's result is bit for
-    bit the one a separate run would give.
+    the oracle is called once for the stack when it takes stacks and per
+    point otherwise, the optimizer steps the whole stack at once (one stacked
+    factorization per Muon step), and a point that trips the divergence guard
+    leaves the stack.  Each point's result is bit for bit the one a separate
+    run would give.
     """
     results = [(float("inf"), True)] * len(etas)
     live = list(range(len(etas)))  # grid index of each stack row
@@ -449,11 +463,14 @@ def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
     eta = np.array(etas, dtype=np.float64).reshape(-1, 1, 1)
     in_bounds = _divergence_guard(problem.value(W0))
     for _ in range(T):
-        rows = []
-        for j in range(len(live)):
-            f, G[j] = problem.eval_value_grad(W[j])
-            if in_bounds(f):
-                rows.append(j)
+        if problem.value_grad_stacks:
+            values, G = problem.eval_value_grad(W)
+        else:
+            values = []
+            for j in range(len(live)):
+                f, G[j] = problem.eval_value_grad(W[j])
+                values.append(f)
+        rows = [j for j, f in enumerate(values) if in_bounds(f)]
         if len(rows) < len(live):
             if not rows:
                 return results
@@ -769,31 +786,58 @@ def ratio_study(m: int = 15, n: int = 20, samples: int = 1000, cond: float = 1e4
     return rows, summary
 
 
+def _fan_out(fn, seeds: list) -> list:
+    """[fn(seed) for seed in seeds], spread over min(cores, len(seeds)) processes.
+
+    The processes come from the spawn context, so fn must be importable by
+    name and a calling script needs an ``if __name__ == "__main__":`` guard.
+    Results come back in seed order, and an exception in a process reaches
+    the caller.  With one process to use, nothing is started.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(seeds))
+    if workers < 2:
+        return [fn(seed) for seed in seeds]
+    # imported here, so a call that starts no process skips its ~15 ms import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        return list(pool.map(fn, seeds))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _figure1_seed(seed: int, T: int, m: int, n: int, cond: float) -> dict:
+    """figure1_study's run for one seed."""
+    problem = build_problem({"kind": "quadratic", "m": m, "n": n, "cond": cond,
+                             "decay": "two_cluster", "seed": 0, "seed_mode": "per_run"},
+                            run_seed=seed)
+    W0 = np.zeros((m, n))
+    grid = default_grid("muon", problem)
+    best_muon = _best_point(grid, _grid_scan(
+        problem, {"kind": "muon", "beta": 0.9}, grid, T, W0))
+    eta_gd = 1.0 / problem.metadata["L"]
+    f_gd = _grid_scan(problem, {"kind": "gd"}, (eta_gd,), T, W0)[0][0]
+    return {"seed": seed, "muon_final_f": best_muon[0], "muon_eta": best_muon[1],
+            "gd_final_f": f_gd, "gd_eta": eta_gd}
+
+
 def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
                   cond: float = 1e4, out_dir: Optional[str] = None):
     """Tuned Muon against fixed-stepsize GD (eta = 1/L) on ill-conditioned quadratics.
 
     Every seed draws its own optimum of a two-cluster quadratic; Muon (beta
     0.9) picks its stepsize from the default grid by final loss, GD uses the
-    prescribed 1/L.  Returns per-seed final losses.
+    prescribed 1/L.  Returns per-seed final losses.  Several seeds run in
+    spawned processes, one per usable core (see _fan_out); one seed runs here.
     """
-    prob_spec = {"kind": "quadratic", "m": m, "n": n, "cond": cond,
-                 "decay": "two_cluster", "seed": 0, "seed_mode": "per_run"}
-    results = []
-    for seed in seeds:
-        problem = build_problem(prob_spec, run_seed=seed)
-        W0 = np.zeros((m, n))
-        grid = default_grid("muon", problem)
-        best_muon = _best_point(grid, _grid_scan(
-            problem, {"kind": "muon", "beta": 0.9}, grid, T, W0))
-        eta_gd = 1.0 / problem.metadata["L"]
-        f_gd = _grid_scan(problem, {"kind": "gd"}, (eta_gd,), T, W0)[0][0]
-        results.append({"seed": int(seed), "muon_final_f": best_muon[0],
-                        "muon_eta": best_muon[1], "gd_final_f": f_gd,
-                        "gd_eta": eta_gd})
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("figure1_study needs at least one seed")
+    results = _fan_out(functools.partial(_figure1_seed, T=T, m=m, n=n, cond=cond), seeds)
     wins = sum(1 for r in results if r["muon_final_f"] < r["gd_final_f"])
-    summary = {"T": T, "m": m, "n": n, "cond": cond, "decay": prob_spec["decay"],
-               "seeds": [int(s) for s in seeds], "muon_wins": wins,
+    summary = {"T": T, "m": m, "n": n, "cond": cond, "decay": "two_cluster",
+               "seeds": seeds, "muon_wins": wins,
                "win_fraction": wins / len(results), "runs": results}
     if out_dir:
         emit_summary(summary, os.path.join(out_dir, "figure1_summary.json"))

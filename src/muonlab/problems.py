@@ -29,6 +29,9 @@ class Problem:
         value, grad, hvp: the oracles; hvp(W, D) is linear and symmetric in D.
         hvp_exact: False when hvp is a finite-difference approximation.
         value_grad: optional fused oracle returning (value, grad) cheaply.
+        value_grad_stacks: True when value_grad also takes a (k, m, n) stack
+            of parameters and returns a (k,) array of values with the (k, m, n)
+            gradients, each slice bit for bit its own 2-D call.
         kink_margin: optional callable giving the distance of the nearest
             hidden-layer preactivation to zero (MLPs only).
         probe_clean: optional predicate, true when the hvp(W, D) probe keeps
@@ -37,13 +40,15 @@ class Problem:
     """
 
     def __init__(self, shape, value, grad, hvp, hvp_exact=True, metadata=None,
-                 value_grad=None, kink_margin=None, probe_clean=None):
+                 value_grad=None, kink_margin=None, probe_clean=None,
+                 value_grad_stacks=False):
         self.shape = tuple(shape)
         self.value = value
         self.grad = grad
         self.hvp = hvp
         self.hvp_exact = hvp_exact
         self.value_grad = value_grad
+        self.value_grad_stacks = value_grad_stacks
         self.kink_margin = kink_margin
         self.probe_clean = probe_clean
         self.metadata = dict(metadata or {})
@@ -81,6 +86,7 @@ def quadratic_new(Q, W_star, half: bool = True) -> Problem:
 
     half=True uses c = 1/2 (so grad = Q (W - W*)); half=False uses c = 1.
     Exact metadata: L = 2c*||Q||_op, L_star = 2c*||Q||_*, f* = 0, W* known.
+    value_grad also takes a (k, m, n) stack of parameters.
     """
     Q = matcore.as_matrix(Q)
     W_star = matcore.as_matrix(W_star)
@@ -107,15 +113,19 @@ def quadratic_new(Q, W_star, half: bool = True) -> Problem:
         return 2.0 * c * (Q @ (W - W_star))
 
     def value_grad(W):
+        # Q @ E multiplies each slice of a stack on its own, and the sum over
+        # the last two axes adds each slice in the order of its 2-D sum
         E = W - W_star
         QE = Q @ E
-        return c * float(np.sum(E * QE)), 2.0 * c * QE
+        if E.ndim == 2:
+            return c * float(np.sum(E * QE)), 2.0 * c * QE
+        return c * np.sum(E * QE, axis=(1, 2)), 2.0 * c * QE
 
     def hvp(W, D):
         return 2.0 * c * (Q @ D)
 
     return Problem(W_star.shape, value, grad, hvp, hvp_exact=True,
-                   metadata=meta, value_grad=value_grad)
+                   metadata=meta, value_grad=value_grad, value_grad_stacks=True)
 
 
 def make_ill_conditioned_Q(m: int, cond: float, decay: str = "two_cluster",

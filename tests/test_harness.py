@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import json
 import os
 import re
@@ -271,6 +272,65 @@ def test_grid_scan_survivors_match_after_divergence(spec):
     assert not reference[0][0][1]
 
 
+def test_quadratic_grid_scan_survivors_match_after_divergence():
+    # the quadratic's oracle takes the whole stack at once; GD at eta > 2/L
+    # blows up along the top eigenvector, sooner the larger eta is
+    problem = harness.build_problem(QUAD_SPEC, 1)
+    assert problem.value_grad_stacks
+    W0 = np.random.default_rng(5).standard_normal(problem.shape)
+    L = problem.metadata["L"]
+    grid, T = tuple(x / L for x in (0.5, 1.0, 2.5, 4.0, 16.0)), 60
+    spec = {"kind": "gd"}
+    reference = [separate_run(problem, spec, eta, T, W0) for eta in grid]
+    assert harness._grid_scan(problem, spec, grid, T, W0) == [r for r, _ in reference]
+    tripped = [t for _, t in reference]
+    assert tripped[:2] == [None, None]
+    assert 1 < tripped[4] < tripped[3] < tripped[2] < T
+
+
+@pytest.mark.parametrize("optimizer", [
+    {"kind": "muon", "beta": 0.8, "orthogonalizer": "ns", "ns_steps": 6},
+    {"kind": "simplified_muon", "orthogonalizer": "ns", "ns_steps": 6},
+    {"kind": "gd"},
+    {"kind": "gd_nesterov", "mu": 0.8},
+    {"kind": "adam", "beta1": 0.8, "beta2": 0.99, "eps": 1e-7},
+    {"kind": "adamw", "beta1": 0.8, "beta2": 0.99, "eps": 1e-7, "weight_decay": 0.1},
+], ids=lambda o: o["kind"])
+def test_optimizer_accepts_every_key_its_kind_reads(optimizer):
+    art = harness.run_experiment(quad_config(optimizer=optimizer, T=5), 1)
+    assert len(art.records) == 6
+
+
+@pytest.mark.parametrize("optimizer,key", [
+    ({"kind": "muon", "orthogonaliser": "ns"}, "orthogonaliser"),
+    ({"kind": "muon", "mu": 0.9}, "mu"),
+    ({"kind": "simplified_muon", "beta": 0.9}, "beta"),
+    ({"kind": "gd", "beta": 0.9}, "beta"),
+    ({"kind": "gd", "mu": 0.9}, "mu"),
+    ({"kind": "gd_nesterov", "beta": 0.9}, "beta"),
+    ({"kind": "adam", "weight_decay": 0.01}, "weight_decay"),
+    ({"kind": "adam", "beta": 0.9}, "beta"),
+    ({"kind": "adamw", "beta_1": 0.9}, "beta_1"),
+], ids=lambda v: v["kind"] if isinstance(v, dict) else v)
+def test_cli_run_unread_optimizer_key_exits_2(tmp_path, capsys, optimizer, key):
+    cfg_path = tmp_path / "bad.toml"
+    cfg_path.write_text(quad_config(optimizer=optimizer, T=5).to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"optimizer.{key} " in err and repr(optimizer["kind"]) in err
+
+
+def test_cli_run_beta_flag_needs_a_momentum_kind(tmp_path, capsys):
+    cfg_path = tmp_path / "gd.toml"
+    cfg_path.write_text(quad_config(T=5).to_text())
+    assert harness.cli_main(["run", "--config", str(cfg_path), "--beta", "0.5"]) == 2
+    assert "optimizer.beta " in capsys.readouterr().err
+    assert harness.cli_main(["run", "--config", str(cfg_path), "--beta", "0.5",
+                             "--optimizer", "muon"]) == 0
+
+
 @pytest.mark.parametrize("optimizer", [{"kind": "lion"},
                                        {"kind": "muon", "beta": 1.5},
                                        {"kind": "muon", "orthogonalizer": "qr"},
@@ -517,6 +577,67 @@ def test_figure1_study_smoke(tmp_path):
     assert (tmp_path / "figure1_summary.json").exists()
 
 
+FIG1_SMALL = dict(T=300, m=6, n=8, cond=100.0)
+
+
+def usable_cores(monkeypatch, count):
+    """Make figure1_study see `count` usable cores, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_figure1_fan_out_matches_one_seed_calls(tmp_path, monkeypatch):
+    started = []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs["mp_context"].get_start_method())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    usable_cores(monkeypatch, 1)
+    serial = harness.figure1_study(seeds=(0, 1), out_dir=str(tmp_path / "serial"),
+                                   **FIG1_SMALL)
+    assert started == []
+    usable_cores(monkeypatch, 2)
+    fanned = [harness.figure1_study(seeds=(0, 1), out_dir=str(tmp_path / name), **FIG1_SMALL)
+              for name in ("a", "b")]
+    assert started == ["spawn", "spawn"]
+    one_seed = [harness.figure1_study(seeds=[seed], **FIG1_SMALL)["runs"][0] for seed in (0, 1)]
+    assert fanned[0]["runs"] == fanned[1]["runs"] == serial["runs"] == one_seed
+    assert [run["seed"] for run in fanned[0]["runs"]] == [0, 1]
+    summaries = {(tmp_path / name / "figure1_summary.json").read_bytes()
+                 for name in ("serial", "a", "b")}
+    assert len(summaries) == 1
+
+
+def test_figure1_one_seed_starts_no_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-seed study started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    usable_cores(monkeypatch, 2)
+    summary = harness.figure1_study(seeds=[3], **FIG1_SMALL)
+    assert [run["seed"] for run in summary["runs"]] == [3]
+
+
+def test_figure1_child_error_reaches_caller(monkeypatch):
+    usable_cores(monkeypatch, 2)
+    with pytest.raises(ValueError, match="cond must exceed 1") as excinfo:
+        harness.figure1_study(seeds=(0, 1), T=5, m=6, n=8, cond=0.5)
+    # raised in a child: the pool attaches the child's traceback as the cause
+    assert type(excinfo.value.__cause__).__name__ == "_RemoteTraceback"
+
+
+def test_figure1_rejects_empty_seeds(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("built a problem or started a process pool")
+
+    monkeypatch.setattr(harness, "build_problem", fail)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+    with pytest.raises(ValueError, match="at least one seed"):
+        harness.figure1_study(seeds=[])
+
+
 def test_figure2_suite_smoke(tmp_path):
     artifacts, summary = harness.figure2_suite(kind="gaussian", c=5, seed=0,
                                                d=20, B=40, T=30,
@@ -718,10 +839,11 @@ def test_cli_run_bad_schedule_exits_2(tmp_path, capsys, problem, schedule):
     ("train_layer", dict(MLP_SPEC, train_layer=1.5)),
     ("skip_header", {"kind": "linear_mse", "features": "csv", "path": "features.csv",
                      "skip_header": "no"}),
+    ("path", {"kind": "linear_mse", "features": "csv"}),
 ], ids=["quad-list-m", "quad-word-cond", "quad-list-seed", "mlp-word-dims",
         "mlp-float-dims", "mlp-list-train_layer", "mlp-list-B", "linmse-list-c",
         "quad-fraction-m", "quad-word-half", "mlp-fraction-dims",
-        "mlp-fraction-train_layer", "linmse-word-skip_header"])
+        "mlp-fraction-train_layer", "linmse-word-skip_header", "linmse-csv-no-path"])
 def test_cli_run_bad_problem_value_exits_2(tmp_path, capsys, key, problem):
     cfg_path = tmp_path / "bad.toml"
     out = tmp_path / "out"

@@ -90,6 +90,26 @@ def test_quadratic_star_convexity_equality():
         assert inner >= prob.value(W) - 1e-12  # star convexity proper
 
 
+@pytest.mark.parametrize("half", [True, False])
+@pytest.mark.parametrize("shape", [(15, 20), (6, 8), (1, 7)], ids=lambda s: "x".join(map(str, s)))
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_quadratic_stacked_value_grad_matches_slices_bitwise(k, shape, half):
+    m, n = shape
+    rng = np.random.default_rng([k, m, n, half])
+    Q = np.array([[3.0]]) if m == 1 else problems.make_ill_conditioned_Q(m, 1e4, seed=m)
+    prob = problems.quadratic_new(Q, rng.uniform(-50.0, 50.0, shape), half=half)
+    assert prob.value_grad_stacks
+    # slices from 1e-12 to 1e12 times the optimum's scale, so a mixed-up slice shows
+    scales = 10.0 ** rng.integers(-12, 13, size=(k, 1, 1))
+    W = rng.standard_normal((k, m, n)) * scales
+    values, G = prob.value_grad(W)
+    assert values.shape == (k,) and G.shape == (k, m, n)
+    for j in range(k):
+        value, grad = prob.value_grad(W[j])
+        assert values[j] == value
+        assert np.array_equal(G[j], grad)
+
+
 # ---------------------------------------------------------------------------
 # make_ill_conditioned_Q
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 A run is fully described by an ExperimentConfig (problem, optimizer,
 schedule, horizon, diagnostics cadence, seeds, outputs).  Configs round-trip
 through a flat ``section.key = value`` text file.  Given a config and a seed,
-every emitted byte is reproducible: randomness comes only from seeded
-generators, and artifacts carry no timestamps.
+every emitted byte is reproducible on one numpy/BLAS build at one BLAS
+thread count: randomness comes only from seeded generators, and artifacts
+carry no timestamps.  The thread count matters because a multithreaded BLAS
+sums larger products in a different order (the linear-MSE gradients of the
+fig2 pair change in their last bits between 1 and 2 threads).
 
 CSV schema (one row per recorded step, stable column order):
     t, f, grad_F, grad_nuc, eta, J_t, L_t, hatJ_t, distF, distOp,
@@ -177,6 +180,37 @@ def _whole(value) -> int:
     return whole
 
 
+# kind -> the problem.* keys other than kind that it reads
+_PROBLEM_KEYS = {kind: ("seed", "seed_mode") + keys for kind, keys in (
+    ("quadratic", ("m", "n", "cond", "decay", "half", "wstar_scale", "wstar")),
+    ("linear_mse", ("d", "B", "c", "features", "target_ratio", "path", "skip_header")),
+    ("mlp", ("input_dim", "dims", "B", "loss", "data", "target_ratio", "train_layer")),
+)}
+
+# kind -> the schedule.* keys other than kind that it reads
+_SCHEDULE_KEYS = {
+    "constant": ("eta",),
+    "nonconvex_L": ("L", "beta"),
+    "nonconvex_Lstar": ("L_star", "beta"),
+    "adaptive_rL": ("L",),
+    "adaptive_Lstar": ("L_star",),
+    "theory_J": ("J",),
+}
+
+
+def _kind(section: str, spec: dict, keys_by_kind: dict, default: str) -> str:
+    """The kind a config section names, once every key in it is one that kind reads."""
+    kind = spec.get("kind", default)
+    if kind not in keys_by_kind:
+        raise ValueError(f"unknown {section} kind {kind!r}")
+    keys = ("kind",) + keys_by_kind[kind]
+    for key in spec:
+        if key not in keys:
+            raise ValueError(f"{section}.{key} is not read by {section} kind {kind!r}, "
+                             f"which reads: {', '.join(keys)}")
+    return kind
+
+
 def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     """Construct a Problem from a config section.
 
@@ -198,7 +232,7 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
             raise ValueError(f"problem.{key} must be true or false, got {value!r}")
         return value
 
-    kind = spec.get("kind", "quadratic")
+    kind = _kind("problem", spec, _PROBLEM_KEYS, "quadratic")
     base_seed = number("seed", 0)
     per_run = spec.get("seed_mode", "fixed") == "per_run"
     eff = np.random.default_rng([base_seed, run_seed] if per_run else [base_seed])
@@ -238,37 +272,36 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
             raise ValueError(f"unknown features {features!r}")
         Y = problems.onehot_labels(c, X.shape[1], seed=base_seed + 1)
         return problems.linear_mse_new(X, Y)
-    if kind == "mlp":
-        input_dim = number("input_dim", 10)
-        dims = spec.get("dims", (8, 6, 4))
-        if isinstance(dims, (int, np.integer)):
-            dims = (int(dims),)
-        try:
-            dims = tuple(_whole(x) for x in dims)
-        except (TypeError, ValueError):
-            raise ValueError(f"problem.dims must be a list of widths, got {dims!r}") from None
-        B = number("B", 120)
-        loss = spec.get("loss", "softmax_ce")
-        data = spec.get("data", "lowrank")
-        if data == "lowrank":
-            X = problems.lowrank_features(input_dim, B,
-                                          number("target_ratio", 2.0, float),
-                                          seed=base_seed)
-            X = X * (np.sqrt(B) / np.linalg.norm(X, "fro"))
-        elif data == "gaussian":
-            X = problems.gaussian_features(input_dim, B, seed=base_seed) / np.sqrt(input_dim)
-        else:
-            raise ValueError(f"unknown data {data!r}")
-        Y = problems.onehot_labels(dims[-1], B, seed=base_seed + 1)
-        shapes = []
-        prev = input_dim
-        for width in dims:
-            shapes.append((width, prev))
-            prev = width
-        train_layer = None if spec.get("train_layer") is None else number("train_layer", None)
-        return problems.mlp_new(shapes, X, Y, loss=loss, seed=base_seed + 2,
-                                train_layer=train_layer)
-    raise ValueError(f"unknown problem kind {kind!r}")
+    # kind is "mlp"
+    input_dim = number("input_dim", 10)
+    dims = spec.get("dims", (8, 6, 4))
+    if isinstance(dims, (int, np.integer)):
+        dims = (int(dims),)
+    try:
+        dims = tuple(_whole(x) for x in dims)
+    except (TypeError, ValueError):
+        raise ValueError(f"problem.dims must be a list of widths, got {dims!r}") from None
+    B = number("B", 120)
+    loss = spec.get("loss", "softmax_ce")
+    data = spec.get("data", "lowrank")
+    if data == "lowrank":
+        X = problems.lowrank_features(input_dim, B,
+                                      number("target_ratio", 2.0, float),
+                                      seed=base_seed)
+        X = X * (np.sqrt(B) / np.linalg.norm(X, "fro"))
+    elif data == "gaussian":
+        X = problems.gaussian_features(input_dim, B, seed=base_seed) / np.sqrt(input_dim)
+    else:
+        raise ValueError(f"unknown data {data!r}")
+    Y = problems.onehot_labels(dims[-1], B, seed=base_seed + 1)
+    shapes = []
+    prev = input_dim
+    for width in dims:
+        shapes.append((width, prev))
+        prev = width
+    train_layer = None if spec.get("train_layer") is None else number("train_layer", None)
+    return problems.mlp_new(shapes, X, Y, loss=loss, seed=base_seed + 2,
+                            train_layer=train_layer)
 
 
 # kind -> (optim stepper, the optimizer.* keys other than kind that it reads);
@@ -281,6 +314,7 @@ _OPTIMIZERS = {
     "adam": ("adam_step", ("beta1", "beta2", "eps")),
     "adamw": ("adamw_step", ("beta1", "beta2", "eps", "weight_decay")),
 }
+_OPTIMIZER_KEYS = {kind: keys for kind, (_, keys) in _OPTIMIZERS.items()}
 
 
 class _OptRun:
@@ -293,14 +327,7 @@ class _OptRun:
     """
 
     def __init__(self, spec: dict):
-        self.kind = spec.get("kind", "gd")
-        if self.kind not in _OPTIMIZERS:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        keys = _OPTIMIZERS[self.kind][1]
-        for key in spec:
-            if key != "kind" and key not in keys:
-                raise ValueError(f"optimizer.{key} is not read by optimizer kind "
-                                 f"{self.kind!r}, which reads: {', '.join(('kind',) + keys)}")
+        self.kind = _kind("optimizer", spec, _OPTIMIZER_KEYS, "gd")
         self.options = {}
         self.state = None
         if self.kind in MUON_KINDS:
@@ -342,7 +369,7 @@ def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
     Returns (schedule, resolved) where resolved records the constants that
     were filled in from metadata, for provenance in the run summary.
     """
-    kind = spec.get("kind", "constant")
+    kind = _kind("schedule", spec, _SCHEDULE_KEYS, "constant")
     r = min(problem.shape)
     resolved = {"kind": kind}
 
@@ -387,12 +414,10 @@ def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
         Ls, source = lookup("L_star")
         sched = optim.adaptive_Lstar_schedule(Ls)
         resolved.update({"L_star": Ls, "source": source})
-    elif kind == "theory_J":
+    else:  # theory_J
         J = lookup("J")[0]
         sched = optim.theory_J_schedule(delta, J, T)
         resolved.update({"delta": delta, "J": J, "T": T})
-    else:
-        raise ValueError(f"unknown schedule kind {kind!r}")
     return sched, resolved
 
 
@@ -618,6 +643,8 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> RunA
     grid_results = None
     best_eta = None
     if config.lr_grid:
+        # the grid replaces the schedule, whose keys must still be ones it reads
+        _kind("schedule", config.schedule, _SCHEDULE_KEYS, "constant")
         scan = _grid_scan(problem, config.optimizer, config.lr_grid, config.T, W0)
         grid_results = [{"eta": float(eta), "final_f": None if diverged else fT,
                          "diverged": diverged}

@@ -2,6 +2,8 @@
 
 All functions are pure, operate on float64 2-D numpy arrays, and are
 deterministic for fixed inputs (randomized routines take an explicit seed).
+svd, the Frobenius, nuclear and weighted norms and the polar factors also
+take a (k, m, n) stack and give each slice bit for bit its 2-D result.
 The vectorization convention throughout the package is row-major: rows of a
 matrix are concatenated, so that kron(P, Q) @ vec_row(D) == vec_row(P @ D @ Q.T).
 """
@@ -70,24 +72,42 @@ class SvdResult(NamedTuple):
 
 
 def svd(A) -> SvdResult:
-    """Deterministic thin SVD with the sign convention of SvdResult."""
-    M = as_matrix(A)
+    """Deterministic thin SVD with the sign convention of SvdResult.
+
+    A may also be a (k, m, n) stack: U, S and V then carry a leading k axis,
+    and each slice is bit for bit the factorization of that slice alone.
+    """
+    M = as_matrices(A)
     U, S, Vh = np.linalg.svd(M, full_matrices=False)
     U = np.ascontiguousarray(U)
-    V = np.ascontiguousarray(Vh.T)
+    V = np.ascontiguousarray(Vh.swapaxes(-1, -2))
     # first entry per column with magnitude above the threshold, vectorized
     big = np.abs(U) > 1e-12
-    first = big.argmax(axis=0)
-    lead = U[first, np.arange(S.size)]
-    flip = (lead < 0) & big.any(axis=0)
-    U[:, flip] = -U[:, flip]
-    V[:, flip] = -V[:, flip]
+    first = big.argmax(axis=-2)
+    lead = np.take_along_axis(U, first[..., None, :], axis=-2)[..., 0, :]
+    flip = (lead < 0) & big.any(axis=-2)
+    sign = np.where(flip, -1.0, 1.0)[..., None, :]
+    U *= sign
+    V *= sign
     return SvdResult(U, S, V)
 
 
-def frobenius_norm(A) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(A), "fro"))
+def frobenius_norm(A):
+    """Square root of the sum of squared entries.
+
+    A (k, m, n) stack gives a (k,) array: each slice is reduced by the same
+    dot product of its raveled entries that np.linalg.norm(slice, "fro")
+    takes, so it matches the 2-D call bit for bit (a pairwise sum would not).
+    """
+    return _frobenius(as_matrices(A))
+
+
+def _frobenius(M: np.ndarray):
+    """frobenius_norm of a validated matrix or stack."""
+    if M.ndim == 2:
+        return float(np.linalg.norm(M, "fro"))
+    f = M.reshape(M.shape[0], -1)
+    return np.sqrt((f[:, None, :] @ f[:, :, None])[:, 0, 0])
 
 
 def spectral_norm(A, tol: float = 1e-8, max_iter: int = 500, seed: int = 0,
@@ -128,9 +148,12 @@ def spectral_norm(A, tol: float = 1e-8, max_iter: int = 500, seed: int = 0,
     return est
 
 
-def nuclear_norm(A) -> float:
-    """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(as_matrix(A), compute_uv=False)))
+def nuclear_norm(A):
+    """Sum of singular values; a (k, m, n) stack gives a (k,) array."""
+    S = np.linalg.svd(as_matrices(A), compute_uv=False)
+    if S.ndim == 1:
+        return float(np.sum(S))
+    return np.sum(S, axis=1)
 
 
 def orthogonalize_svd(A, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -181,10 +204,9 @@ def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS,
     through the SVD route.
     """
     M = as_matrices(A)
-    if M.ndim == 2:
-        fn = float(np.linalg.norm(M, "fro"))
-    else:
-        fn = np.array([np.linalg.norm(S, "fro") for S in M]).reshape(-1, 1, 1)
+    fn = _frobenius(M)
+    if M.ndim == 3:
+        fn = fn.reshape(-1, 1, 1)
     if np.any(fn == 0.0):
         raise ValueError("cannot orthogonalize the zero matrix; use the SVD route")
     if steps < 0:
@@ -206,28 +228,50 @@ def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS,
     return X.swapaxes(-1, -2) if transposed else X
 
 
-def lambda_norm(A, weight) -> float:
+def require_spd(W: np.ndarray, name: str) -> None:
+    """Raise ValueError unless W is symmetric positive definite.
+
+    Symmetric means asymmetry at most 1e-10 relative to the largest entry
+    (or 1); positive definite means a smallest eigenvalue above 1e-12
+    relative to the largest (or 1).  W may also be a (k, n, n) stack, which
+    fails with the message of its first failing slice.
+    """
+    if W.shape[-1] != W.shape[-2]:
+        raise ValueError(f"{name} must be square")
+    Wt = W.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(W).max(axis=(-2, -1)))
+    asym = np.atleast_1d(np.abs(W - Wt).max(axis=(-2, -1)) > 1e-10 * scale)
+    eigs = np.linalg.eigvalsh(0.5 * (W + Wt))
+    indefinite = np.atleast_1d(eigs[..., 0] <= 1e-12 * np.maximum(1.0, eigs[..., -1]))
+    bad = asym | indefinite
+    if bad.any():
+        first = int(bad.argmax())
+        what = "symmetric" if asym[first] else "positive definite"
+        raise ValueError(f"{name} must be {what}")
+
+
+def lambda_norm(A, weight):
     """Weighted norm sqrt(trace(A W A^T)) for a symmetric positive definite W.
 
     Raises ValueError if the weight matrix is not symmetric positive definite
-    (asymmetry beyond 1e-10 relative, or minimum eigenvalue at or below
-    1e-12 relative to the largest).
+    (see require_spd).  A may also be a (k, m, n) stack with a (k, n, n)
+    stack of weights; the result is then a (k,) array, and each slice is
+    validated and computed bit for bit as its own 2-D call.
     """
-    M = as_matrix(A)
-    W = as_matrix(weight)
-    if W.shape[0] != W.shape[1]:
+    M = as_matrices(A)
+    W = as_matrices(weight)
+    if W.shape[:-2] != M.shape[:-2]:
+        raise ValueError(f"weight of shape {W.shape} does not pair with matrix of shape {M.shape}")
+    if W.shape[-1] != W.shape[-2]:
         raise ValueError("weight matrix must be square")
-    if W.shape[0] != M.shape[1]:
+    if W.shape[-1] != M.shape[-1]:
         raise ValueError(
-            f"weight matrix is {W.shape[0]}x{W.shape[0]}, expected {M.shape[1]} columns")
-    scale = max(1.0, float(np.abs(W).max()))
-    if np.abs(W - W.T).max() > 1e-10 * scale:
-        raise ValueError("weight matrix must be symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (W + W.T))
-    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
-        raise ValueError("weight matrix must be positive definite")
-    val = float(np.sum((M @ W) * M))
-    return float(np.sqrt(max(val, 0.0)))
+            f"weight matrix is {W.shape[-1]}x{W.shape[-1]}, expected {M.shape[-1]} columns")
+    require_spd(W, "weight matrix")
+    P = (M @ W) * M
+    if M.ndim == 2:
+        return float(np.sqrt(max(float(np.sum(P)), 0.0)))
+    return np.sqrt(np.maximum(np.sum(P, axis=(1, 2)), 0.0))
 
 
 def kron(P, Q, max_entries: int = 1_000_000) -> np.ndarray:

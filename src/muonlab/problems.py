@@ -71,16 +71,6 @@ def f_star(problem: Problem) -> Optional[float]:
     return None
 
 
-def _check_spd(Q: np.ndarray, name: str = "Q") -> None:
-    if Q.shape[0] != Q.shape[1]:
-        raise ValueError(f"{name} must be square")
-    if np.abs(Q - Q.T).max() > 1e-10 * max(1.0, float(np.abs(Q).max())):
-        raise ValueError(f"{name} must be symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (Q + Q.T))
-    if eigs[0] <= 1e-12 * max(1.0, eigs[-1]):
-        raise ValueError(f"{name} must be positive definite")
-
-
 def quadratic_new(Q, W_star, half: bool = True) -> Problem:
     """Quadratic objective c * trace((W - W*)^T Q (W - W*)).
 
@@ -90,7 +80,7 @@ def quadratic_new(Q, W_star, half: bool = True) -> Problem:
     """
     Q = matcore.as_matrix(Q)
     W_star = matcore.as_matrix(W_star)
-    _check_spd(Q)
+    matcore.require_spd(Q, "Q")
     if Q.shape[0] != W_star.shape[0]:
         raise ValueError("Q and W_star row dimensions must agree")
     c = 0.5 if half else 1.0
@@ -490,9 +480,9 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
 class StochasticGradOracle:
     """Additive-Gaussian stochastic gradient model with controlled variance.
 
-    sample(W) returns grad(W) + N/sqrt(batch) where N has i.i.d. Gaussian
-    entries scaled so that E||N||_F^2 = sigma^2.  Samples are unbiased and
-    their squared deviation has expectation sigma^2 / batch.
+    sample(W) returns grad(W) + noise(), where noise() is N/sqrt(batch) and N
+    has i.i.d. Gaussian entries scaled so that E||N||_F^2 = sigma^2.  Samples
+    are unbiased and their squared deviation has expectation sigma^2 / batch.
     """
 
     def __init__(self, problem: Problem, sigma: float, batch: int = 1, seed: int = 0):
@@ -506,10 +496,17 @@ class StochasticGradOracle:
         self.rng = np.random.default_rng(seed)
         m, n = problem.shape
         self._entry_std = sigma / np.sqrt(m * n)
+        self._batch_root = np.sqrt(self.batch)
+
+    def noise(self) -> np.ndarray:
+        """One draw of the additive noise N/sqrt(batch); zeros, drawing
+        nothing, when sigma is 0."""
+        if self.sigma == 0.0:
+            return np.zeros(self.problem.shape)
+        return self.rng.standard_normal(self.problem.shape) * self._entry_std / self._batch_root
 
     def sample(self, W) -> np.ndarray:
         G = self.problem.grad(W)
         if self.sigma == 0.0:
             return G
-        noise = self.rng.standard_normal(G.shape) * self._entry_std
-        return G + noise / np.sqrt(self.batch)
+        return G + self.noise()

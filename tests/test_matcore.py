@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +230,88 @@ def test_stack_inputs_validated():
         matcore.orthogonalize_svd(np.full((2, 3, 4), np.inf))
     with pytest.raises(ValueError):
         matcore.as_matrix(np.ones((2, 3, 4)))
+
+
+def scaled_stack(k, m, n, seed):
+    """k random m x n slices scaled log-uniformly over 1e-8..1e8, every third one zero."""
+    rng = np.random.default_rng(seed)
+    scale = np.exp(rng.uniform(np.log(1e-8), np.log(1e8), k))
+    A = rng.standard_normal((k, m, n)) * scale[:, None, None]
+    A[::3] = 0.0
+    return A
+
+
+def spd_stack(k, n, seed):
+    rng = np.random.default_rng(seed)
+    R, _ = np.linalg.qr(rng.standard_normal((k, n, n)))
+    W = (R * np.exp(rng.uniform(-3.0, 3.0, (k, 1, n)))) @ R.swapaxes(1, 2)
+    return 0.5 * (W + W.swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 100])
+@pytest.mark.parametrize("m,n", [(1, 7), (6, 9), (9, 6), (15, 20), (20, 20)])
+def test_stacked_norms_match_slices_bitwise(k, m, n):
+    A = scaled_stack(k, m, n, seed=k * 1000 + m * n)
+    W = spd_stack(k, n, seed=k + m)
+    fro, nuc = matcore.frobenius_norm(A), matcore.nuclear_norm(A)
+    lam = matcore.lambda_norm(A, W)
+    U, S, V = matcore.svd(A)
+    for shape, got in ((k,), fro), ((k,), nuc), ((k,), lam), ((k, m, min(m, n)), U):
+        assert got.shape == shape
+    for i in range(k):
+        assert fro[i] == matcore.frobenius_norm(A[i])
+        assert nuc[i] == matcore.nuclear_norm(A[i])
+        assert lam[i] == matcore.lambda_norm(A[i], W[i])
+        one = matcore.svd(A[i])
+        for got, want in zip((U[i], S[i], V[i]), one):
+            np.testing.assert_array_equal(got, want)
+    assert fro[0] == nuc[0] == lam[0] == 0.0
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "weight matrix must be symmetric"),
+    (np.diag([1.0, -1.0]), "weight matrix must be positive definite"),
+])
+def test_lambda_norm_stack_names_the_bad_slice(bad, message):
+    A = np.ones((4, 3, 2))
+    W = np.stack([np.eye(2)] * 4)
+    W[2] = bad
+    with pytest.raises(ValueError) as stacked:
+        matcore.lambda_norm(A, W)
+    with pytest.raises(ValueError) as alone:
+        matcore.lambda_norm(A[2], W[2])
+    assert str(stacked.value) == str(alone.value) == message
+    # with a second bad slice of the other kind before it, that one decides
+    W[1] = np.diag([1.0, -1.0]) if "symmetric" in message else np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(ValueError) as first:
+        matcore.lambda_norm(A, W)
+    assert str(first.value) != message
+    with pytest.raises(ValueError, match=f"^{first.value}$"):
+        matcore.lambda_norm(A[1], W[1])
+
+
+def test_lambda_norm_stack_shapes_must_pair():
+    A = np.ones((3, 2, 4))
+    with pytest.raises(ValueError, match="does not pair"):
+        matcore.lambda_norm(A, np.eye(4))
+    with pytest.raises(ValueError, match="does not pair"):
+        matcore.lambda_norm(A, np.stack([np.eye(4)] * 2))
+    with pytest.raises(ValueError, match="expected 4 columns"):
+        matcore.lambda_norm(A, np.stack([np.eye(3)] * 3))
+
+
+def test_svd_is_called_only_in_matcore():
+    """Every factorization goes through matcore, where the benchmark counts it."""
+    package = Path(matcore.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "svd"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+                found.append((path.name, node.lineno))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found += [(path.name, node.lineno) for a in node.names if a.name == "svd"]
+    assert found and {name for name, _ in found} == {"matcore.py"}, found
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import functools
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -42,8 +41,6 @@ CSV_COLUMNS = ("t", "f", "grad_F", "grad_nuc", "eta", "J_t", "L_t", "hatJ_t",
                "distF", "distOp", "ratio_lhs", "ratio_rhs", "flags")
 
 DIVERGENCE_FACTOR = 1e6
-
-MUON_KINDS = ("muon", "simplified_muon")
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +86,31 @@ def _parse_value(s: str):
     return _parse_scalar(s)
 
 
+_TYPE_NAMES = {int: "a whole number", float: "a number", bool: "true or false", str: "text"}
+
+
+def _typed(key: str, value, cast):
+    """The value of config key (section.key) as cast: int takes a whole
+    number, float a number, bool true or false, str text.  Any other value
+    raises ValueError naming the key."""
+    try:
+        # int(True) and bool("no") would pass, so a bool or str is taken only where wanted
+        if isinstance(value, bool) != (cast is bool) or isinstance(value, str) != (cast is str):
+            raise TypeError
+        typed = cast(value)
+        if cast is int and typed != value:
+            raise ValueError
+        return typed
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} takes {_TYPE_NAMES[cast]}, got {value!r}") from None
+
+
+def _typed_tuple(key: str, value, cast) -> tuple:
+    """A list-valued config key as a tuple of cast; one value is a list of one."""
+    values = value if isinstance(value, (tuple, list)) else (value,)
+    return tuple(_typed(key, v, cast) for v in values)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one experiment (possibly several seeds)."""
@@ -110,19 +132,18 @@ class ExperimentConfig:
     checkpoint: bool = False
 
     def __post_init__(self):
+        for key, cast in (("T", int), ("cadence", int), ("workers", int), ("want_J", bool),
+                          ("want_L", bool), ("want_hatJ", bool), ("checkpoint", bool)):
+            setattr(self, key, _typed(f"run.{key}", getattr(self, key), cast))
         if self.T < 1:
             raise ValueError("T must be at least 1")
         if self.cadence < 1:
             raise ValueError("cadence must be at least 1")
-        if isinstance(self.seeds, (int, np.integer)):
-            self.seeds = (int(self.seeds),)
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = _typed_tuple("run.seeds", self.seeds, int)
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         if self.lr_grid is not None:
-            if isinstance(self.lr_grid, (int, float)):
-                self.lr_grid = (float(self.lr_grid),)
-            self.lr_grid = tuple(float(x) for x in self.lr_grid)
+            self.lr_grid = _typed_tuple("run.lr_grid", self.lr_grid, float)
         if self.w0 not in ("zeros", "gaussian", "init"):
             raise ValueError("w0 must be zeros, gaussian or init")
 
@@ -172,14 +193,6 @@ RUN_KEYS = tuple(f.name for f in fields(ExperimentConfig)
 # ---------------------------------------------------------------------------
 
 
-def _whole(value) -> int:
-    """value as an int; ValueError when it is not a whole number."""
-    whole = int(value)
-    if whole != value:
-        raise ValueError(f"{value!r} is not a whole number")
-    return whole
-
-
 # kind -> the problem.* keys other than kind that it reads
 _PROBLEM_KEYS = {kind: ("seed", "seed_mode") + keys for kind, keys in (
     ("quadratic", ("m", "n", "cond", "decay", "half", "wstar_scale", "wstar")),
@@ -218,34 +231,23 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     mixed in so every run draws its own instance (used for the quadratic
     optimum resampling studies).
     """
-    def number(key, default, cast=_whole):
-        value = spec.get(key, default)
-        try:
-            return cast(value)
-        except (TypeError, ValueError):
-            what = "whole number" if cast is _whole else "number"
-            raise ValueError(f"problem.{key} must be one {what}, got {value!r}") from None
-
-    def flag(key, default):
-        value = spec.get(key, default)
-        if not isinstance(value, bool):
-            raise ValueError(f"problem.{key} must be true or false, got {value!r}")
-        return value
+    def get(key, default, cast=int):
+        return _typed(f"problem.{key}", spec.get(key, default), cast)
 
     kind = _kind("problem", spec, _PROBLEM_KEYS, "quadratic")
-    base_seed = number("seed", 0)
-    per_run = spec.get("seed_mode", "fixed") == "per_run"
+    base_seed = get("seed", 0)
+    per_run = get("seed_mode", "fixed", str) == "per_run"
     eff = np.random.default_rng([base_seed, run_seed] if per_run else [base_seed])
     if kind == "quadratic":
-        m = number("m", 15)
-        n = number("n", 20)
-        cond = number("cond", 1e4, float)
-        decay = spec.get("decay", "two_cluster")
-        half = flag("half", True)
-        scale = number("wstar_scale", 50.0, float)
+        m = get("m", 15)
+        n = get("n", 20)
+        cond = get("cond", 1e4, float)
+        decay = get("decay", "two_cluster", str)
+        half = get("half", True, bool)
+        scale = get("wstar_scale", 50.0, float)
         q_seed = int(eff.integers(0, 2 ** 31))
         Q = problems.make_ill_conditioned_Q(m, cond, decay, seed=q_seed)
-        law = spec.get("wstar", "uniform")
+        law = get("wstar", "uniform", str)
         if law == "uniform":
             W_star = eff.uniform(-scale, scale, size=(m, n))
         elif law == "gaussian":
@@ -254,39 +256,33 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
             raise ValueError(f"unknown wstar law {law!r}")
         return problems.quadratic_new(Q, W_star, half=half)
     if kind == "linear_mse":
-        d = number("d", 196)
-        B = number("B", 400)
-        c = number("c", 10)
-        features = spec.get("features", "gaussian")
+        d = get("d", 196)
+        B = get("B", 400)
+        c = get("c", 10)
+        features = get("features", "gaussian", str)
         if features == "gaussian":
             X = problems.gaussian_features(d, B, seed=base_seed)
         elif features == "lowrank":
-            X = problems.lowrank_features(d, B, number("target_ratio", 1.41, float),
+            X = problems.lowrank_features(d, B, get("target_ratio", 1.41, float),
                                           seed=base_seed)
         elif features == "csv":
             if "path" not in spec:
                 raise ValueError("problem.features = csv needs problem.path")
-            X = problems.load_features_csv(spec["path"],
-                                           skip_header=flag("skip_header", False))
+            X = problems.load_features_csv(get("path", None, str),
+                                           skip_header=get("skip_header", False, bool))
         else:
             raise ValueError(f"unknown features {features!r}")
         Y = problems.onehot_labels(c, X.shape[1], seed=base_seed + 1)
         return problems.linear_mse_new(X, Y)
     # kind is "mlp"
-    input_dim = number("input_dim", 10)
-    dims = spec.get("dims", (8, 6, 4))
-    if isinstance(dims, (int, np.integer)):
-        dims = (int(dims),)
-    try:
-        dims = tuple(_whole(x) for x in dims)
-    except (TypeError, ValueError):
-        raise ValueError(f"problem.dims must be a list of widths, got {dims!r}") from None
-    B = number("B", 120)
-    loss = spec.get("loss", "softmax_ce")
-    data = spec.get("data", "lowrank")
+    input_dim = get("input_dim", 10)
+    dims = _typed_tuple("problem.dims", spec.get("dims", (8, 6, 4)), int)
+    B = get("B", 120)
+    loss = get("loss", "softmax_ce", str)
+    data = get("data", "lowrank", str)
     if data == "lowrank":
         X = problems.lowrank_features(input_dim, B,
-                                      number("target_ratio", 2.0, float),
+                                      get("target_ratio", 2.0, float),
                                       seed=base_seed)
         X = X * (np.sqrt(B) / np.linalg.norm(X, "fro"))
     elif data == "gaussian":
@@ -299,22 +295,26 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     for width in dims:
         shapes.append((width, prev))
         prev = width
-    train_layer = None if spec.get("train_layer") is None else number("train_layer", None)
+    train_layer = None if spec.get("train_layer") is None else get("train_layer", None)
     return problems.mlp_new(shapes, X, Y, loss=loss, seed=base_seed + 2,
                             train_layer=train_layer)
 
 
-# kind -> (optim stepper, the optimizer.* keys other than kind that it reads);
-# momentum-free Muon is the Muon stepper with beta = 0
+_MUON_KEYS = {"orthogonalizer": str, "ns_steps": int}
+_ADAM_KEYS = {"beta1": float, "beta2": float, "eps": float}
+
+# kind -> (optim stepper, its state class, the optimizer.* keys other than kind
+# that it reads with their types).  The keys set a Muon state and are passed
+# to the other steppers; momentum-free Muon is the Muon stepper with beta = 0.
 _OPTIMIZERS = {
-    "muon": ("muon_step", ("beta", "orthogonalizer", "ns_steps")),
-    "simplified_muon": ("muon_step", ("orthogonalizer", "ns_steps")),
-    "gd": ("gd_step", ()),
-    "gd_nesterov": ("gd_nesterov_step", ("mu",)),
-    "adam": ("adam_step", ("beta1", "beta2", "eps")),
-    "adamw": ("adamw_step", ("beta1", "beta2", "eps", "weight_decay")),
+    "muon": ("muon_step", optim.MuonState, {"beta": float, **_MUON_KEYS}),
+    "simplified_muon": ("muon_step", functools.partial(optim.MuonState, beta=0.0), _MUON_KEYS),
+    "gd": ("gd_step", None, {}),
+    "gd_nesterov": ("gd_nesterov_step", optim.NesterovState, {"mu": float}),
+    "adam": ("adam_step", optim.AdamState, _ADAM_KEYS),
+    "adamw": ("adamw_step", optim.AdamState, {**_ADAM_KEYS, "weight_decay": float}),
 }
-_OPTIMIZER_KEYS = {kind: keys for kind, (_, keys) in _OPTIMIZERS.items()}
+_OPTIMIZER_KEYS = {kind: tuple(types) for kind, (_, _, types) in _OPTIMIZERS.items()}
 
 
 class _OptRun:
@@ -328,22 +328,15 @@ class _OptRun:
 
     def __init__(self, spec: dict):
         self.kind = _kind("optimizer", spec, _OPTIMIZER_KEYS, "gd")
-        self.options = {}
+        stepper, state_class, types = _OPTIMIZERS[self.kind]
+        # only the keys the config sets: optim's defaults are the only ones
+        self.options = {key: _typed(f"optimizer.{key}", spec[key], cast)
+                        for key, cast in types.items() if key in spec}
         self.state = None
-        if self.kind in MUON_KINDS:
-            beta = 0.0 if self.kind == "simplified_muon" else float(spec.get("beta", 0.9))
-            self.state = optim.MuonState(
-                beta=beta, orthogonalizer=spec.get("orthogonalizer", "svd"),
-                ns_steps=int(spec.get("ns_steps", 5)))
-        elif self.kind == "gd_nesterov":
-            self.state = optim.NesterovState()
-            self.options["mu"] = float(spec.get("mu", 0.9))
-        elif self.kind in ("adam", "adamw"):
-            self.state = optim.AdamState()
-            for key, default in (("beta1", 0.9), ("beta2", 0.999), ("eps", 1e-8)):
-                self.options[key] = float(spec.get(key, default))
-            if self.kind == "adamw":
-                self.options["weight_decay"] = float(spec.get("weight_decay", 0.01))
+        if stepper == "muon_step":
+            self.state, self.options = state_class(**self.options), {}
+        elif state_class is not None:
+            self.state = state_class()
 
     def step(self, W, G, eta, out=None):
         """Advance by one step; the new parameter goes to out when given."""
@@ -351,9 +344,7 @@ class _OptRun:
         stepper = getattr(optim, _OPTIMIZERS[self.kind][0])
         args = (W, G, eta) if self.state is None else (self.state, W, G, eta)
         W_next = stepper(*args, out=out, **self.options)
-        if self.kind in MUON_KINDS:
-            return W_next, self.state.last_direction
-        return W_next, None
+        return W_next, getattr(self.state, "last_direction", None)
 
     def keep(self, rows) -> None:
         """Keep only the given runs of a stacked state."""
@@ -379,9 +370,7 @@ def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
         if value is None:
             raise ValueError(f"schedule {kind!r} needs {key}, which neither the "
                              f"config nor the problem metadata gives")
-        if isinstance(value, (tuple, list)):
-            raise ValueError(f"schedule.{key} must be one number, got {value!r}")
-        return float(value), "config" if key in spec else "metadata"
+        return _typed(f"schedule.{key}", value, float), "config" if key in spec else "metadata"
 
     if kind == "constant":
         eta = lookup("eta")[0]
@@ -395,7 +384,7 @@ def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
     if kind in ("nonconvex_L", "nonconvex_Lstar", "theory_J") and delta is None:
         raise ValueError(f"schedule {kind!r} needs a known optimal value to form delta")
 
-    beta = float(spec.get("beta", 0.0))
+    beta = _typed("schedule.beta", spec.get("beta", 0.0), float)
     if kind == "nonconvex_L":
         L, source = lookup("L")
         sched = optim.nonconvex_L_schedule(delta, r, T, L, beta)
@@ -459,7 +448,6 @@ class RunArtifact:
     checkpoint_path: Optional[str] = None
     checkpoint_W: Optional[np.ndarray] = None
     schedule_resolved: Optional[dict] = None
-    wall_clock: float = 0.0  # in-memory only; never serialized
 
 
 def _divergence_guard(f0: float):
@@ -523,7 +511,6 @@ def _best_point(etas: Sequence[float], results: list):
 def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
                     W0: np.ndarray, seed: int):
     opt = _OptRun(config.optimizer)
-    is_muon = opt.kind in MUON_KINDS
     adaptive = schedule.kind in (optim.ADAPTIVE_RL, optim.ADAPTIVE_LSTAR)
     W = W0.copy()
     in_bounds = _divergence_guard(problem.value(W0))
@@ -553,7 +540,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
             flags = []
             rank_t = None
             if config.want_J or config.want_hatJ:
-                O_diag = O if (is_muon and O is not None) else optim.orthogonalize(G)
+                O_diag = O if O is not None else optim.orthogonalize(G)
                 if not np.any(O_diag):
                     flags.append(FLAG_ZERO_DIRECTION)
                     rec.J_t = 0.0
@@ -635,7 +622,6 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> RunA
     a lean pass, never selects a diverged point, and keeps all grid results in
     the artifact so stepsize claims stay auditable.
     """
-    t_start = time.perf_counter()
     if seed is None:
         seed = config.seeds[0]
     problem = build_problem(config.problem, run_seed=seed)
@@ -668,7 +654,6 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> RunA
         schedule_resolved=resolved)
     if config.out_dir:
         _write_artifact(config, artifact)
-    artifact.wall_clock = time.perf_counter() - t_start
     return artifact
 
 

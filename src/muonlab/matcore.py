@@ -1,7 +1,7 @@
 """Dense matrix primitives: norms, SVD, polar factors, Kronecker utilities.
 
 All functions are pure, operate on float64 2-D numpy arrays, and are
-deterministic for fixed inputs (randomized routines take an explicit seed).
+deterministic for fixed inputs.
 svd, the Frobenius, nuclear and weighted norms and the polar factors also
 take a (k, m, n) stack and give each slice bit for bit its 2-D result.
 The vectorization convention throughout the package is row-major: rows of a
@@ -10,7 +10,7 @@ matrix are concatenated, so that kron(P, Q) @ vec_row(D) == vec_row(P @ D @ Q.T)
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,44 +110,6 @@ def _frobenius(M: np.ndarray):
     return np.sqrt((f[:, None, :] @ f[:, :, None])[:, 0, 0])
 
 
-def spectral_norm(A, tol: float = 1e-8, max_iter: int = 500, seed: int = 0,
-                  with_info: bool = False):
-    """Largest singular value, estimated by power iteration on A^T A.
-
-    Falls back to a full SVD if the iteration does not converge within
-    max_iter; the fallback is reported in the info dict when with_info=True.
-    """
-    M = as_matrix(A)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(M.shape[1])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    converged = False
-    for _ in range(max_iter):
-        w = M @ v
-        new_est = float(np.linalg.norm(w))
-        if new_est == 0.0:
-            # v fell in the null space; for a random start this means A == 0
-            est, converged = 0.0, True
-            break
-        u = M.T @ w
-        v = u / np.linalg.norm(u)
-        # stop well inside the requested tolerance
-        if abs(new_est - est) <= 0.1 * tol * max(new_est, 1e-300):
-            est, converged = new_est, True
-            break
-        est = new_est
-    info = {"converged": converged, "fallback": False}
-    if not converged:
-        est = float(svd(M).S[0])
-        info["fallback"] = True
-    if with_info:
-        return est, info
-    return est
-
-
 def nuclear_norm(A):
     """Sum of singular values; a (k, m, n) stack gives a (k,) array."""
     S = np.linalg.svd(as_matrices(A), compute_uv=False)
@@ -156,10 +118,10 @@ def nuclear_norm(A):
     return np.sum(S, axis=1)
 
 
-def orthogonalize_svd(A, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orthogonalize_svd(A) -> np.ndarray:
     """Nearest semi-orthogonal matrix to A: U_r @ V_r.T from the thin SVD.
 
-    Singular values at or below rank_tol times the largest are truncated, so
+    Singular values at or below RANK_TOL times the largest are truncated, so
     the output has exactly rank r_t with every nonzero singular value equal
     to 1.  The zero matrix maps to the zero matrix.
 
@@ -172,30 +134,28 @@ def orthogonalize_svd(A, rank_tol: float = RANK_TOL) -> np.ndarray:
     M = as_matrices(A)
     U, S, Vh = np.linalg.svd(M, full_matrices=False)
     # S is nonincreasing, so every slice keeps full rank when its last value does
-    if (S[..., -1] > rank_tol * S[..., 0]).all():
+    if (S[..., -1] > RANK_TOL * S[..., 0]).all():
         return U @ Vh
     if M.ndim == 2:
-        return _truncated_polar(U, S, Vh, rank_tol)
-    return np.stack([_truncated_polar(*f, rank_tol) for f in zip(U, S, Vh)])
+        return _truncated_polar(U, S, Vh)
+    return np.stack([_truncated_polar(*f) for f in zip(U, S, Vh)])
 
 
-def _truncated_polar(U, S, Vh, rank_tol) -> np.ndarray:
+def _truncated_polar(U, S, Vh) -> np.ndarray:
     """U_r @ V_r.T of one thin SVD; the zero matrix maps to zero."""
-    keep = S > rank_tol * S[0]
+    keep = S > RANK_TOL * S[0]
     if not keep[0]:
         return np.zeros((U.shape[0], Vh.shape[1]))
     return U[:, keep] @ Vh[keep, :]
 
 
-def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS,
-                     coeffs: Sequence[tuple] | None = None) -> np.ndarray:
+def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS) -> np.ndarray:
     """Approximate the semi-orthogonal factor by Newton-Schulz iteration.
 
     The input is normalized by its Frobenius norm and then `steps` quintic
     iterations X <- a X + b (X X^T) X + c (X X^T)^2 X are applied with the
-    per-step coefficients NS_COEFFS (a custom schedule, or a single (a, b, c)
-    tuple used for every step, may be passed via coeffs).  steps=0 returns
-    the normalized input unchanged.
+    per-step coefficients NS_COEFFS, the last of which repeats past step 5.
+    steps=0 returns the normalized input unchanged.
 
     A may also be a (k, m, n) stack; each slice is normalized by its own
     Frobenius norm and gets exactly the result it would get on its own.
@@ -211,18 +171,12 @@ def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS,
         raise ValueError("cannot orthogonalize the zero matrix; use the SVD route")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if coeffs is None:
-        schedule = NS_COEFFS
-    elif len(coeffs) == 3 and np.isscalar(coeffs[0]):
-        schedule = (tuple(coeffs),)
-    else:
-        schedule = tuple(tuple(t) for t in coeffs)
     X = M / fn
     transposed = X.shape[-2] > X.shape[-1]
     if transposed:
         X = X.swapaxes(-1, -2)
     for k in range(steps):
-        a, b, c = schedule[min(k, len(schedule) - 1)]
+        a, b, c = NS_COEFFS[min(k, len(NS_COEFFS) - 1)]
         P = X @ X.swapaxes(-1, -2)
         X = a * X + (b * P + c * (P @ P)) @ X
     return X.swapaxes(-1, -2) if transposed else X
@@ -289,10 +243,3 @@ def vec_row(A) -> np.ndarray:
     """Row-major vectorization: rows concatenated into a length m*n vector."""
     return as_matrix(A).reshape(-1).copy()
 
-
-def unvec_row(v, m: int, n: int) -> np.ndarray:
-    """Inverse of vec_row."""
-    vec = np.asarray(v, dtype=np.float64).reshape(-1)
-    if vec.size != m * n:
-        raise ValueError(f"vector of length {vec.size} cannot fill a {m}x{n} matrix")
-    return vec.reshape(m, n).copy()

@@ -37,7 +37,8 @@ def _move(W, eta, D, out):
     return np.subtract(W, np.multiply(eta, D), out=out)
 
 
-def orthogonalize(M: np.ndarray, method: str = "svd", ns_steps: int = 5) -> np.ndarray:
+def orthogonalize(M: np.ndarray, method: str = "svd",
+                  ns_steps: int = matcore.DEFAULT_NS_STEPS) -> np.ndarray:
     """Semi-orthogonal update direction for a momentum/gradient matrix.
 
     The zero matrix yields the zero direction (no movement) regardless of
@@ -68,7 +69,7 @@ class MuonState:
 
     beta: float = 0.9
     orthogonalizer: str = "svd"
-    ns_steps: int = 5
+    ns_steps: int = matcore.DEFAULT_NS_STEPS
     t: int = 0
     M: Optional[np.ndarray] = None
     last_direction: Optional[np.ndarray] = None
@@ -102,7 +103,7 @@ def muon_step(state: MuonState, W, G, eta, out=None) -> np.ndarray:
 
 
 def simplified_muon_step(W, G, eta, orthogonalizer: str = "svd",
-                         ns_steps: int = 5, out=None) -> np.ndarray:
+                         ns_steps: int = matcore.DEFAULT_NS_STEPS, out=None) -> np.ndarray:
     """Momentum-free Muon: W' = W - eta * orthogonalize(G)."""
     state = MuonState(beta=0.0, orthogonalizer=orthogonalizer, ns_steps=ns_steps)
     return muon_step(state, W, G, eta, out=out)
@@ -272,30 +273,3 @@ def next_eta(schedule: Schedule, t: int = 0, grad_nuc: Optional[float] = None) -
         return float(grad_nuc / denom)
     raise ValueError(f"unknown schedule kind {schedule.kind!r}")
 
-
-def theory_beta(delta: float, sigma: float, T: int, L: Optional[float] = None,
-                L_star: Optional[float] = None, r: Optional[int] = None,
-                default_beta: float = 0.9) -> float:
-    """Momentum coefficient from the horizon formula.
-
-    With the Frobenius constant L: 1-beta = min(sqrt(L*delta)/(sigma*sqrt(T)), 1).
-    With the spectral constant L_star (r required):
-    1-beta = min(sqrt(L_star*delta)/(sigma*sqrt(r*T)), 1).
-    The noiseless case sigma=0 leaves beta unconstrained up to O(1); we return
-    default_beta there.
-    """
-    if delta <= 0 or T <= 0:
-        raise ValueError("delta and T must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if sigma == 0.0:
-        return default_beta
-    if L is not None:
-        one_minus = min(np.sqrt(L * delta) / (sigma * np.sqrt(T)), 1.0)
-    elif L_star is not None:
-        if r is None:
-            raise ValueError("the L_star rule needs r")
-        one_minus = min(np.sqrt(L_star * delta) / (sigma * np.sqrt(r * T)), 1.0)
-    else:
-        raise ValueError("provide either L or L_star")
-    return float(1.0 - one_minus)

@@ -60,15 +60,8 @@ class Problem:
 
 
 def f_star(problem: Problem) -> Optional[float]:
-    """Known or lazily computed optimal value; None if unavailable."""
-    meta = problem.metadata
-    if meta.get("f_star") is not None:
-        return meta["f_star"]
-    fn = meta.get("f_star_fn")
-    if fn is not None:
-        meta["f_star"] = float(fn())
-        return meta["f_star"]
-    return None
+    """Known optimal value; None if unavailable."""
+    return problem.metadata.get("f_star")
 
 
 def quadratic_new(Q, W_star, half: bool = True) -> Problem:
@@ -148,7 +141,8 @@ def linear_mse_new(X, Y) -> Problem:
 
     X is d x B (features in columns), Y is c x B, W is c x d.  The Hessian is
     the constant map D -> D (X X^T) / B; metadata carries the induced
-    smoothness constants L = ||X||_op^2 / B and L_star = ||X||_F^2 / B.
+    smoothness constants L = ||X||_op^2 / B and L_star = ||X||_F^2 / B, and
+    the least-squares optimal value f_star.
     """
     X = matcore.as_matrix(X)
     Y = matcore.as_matrix(Y)
@@ -178,11 +172,8 @@ def linear_mse_new(X, Y) -> Problem:
     def hvp(W, D):
         return D @ H
 
-    def lsq_value():
-        W_opt, *_ = np.linalg.lstsq(X.T, Y.T, rcond=None)
-        return value(W_opt.T)
-
-    meta["f_star_fn"] = lsq_value
+    W_opt, *_ = np.linalg.lstsq(X.T, Y.T, rcond=None)
+    meta["f_star"] = float(value(W_opt.T))
     return Problem((Y.shape[0], X.shape[0]), value, grad, hvp, hvp_exact=True,
                    metadata=meta, value_grad=value_grad)
 
@@ -324,18 +315,24 @@ def load_labels_csv(path, skip_header: bool = False, integer_classes: bool = Fal
     return raw
 
 
-def fd_hvp(grad_fn, W, D) -> np.ndarray:
-    """Central-difference Hessian-vector product from a gradient oracle.
-
-    The step is scaled to the parameter and direction sizes:
-    eps = 1e-4 * (1 + ||W||_F) / (1 + ||D||_F).
-    """
-    W = matcore.as_matrix(W)
-    D = matcore.as_matrix(D)
+def _fd_step(W: np.ndarray, D: np.ndarray) -> Optional[float]:
+    """Step of the central-difference probe of hvp(W, D), scaled to the
+    parameter and direction sizes: 1e-4 * (1 + ||W||_F) / (1 + ||D||_F);
+    None for the zero direction."""
     dn = float(np.linalg.norm(D, "fro"))
     if dn == 0.0:
+        return None
+    return 1e-4 * (1.0 + float(np.linalg.norm(W, "fro"))) / (1.0 + dn)
+
+
+def fd_hvp(grad_fn, W, D) -> np.ndarray:
+    """Central-difference Hessian-vector product from a gradient oracle,
+    with the step of _fd_step."""
+    W = matcore.as_matrix(W)
+    D = matcore.as_matrix(D)
+    eps = _fd_step(W, D)
+    if eps is None:
         return np.zeros_like(D)
-    eps = 1e-4 * (1.0 + float(np.linalg.norm(W, "fro"))) / (1.0 + dn)
     return (grad_fn(W + eps * D) - grad_fn(W - eps * D)) / (2.0 * eps)
 
 
@@ -459,10 +456,9 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
         product rather than a kink artifact."""
         W = matcore.as_matrix(W)
         D = matcore.as_matrix(D)
-        dn = float(np.linalg.norm(D, "fro"))
-        if dn == 0.0:
+        eps = _fd_step(W, D)
+        if eps is None:
             return True
-        eps = 1e-4 * (1.0 + float(np.linalg.norm(W, "fro"))) / (1.0 + dn)
         ref = _masks(W)
         for signed in (W + eps * D, W - eps * D):
             for got, want in zip(_masks(signed), ref):

@@ -3,8 +3,8 @@
 Each checker runs against concrete step records or freshly sampled random
 instances and produces a CheckReport: the number of instances tested, any
 violations beyond the stated tolerance, and the worst raw margin (so stricter
-post-hoc analysis stays possible).  A check passes exactly when no violation
-exceeds its tolerance.
+post-hoc analysis stays possible; None, null in JSON, when no margin was
+checked).  A check passes exactly when no violation exceeds its tolerance.
 
 Margins are signed as lhs - rhs, so positive means the inequality failed by
 that amount before slack was applied.
@@ -29,7 +29,7 @@ class CheckReport:
     params: dict = field(default_factory=dict)
     instances: int = 0
     violations: list = field(default_factory=list)
-    worst_margin: float = float("-inf")
+    worst_margin: Optional[float] = None
     tolerance: float = 0.0
     passed: bool = True
 
@@ -64,7 +64,7 @@ class _Margins:
         return CheckReport(
             name=name, params=params, instances=instances,
             violations=self.violations,
-            worst_margin=self.worst if self.count else float("-inf"),
+            worst_margin=self.worst if self.count else None,
             tolerance=self.tolerance, passed=not self.violations)
 
 
@@ -316,6 +316,8 @@ def check_norm_lemmas(n_instances: int = 1000, dims: tuple = (6, 9),
     in blocks of stacked linear algebra; the report is the one that
     evaluating each instance on its own gives, byte for byte.
     """
+    if n_instances < 1:
+        raise ValueError("the norm-lemma audit needs at least one instance")
     m, n = dims
     if max(m, n) > 20:
         raise ValueError("dims are capped at 20 for the randomized audit")

@@ -3,6 +3,7 @@ import concurrent.futures
 import json
 import os
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,21 @@ def test_config_validation():
         quad_config(seeds=(1, 1))
     with pytest.raises(ValueError):
         quad_config(w0="bogus")
+    for key, value in (("T", 4.5), ("T", (1, 2)), ("cadence", 2.5), ("workers", 1.5),
+                       ("want_J", "yes"), ("want_L", 1), ("want_hatJ", "no"),
+                       ("checkpoint", "true"), ("seeds", (1.5, 2.5)), ("seeds", "a"),
+                       ("lr_grid", ("a", 0.1)), ("lr_grid", True)):
+        with pytest.raises(ValueError, match=f"^run.{key} takes "):
+            quad_config(**{key: value})
+
+
+def test_cli_run_bad_run_value_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.toml"
+    cfg_path.write_text(quad_config().to_text() + "run.T = 4.5\n")
+    rc = harness.cli_main(["run", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == ["error: run.T takes a whole number, got 4.5"]
 
 
 def test_config_rejects_malformed_text():
@@ -404,6 +420,25 @@ def test_cli_run_beta_flag_needs_a_momentum_kind(tmp_path, capsys):
                              "--optimizer", "muon"]) == 0
 
 
+@pytest.mark.parametrize("optimizer,key", [
+    ({"kind": "muon", "beta": (0.9, 0.8)}, "beta"),
+    ({"kind": "muon", "beta": "high"}, "beta"),
+    ({"kind": "gd_nesterov", "mu": (0.9, 0.8)}, "mu"),
+    ({"kind": "adam", "eps": (1e-8, 1e-7)}, "eps"),
+    ({"kind": "adamw", "weight_decay": True}, "weight_decay"),
+    ({"kind": "muon", "ns_steps": 5.5}, "ns_steps"),
+    ({"kind": "simplified_muon", "orthogonalizer": ("svd", "ns")}, "orthogonalizer"),
+], ids=["muon-list-beta", "muon-word-beta", "nesterov-list-mu", "adam-list-eps",
+        "adamw-flag-weight_decay", "muon-fraction-ns_steps", "simplified-list-orthogonalizer"])
+def test_cli_run_bad_optimizer_value_exits_2(tmp_path, capsys, optimizer, key):
+    cfg_path = tmp_path / "bad.toml"
+    cfg_path.write_text(quad_config(optimizer=optimizer, T=5).to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: optimizer.{key} takes ")
+
+
 @pytest.mark.parametrize("optimizer", [{"kind": "lion"},
                                        {"kind": "muon", "beta": 1.5},
                                        {"kind": "muon", "orthogonalizer": "qr"},
@@ -592,6 +627,48 @@ def test_one_function_in_the_package_opens_files_for_writing():
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert writers == ["problems.write_atomic"]
+
+
+# module-level names that nothing in src/muonlab or perfbench/ refers to, and why they stay
+UNREFERENCED_ALLOWED = {
+    "diagnostics.vonneumann_bound": "criterion 7's trace-inequality oracle",
+    "diagnostics.concentration_ratio": "criterion 8's effective-rank oracle",
+    "matcore.kron": "brute-force Kronecker oracle for the row-major hvp checks",
+    "matcore.vec_row": "the row-major vectorization those Kronecker oracles act on",
+    "problems.load_labels_csv": "the labels reader that a problem.labels_path key will use",
+}
+
+
+def _names(node):
+    """Every identifier and string a node mentions, except dict keys (data, not code)."""
+    keys = {id(k) for n in ast.walk(node) if isinstance(n, ast.Dict) for k in n.keys}
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in keys:
+            yield n.value
+
+
+def test_every_module_level_definition_has_a_caller():
+    repo = Path(__file__).resolve().parent.parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in ("src/muonlab", "perfbench")
+             for path in sorted((repo / folder).glob("*.py"))}
+    mentions = Counter(name for tree in trees.values() for name in _names(tree))
+    unreferenced = set()
+    for path, tree in trees.items():
+        if path.parent.name != "muonlab":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # names the definition mentions itself do not count
+                if mentions[node.name] == Counter(_names(node))[node.name]:
+                    unreferenced.add(f"{path.stem}.{node.name}")
+    assert unreferenced == set(UNREFERENCED_ALLOWED)
 
 
 def test_hatJ_recording():
@@ -952,16 +1029,28 @@ def test_verify_checks_table_covers_every_report():
     assert list(harness.VERIFY_CHECKS) == list(VERIFY_REPORTS)
 
 
+def refuse_non_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 @pytest.mark.parametrize("check", list(harness.VERIFY_CHECKS))
 def test_cli_verify_every_check(tmp_path, capsys, check):
     out = tmp_path / "report.json"
     rc = harness.cli_main(["verify", "--check", check, "--iters", "40", "--trials", "50",
                            "--instances", "20", "--seed", "3", "--out", str(out)])
     assert rc == 0
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text(), parse_constant=refuse_non_json)
     name, which = VERIFY_REPORTS[check]
     assert report["name"] == name
     assert report["params"].get("which") == which
+
+
+def test_cli_verify_zero_instances_exits_2(capsys):
+    rc = harness.cli_main(["verify", "--check", "norm-lemmas", "--instances", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the norm-lemma audit needs at least one instance"]
 
 
 def test_verify_smoothness_constants_bit_exact():

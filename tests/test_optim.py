@@ -228,18 +228,3 @@ def test_schedule_validation():
         optim.nonconvex_Lstar_schedule(delta=1.0, T=0, L_star=1.0)
     with pytest.raises(ValueError):
         optim.constant_schedule(0.0)
-
-
-def test_theory_beta_branches():
-    # noisy branch below the cap
-    beta = optim.theory_beta(delta=1.0, sigma=10.0, T=100, L=4.0)
-    assert beta == pytest.approx(1.0 - math.sqrt(4.0) / (10.0 * 10.0), rel=1e-12)
-    # cap at 1 - 1 = 0
-    assert optim.theory_beta(delta=100.0, sigma=0.01, T=4, L=4.0) == 0.0
-    # spectral variant scales the horizon by r
-    beta_s = optim.theory_beta(delta=1.0, sigma=10.0, T=100, L_star=4.0, r=4)
-    assert beta_s == pytest.approx(1.0 - math.sqrt(4.0) / (10.0 * 20.0), rel=1e-12)
-    # deterministic branch falls back to the default constant
-    assert optim.theory_beta(delta=1.0, sigma=0.0, T=100, L=4.0) == 0.9
-    with pytest.raises(ValueError):
-        optim.theory_beta(delta=1.0, sigma=1.0, T=100, L_star=4.0)

@@ -75,7 +75,7 @@ def test_quadratic_smoothness_constants_hold():
         gd = prob.grad(W1) - prob.grad(W2)
         wd = W1 - W2
         assert matcore.frobenius_norm(gd) <= L * matcore.frobenius_norm(wd) + 1e-9
-        assert matcore.nuclear_norm(gd) <= L_star * matcore.spectral_norm(wd) + 1e-9
+        assert matcore.nuclear_norm(gd) <= L_star * np.linalg.norm(wd, 2) + 1e-9
 
 
 def test_quadratic_star_convexity_equality():
@@ -189,7 +189,19 @@ def test_linear_mse_fstar_on_demand():
     fs = problems.f_star(prob)
     W_opt = Y @ np.linalg.pinv(X)
     assert fs == pytest.approx(prob.value(W_opt), rel=1e-9)
-    assert problems.f_star(prob) == fs  # cached
+    assert problems.f_star(prob) == fs
+
+
+def test_linear_mse_fstar_is_the_lazy_lstsq_value_bitwise():
+    for d, B, c, seed in ((4, 10, 2, 10), (196, 400, 100, 0), (30, 20, 5, 3)):
+        X = problems.lowrank_features(d, B, 1.41, seed=seed)
+        Y = problems.onehot_labels(c, B, seed=seed + 1)
+        prob = problems.linear_mse_new(X, Y)
+        # the optimal value as it was computed on first query, before it was
+        # stored when the problem is built
+        W_opt, *_ = np.linalg.lstsq(X.T, Y.T, rcond=None)
+        lazy = float(prob.value(W_opt.T))
+        assert prob.metadata["f_star"] == lazy
 
 
 # ---------------------------------------------------------------------------

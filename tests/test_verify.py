@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -245,7 +246,7 @@ def test_norm_lemmas_identity_weight_reduction():
     A = rng.standard_normal((4, 6))
     n = 6
     lhs = matcore.lambda_norm(A, np.eye(n))
-    assert lhs <= np.sqrt(n) * matcore.spectral_norm(A) + 1e-9
+    assert lhs <= np.sqrt(n) * np.linalg.norm(A, 2) + 1e-9
     assert lhs == pytest.approx(matcore.frobenius_norm(A), rel=1e-12)
 
 
@@ -338,3 +339,30 @@ def test_reports_always_carry_raw_margin(taylor_run):
     records, problem = taylor_run
     report = verify.check_quadratic_taylor_identity(records, problem)
     assert np.isfinite(report.worst_margin)
+
+
+def strict_json(text):
+    """json.loads that refuses the non-JSON constants NaN and +-Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_reports_that_check_no_margin_are_strict_json():
+    vacuous_records, vacuous_problem = harness.quadratic_check_run(
+        seed=0, T=30, schedule_kind="constant", eta=1e6)
+    vacuous = verify.check_constant_step_linear_bound(vacuous_records, vacuous_problem)
+    assert vacuous.params["vacuous"]
+    taylor_records, taylor_problem = harness.quadratic_check_run(
+        seed=3, T=5, schedule_kind="constant", eta=0.2)
+    one_record = verify.check_quadratic_taylor_identity(taylor_records[:1], taylor_problem)
+    assert one_record.instances == 0
+    for report in (vacuous, one_record):
+        assert report.passed
+        assert strict_json(report.to_json())["worst_margin"] is None
+        assert verify.CheckReport.from_json(report.to_json()) == report
+
+
+def test_norm_lemmas_refuse_zero_instances():
+    with pytest.raises(ValueError, match="at least one instance"):
+        verify.check_norm_lemmas(0)

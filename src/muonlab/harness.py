@@ -22,8 +22,7 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -79,11 +78,8 @@ def _parse_scalar(s: str):
     return s
 
 
-def _parse_value(s: str):
-    s = s.strip()
-    if "," in s:
-        return tuple(_parse_scalar(p) for p in s.split(","))
-    return _parse_scalar(s)
+# the config keys that take a list; only their values split on commas
+_LIST_KEYS = ("run.seeds", "run.lr_grid", "problem.dims")
 
 
 _TYPE_NAMES = {int: "a whole number", float: "a number", bool: "true or false", str: "text"}
@@ -91,8 +87,12 @@ _TYPE_NAMES = {int: "a whole number", float: "a number", bool: "true or false", 
 
 def _typed(key: str, value, cast):
     """The value of config key (section.key) as cast: int takes a whole
-    number, float a number, bool true or false, str text.  Any other value
-    raises ValueError naming the key."""
+    number, float a number, bool true or false, str text, and a tuple of
+    words one of them.  Any other value raises ValueError naming the key."""
+    if isinstance(cast, tuple):
+        if value in cast:
+            return value
+        raise ValueError(f"{key} takes one of {', '.join(cast)}, got {value!r}")
     try:
         # int(True) and bool("no") would pass, so a bool or str is taken only where wanted
         if isinstance(value, bool) != (cast is bool) or isinstance(value, str) != (cast is str):
@@ -175,7 +175,10 @@ class ExperimentConfig:
                 raise ValueError(f"config line {lineno}: unknown section {section!r}")
             if section == "run" and key not in RUN_KEYS:
                 raise ValueError(f"config line {lineno}: unknown key 'run.{key}'")
-            sections[section][key] = _parse_value(rhs)
+            if f"{section}.{key}" in _LIST_KEYS:
+                sections[section][key] = tuple(_parse_scalar(v) for v in rhs.split(","))
+            else:
+                sections[section][key] = _parse_scalar(rhs)
         return cls(**sections.pop("run"), **sections)
 
     @classmethod
@@ -300,7 +303,7 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
                             train_layer=train_layer)
 
 
-_MUON_KEYS = {"orthogonalizer": str, "ns_steps": int}
+_MUON_KEYS = {"orthogonalizer": optim.ORTHOGONALIZERS, "ns_steps": int}
 _ADAM_KEYS = {"beta1": float, "beta2": float, "eps": float}
 
 # kind -> (optim stepper, its state class, the optimizer.* keys other than kind
@@ -357,10 +360,16 @@ class _OptRun:
 def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
     """Resolve a schedule config against problem metadata.
 
-    Returns (schedule, resolved) where resolved records the constants that
-    were filled in from metadata, for provenance in the run summary.
+    This is the one place that turns a schedule kind into numbers: a horizon
+    kind becomes its stepsize and an adaptive kind its divisor, each computed
+    once.  Returns (schedule, resolved) where resolved records the constants
+    used and where the smoothness constant came from, for provenance in the
+    run summary.
     """
     kind = _kind("schedule", spec, _SCHEDULE_KEYS, "constant")
+    beta = _typed("schedule.beta", spec.get("beta", 0.0), float)
+    if not 0.0 <= beta < 1.0:
+        raise ValueError(f"schedule.beta must lie in [0, 1), got {beta!r}")
     r = min(problem.shape)
     resolved = {"kind": kind}
 
@@ -372,42 +381,45 @@ def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
                              f"config nor the problem metadata gives")
         return _typed(f"schedule.{key}", value, float), "config" if key in spec else "metadata"
 
+    def positive(**constants):
+        """Record the constants in resolved, once each is found positive."""
+        for key, value in constants.items():
+            if not value > 0:
+                raise ValueError(f"schedule constant {key!r} must be positive, got {value}")
+        resolved.update(constants)
+
     if kind == "constant":
         eta = lookup("eta")[0]
-        resolved["eta"] = eta
-        return optim.constant_schedule(eta), resolved
+        positive(eta=eta)
+        return optim.Schedule(kind, eta=eta), resolved
+    if kind == "adaptive_rL":
+        L, resolved["source"] = lookup("L")
+        positive(r=r, L=L)
+        return optim.Schedule(kind, divisor=r * L), resolved
+    if kind == "adaptive_Lstar":
+        Ls, resolved["source"] = lookup("L_star")
+        positive(L_star=Ls)
+        return optim.Schedule(kind, divisor=Ls), resolved
 
     fs = f_star(problem)
-    delta = None
-    if fs is not None:
-        delta = problem.value(W0) - fs
-    if kind in ("nonconvex_L", "nonconvex_Lstar", "theory_J") and delta is None:
+    if fs is None:
         raise ValueError(f"schedule {kind!r} needs a known optimal value to form delta")
-
-    beta = _typed("schedule.beta", spec.get("beta", 0.0), float)
+    delta = problem.value(W0) - fs
     if kind == "nonconvex_L":
-        L, source = lookup("L")
-        sched = optim.nonconvex_L_schedule(delta, r, T, L, beta)
-        resolved.update({"delta": delta, "r": r, "T": T, "L": L, "beta": beta,
-                         "source": source})
+        L, resolved["source"] = lookup("L")
+        positive(delta=delta, r=r, T=T, L=L)
+        resolved["beta"] = beta
+        eta_squared = (1.0 - beta) * delta / (r * T * L)
     elif kind == "nonconvex_Lstar":
-        Ls, source = lookup("L_star")
-        sched = optim.nonconvex_Lstar_schedule(delta, T, Ls, beta)
-        resolved.update({"delta": delta, "T": T, "L_star": Ls, "beta": beta,
-                         "source": source})
-    elif kind == "adaptive_rL":
-        L, source = lookup("L")
-        sched = optim.adaptive_rL_schedule(r, L)
-        resolved.update({"r": r, "L": L, "source": source})
-    elif kind == "adaptive_Lstar":
-        Ls, source = lookup("L_star")
-        sched = optim.adaptive_Lstar_schedule(Ls)
-        resolved.update({"L_star": Ls, "source": source})
+        Ls, resolved["source"] = lookup("L_star")
+        positive(delta=delta, T=T, L_star=Ls)
+        resolved["beta"] = beta
+        eta_squared = (1.0 - beta) * delta / (T * Ls)
     else:  # theory_J
         J = lookup("J")[0]
-        sched = optim.theory_J_schedule(delta, J, T)
-        resolved.update({"delta": delta, "J": J, "T": T})
-    return sched, resolved
+        positive(delta=delta, J=J, T=T)
+        eta_squared = 2.0 * delta / (J * T)
+    return optim.Schedule(kind, eta=float(np.sqrt(eta_squared))), resolved
 
 
 def _initial_w(config: ExperimentConfig, problem: Problem, seed: int) -> np.ndarray:
@@ -511,7 +523,7 @@ def _best_point(etas: Sequence[float], results: list):
 def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
                     W0: np.ndarray, seed: int):
     opt = _OptRun(config.optimizer)
-    adaptive = schedule.kind in (optim.ADAPTIVE_RL, optim.ADAPTIVE_LSTAR)
+    adaptive = schedule.divisor is not None
     W = W0.copy()
     in_bounds = _divergence_guard(problem.value(W0))
     W_star = problem.metadata.get("W_star")
@@ -530,7 +542,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
         need_norms = recording or adaptive
         grad_F = float(np.linalg.norm(G, "fro"))
         grad_nuc = matcore.nuclear_norm(G) if need_norms else None
-        eta = optim.next_eta(schedule, t=t, grad_nuc=grad_nuc)
+        eta = optim.next_eta(schedule, grad_nuc=grad_nuc)
         if ckpt_t is not None and t == ckpt_t:
             ckpt_W = W.copy()
         W_next, O = opt.step(W, G, eta)
@@ -603,11 +615,9 @@ def _summarize(records, problem: Problem, schedule) -> RunSummary:
     if d_fs:
         summary.D_F = max(d_fs)
         summary.D_op = max(d_ops)
-    if (schedule.kind == optim.CONSTANT and summary.D_op
-            and len(j_vals) == final.t and j_vals):
-        eta = schedule.params["eta"]
-        if 0 < eta <= summary.D_op:
-            summary.J_tilde = weighted_j_tilde(j_vals, eta, summary.D_op)
+    if (schedule.kind == "constant" and summary.D_op and len(j_vals) == final.t
+            and j_vals and schedule.eta <= summary.D_op):
+        summary.J_tilde = weighted_j_tilde(j_vals, schedule.eta, summary.D_op)
     meta = problem.metadata
     if (summary.D_F and summary.D_op and meta.get("L") and meta.get("L_star")):
         summary.comparison_ratio = comparison_ratio(summary.D_F, summary.D_op,
@@ -639,7 +649,7 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> RunA
         if best[1] is None:
             raise RuntimeError("every stepsize in the tuning grid diverged")
         best_eta = float(best[1])
-        schedule = optim.constant_schedule(best_eta)
+        schedule = optim.Schedule("constant", eta=best_eta)
         resolved = {"kind": "constant", "eta": best_eta, "source": "lr_grid"}
     else:
         schedule, resolved = make_schedule(config.schedule, problem, config.T, W0)
@@ -655,14 +665,6 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> RunA
     if config.out_dir:
         _write_artifact(config, artifact)
     return artifact
-
-
-def run_all(config: ExperimentConfig) -> list:
-    """Run every seed in the config; seeds are independent runs."""
-    if config.workers > 1 and len(config.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(lambda s: run_experiment(config, s), config.seeds))
-    return [run_experiment(config, s) for s in config.seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -1095,17 +1097,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    if args.out:
-        config.out_dir = args.out
-    if args.iters:
-        config.T = args.iters
+    optimizer = dict(config.optimizer)
     if args.optimizer:
-        config.optimizer = dict(config.optimizer, kind=args.optimizer)
-    if args.lr is not None:
-        config.schedule = {"kind": "constant", "eta": args.lr}
-        config.lr_grid = None
+        optimizer["kind"] = args.optimizer
     if args.beta is not None:
-        config.optimizer = dict(config.optimizer, beta=args.beta)
+        optimizer["beta"] = args.beta
+    changes = {"optimizer": optimizer}
+    if args.out:
+        changes["out_dir"] = args.out
+    if args.iters is not None:
+        changes["T"] = args.iters
+    if args.lr is not None:
+        changes.update(schedule={"kind": "constant", "eta": args.lr}, lr_grid=None)
+    # one replace, so __post_init__ checks the overridden values too
+    config = replace(config, **changes)
     seeds = (args.seed,) if args.seed is not None else config.seeds
     for seed in seeds:
         artifact = run_experiment(config, seed)

@@ -14,7 +14,7 @@ to `out` when given (which may be W itself) and to a fresh array otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -181,95 +181,30 @@ def adamw_step(state: AdamState, W, G, eta, beta1: float = 0.9,
 # Stepsize schedules
 # ---------------------------------------------------------------------------
 
-CONSTANT = "constant"
-NONCONVEX_L = "nonconvex_L"
-NONCONVEX_LSTAR = "nonconvex_Lstar"
-ADAPTIVE_RL = "adaptive_rL"
-ADAPTIVE_LSTAR = "adaptive_Lstar"
-THEORY_J = "theory_J"
-
-_ADAPTIVE_KINDS = (ADAPTIVE_RL, ADAPTIVE_LSTAR)
-
-
 @dataclass(frozen=True)
 class Schedule:
-    """Stepsize rule: a fixed value, a horizon formula, or an adaptive quotient."""
+    """Stepsize rule: a fixed eta, or, for the adaptive kinds, the nuclear
+    gradient norm over a fixed divisor.  Exactly one of the two is set, and it
+    is positive; harness.make_schedule works them out from a config."""
 
     kind: str
-    params: dict = field(default_factory=dict)
+    eta: Optional[float] = None
+    divisor: Optional[float] = None
+
+    def __post_init__(self):
+        if (self.eta is None) == (self.divisor is None):
+            raise ValueError("a schedule sets exactly one of eta and divisor")
+        if not (self.eta if self.divisor is None else self.divisor) > 0:
+            raise ValueError(f"schedule {self.kind!r} needs a positive eta or divisor")
 
 
-def _require_positive(params: dict, names: tuple) -> None:
-    for name in names:
-        if name not in params:
-            raise ValueError(f"schedule is missing required constant {name!r}")
-        if params[name] <= 0:
-            raise ValueError(f"schedule constant {name!r} must be positive, got {params[name]}")
-
-
-def constant_schedule(eta: float) -> Schedule:
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return Schedule(CONSTANT, {"eta": float(eta)})
-
-
-def nonconvex_L_schedule(delta: float, r: int, T: int, L: float, beta: float = 0.0) -> Schedule:
-    """Constant stepsize sqrt((1-beta)*delta / (r*T*L))."""
-    p = {"delta": delta, "r": r, "T": T, "L": L, "beta": beta}
-    _require_positive(p, ("delta", "r", "T", "L"))
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    return Schedule(NONCONVEX_L, p)
-
-
-def nonconvex_Lstar_schedule(delta: float, T: int, L_star: float, beta: float = 0.0) -> Schedule:
-    """Constant stepsize sqrt((1-beta)*delta / (T*L_star))."""
-    p = {"delta": delta, "T": T, "L_star": L_star, "beta": beta}
-    _require_positive(p, ("delta", "T", "L_star"))
-    if not 0.0 <= beta < 1.0:
-        raise ValueError("beta must lie in [0, 1)")
-    return Schedule(NONCONVEX_LSTAR, p)
-
-
-def adaptive_rL_schedule(r: int, L: float) -> Schedule:
-    """Adaptive stepsize: nuclear gradient norm divided by r*L."""
-    p = {"r": r, "L": L}
-    _require_positive(p, ("r", "L"))
-    return Schedule(ADAPTIVE_RL, p)
-
-
-def adaptive_Lstar_schedule(L_star: float) -> Schedule:
-    """Adaptive stepsize: nuclear gradient norm divided by L_star."""
-    p = {"L_star": L_star}
-    _require_positive(p, ("L_star",))
-    return Schedule(ADAPTIVE_LSTAR, p)
-
-
-def theory_J_schedule(delta: float, J: float, T: int) -> Schedule:
-    """Constant stepsize sqrt(2*delta / (J*T)) for positive average curvature J."""
-    p = {"delta": delta, "J": J, "T": T}
-    _require_positive(p, ("delta", "J", "T"))
-    return Schedule(THEORY_J, p)
-
-
-def next_eta(schedule: Schedule, t: int = 0, grad_nuc: Optional[float] = None) -> float:
-    """Stepsize for step t.  Adaptive kinds require the current nuclear
+def next_eta(schedule: Schedule, grad_nuc: Optional[float] = None) -> float:
+    """Stepsize of the next step.  Adaptive schedules need the current nuclear
     gradient norm and return exactly 0 when the gradient vanishes."""
-    p = schedule.params
-    if schedule.kind == CONSTANT:
-        return p["eta"]
-    if schedule.kind == NONCONVEX_L:
-        return float(np.sqrt((1.0 - p["beta"]) * p["delta"] / (p["r"] * p["T"] * p["L"])))
-    if schedule.kind == NONCONVEX_LSTAR:
-        return float(np.sqrt((1.0 - p["beta"]) * p["delta"] / (p["T"] * p["L_star"])))
-    if schedule.kind == THEORY_J:
-        return float(np.sqrt(2.0 * p["delta"] / (p["J"] * p["T"])))
-    if schedule.kind in _ADAPTIVE_KINDS:
-        if grad_nuc is None:
-            raise ValueError("adaptive schedules need the nuclear gradient norm")
-        if grad_nuc < 0:
-            raise ValueError("gradient norm must be nonnegative")
-        denom = p["r"] * p["L"] if schedule.kind == ADAPTIVE_RL else p["L_star"]
-        return float(grad_nuc / denom)
-    raise ValueError(f"unknown schedule kind {schedule.kind!r}")
-
+    if schedule.divisor is None:
+        return schedule.eta
+    if grad_nuc is None:
+        raise ValueError("adaptive schedules need the nuclear gradient norm")
+    if grad_nuc < 0:
+        raise ValueError("gradient norm must be nonnegative")
+    return float(grad_nuc / schedule.divisor)

@@ -42,6 +42,54 @@ def test_config_round_trip():
     assert again.to_text() == text
 
 
+_WORD = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8).filter(
+    lambda w: w not in ("true", "false"))
+# text with commas, spaces and digits that no number or switch parses as
+_PATHLIKE = st.text("abcxyz0189,._-/ ", max_size=16).map(lambda p: f"data/{p}.csv")
+_NUMBER = st.floats(allow_nan=False)
+_WHOLE = st.integers(-10 ** 9, 10 ** 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=st.one_of(
+           st.fixed_dictionaries({"kind": st.just("linear_mse"), "features": st.just("csv"),
+                                  "path": _PATHLIKE, "c": _WHOLE,
+                                  "skip_header": st.booleans()}),
+           st.fixed_dictionaries({"kind": st.just("mlp"), "loss": _WORD,
+                                  "dims": st.lists(_WHOLE, min_size=1, max_size=4).map(tuple),
+                                  "target_ratio": _NUMBER}),
+           st.fixed_dictionaries({"kind": st.just("quadratic"), "m": _WHOLE,
+                                  "cond": _NUMBER, "decay": _WORD})),
+       optimizer=st.fixed_dictionaries({"kind": st.just("muon"), "beta": _NUMBER,
+                                        "orthogonalizer": st.sampled_from(("svd", "ns"))}),
+       eta=_NUMBER,
+       run=st.fixed_dictionaries({
+           "T": st.integers(1, 10 ** 9), "cadence": st.integers(1, 10 ** 9),
+           "want_J": st.booleans(), "checkpoint": st.booleans(), "workers": _WHOLE,
+           "seeds": st.lists(_WHOLE, min_size=1, max_size=4, unique=True).map(tuple),
+           "lr_grid": st.none() | st.lists(_NUMBER, min_size=1, max_size=4).map(tuple),
+           "out_dir": st.none() | _PATHLIKE, "name": _WORD | _PATHLIKE,
+           "w0": st.sampled_from(("zeros", "gaussian", "init"))}))
+def test_config_text_round_trip_property(problem, optimizer, eta, run):
+    config = harness.ExperimentConfig(problem=problem, optimizer=optimizer,
+                                      schedule={"kind": "constant", "eta": eta}, **run)
+    text = config.to_text()
+    again = harness.ExperimentConfig.from_text(text)
+    assert again == config
+    assert again.to_text() == text
+
+
+def test_cli_run_feature_path_with_a_comma(tmp_path, capsys):
+    path = tmp_path / "feat,v2.csv"
+    problems.save_matrix_csv(np.random.default_rng(0).standard_normal((5, 9)), str(path))
+    cfg_path = tmp_path / "csv.toml"
+    spec = {"kind": "linear_mse", "features": "csv", "path": str(path), "c": 2}
+    cfg_path.write_text(quad_config(problem=spec, T=3).to_text())
+    assert harness.ExperimentConfig.from_file(cfg_path).problem["path"] == str(path)
+    assert harness.cli_main(["run", "--config", str(cfg_path)]) == 0
+    assert "final f" in capsys.readouterr().out
+
+
 def test_config_from_file(tmp_path):
     config = quad_config()
     path = tmp_path / "exp.toml"
@@ -353,18 +401,52 @@ def test_problem_accepts_every_key_its_kind_reads(spec):
     assert harness.build_problem(spec, 1).metadata["kind"] == spec["kind"]
 
 
-@pytest.mark.parametrize("schedule", [
+# one schedule of each kind, setting every key the kind reads; with T = 6
+# these constants make a regrouped formula round differently
+SCHEDULES = [
     {"kind": "constant", "eta": 0.5},
-    {"kind": "nonconvex_L", "L": 2.0, "beta": 0.5},
-    {"kind": "nonconvex_Lstar", "L_star": 20.0, "beta": 0.5},
-    {"kind": "adaptive_rL", "L": 2.0},
-    {"kind": "adaptive_Lstar", "L_star": 20.0},
-    {"kind": "theory_J", "J": 5.0},
-], ids=lambda schedule: schedule["kind"])
+    {"kind": "nonconvex_L", "L": 1.8, "beta": 0.7},
+    {"kind": "nonconvex_Lstar", "L_star": 14.6, "beta": 0.7},
+    {"kind": "adaptive_rL", "L": 1.8},
+    {"kind": "adaptive_Lstar", "L_star": 14.6},
+    {"kind": "theory_J", "J": 5.3},
+]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda schedule: schedule["kind"])
 def test_schedule_accepts_every_key_its_kind_reads(schedule):
     assert set(schedule) == {"kind", *harness._SCHEDULE_KEYS[schedule["kind"]]}
     art = harness.run_experiment(quad_config(schedule=schedule, T=5), 1)
     assert art.schedule_resolved["kind"] == schedule["kind"]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda schedule: schedule["kind"])
+def test_recorded_eta_is_the_closed_form_bit_for_bit(schedule):
+    """Every recorded eta equals its rule's formula in the operand order of
+    the paper's statement: (1-beta)*delta / (r*T*L), and so on."""
+    T = 6
+    art = harness.run_experiment(quad_config(schedule=schedule, T=T,
+                                             optimizer={"kind": "simplified_muon"}), 1)
+    problem = harness.build_problem(QUAD_SPEC, 1)
+    delta = problem.value(np.zeros(problem.shape)) - problems.f_star(problem)
+    r = min(problem.shape)
+    beta = schedule.get("beta", 0.0)
+    kind = schedule["kind"]
+    assert len(art.records) == T + 1 and not art.truncated
+    for rec in art.records[:-1]:
+        if kind == "constant":
+            want = schedule["eta"]
+        elif kind == "nonconvex_L":
+            want = float(np.sqrt((1.0 - beta) * delta / (r * T * schedule["L"])))
+        elif kind == "nonconvex_Lstar":
+            want = float(np.sqrt((1.0 - beta) * delta / (T * schedule["L_star"])))
+        elif kind == "adaptive_rL":
+            want = float(rec.grad_nuc / (r * schedule["L"]))
+        elif kind == "adaptive_Lstar":
+            want = float(rec.grad_nuc / schedule["L_star"])
+        else:
+            want = float(np.sqrt(2.0 * delta / (schedule["J"] * T)))
+        assert rec.eta == want
 
 
 @pytest.mark.parametrize("problem,key", [
@@ -639,12 +721,14 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def _names(node):
-    """Every identifier and string a node mentions, except dict keys (data, not code)."""
+def _names(node, bare=True):
+    """Every identifier and string a node mentions, except dict keys (data, not
+    code); a bare name (not an attribute or import) only when bare is true."""
     keys = {id(k) for n in ast.walk(node) if isinstance(n, ast.Dict) for k in n.keys}
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            yield n.id
+            if bare:
+                yield n.id
         elif isinstance(n, ast.Attribute):
             yield n.attr
         elif isinstance(n, ast.alias):
@@ -658,15 +742,26 @@ def test_every_module_level_definition_has_a_caller():
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for folder in ("src/muonlab", "perfbench")
              for path in sorted((repo / folder).glob("*.py"))}
-    mentions = Counter(name for tree in trees.values() for name in _names(tree))
+    # attributes, imports and strings count in every file; a bare name counts
+    # only in the file that defines or imports it, so another file's own
+    # function of the same name does not count
+    mentions = Counter(name for tree in trees.values() for name in _names(tree, bare=False))
+    bare = {path: Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+            for path, tree in trees.items()}
+    imported = {path: {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                       for a in n.names}
+                for path, tree in trees.items()}
     unreferenced = set()
     for path, tree in trees.items():
         if path.parent.name != "muonlab":
             continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                uses = mentions[node.name] + sum(
+                    bare[other][node.name] for other in trees
+                    if other == path or node.name in imported[other])
                 # names the definition mentions itself do not count
-                if mentions[node.name] == Counter(_names(node))[node.name]:
+                if uses == Counter(_names(node))[node.name]:
                     unreferenced.add(f"{path.stem}.{node.name}")
     assert unreferenced == set(UNREFERENCED_ALLOWED)
 
@@ -834,18 +929,37 @@ def test_figure3_suite_smoke_and_replay(tmp_path):
 # CLI
 # ---------------------------------------------------------------------------
 
-def test_run_all_multi_seed_and_workers():
-    config = quad_config(seeds=(1, 2, 3), workers=3,
-                         optimizer={"kind": "simplified_muon"},
-                         problem=dict(QUAD_SPEC, seed_mode="per_run"), T=20)
-    arts = harness.run_all(config)
-    sequential = harness.run_all(quad_config(seeds=(1, 2, 3), workers=1,
-                                             optimizer={"kind": "simplified_muon"},
-                                             problem=dict(QUAD_SPEC, seed_mode="per_run"),
-                                             T=20))
-    assert [a.seed for a in arts] == [1, 2, 3]
-    for a, b in zip(arts, sequential):
-        assert a.summary.final_f == b.summary.final_f
+def test_cli_run_multi_seed_order_and_independence(tmp_path, capsys):
+    """run goes through run.seeds in order, and each seed's artifacts are
+    those of that seed run alone (run.workers has no effect)."""
+    outputs = {}
+    for workers, seeds in ((3, None), (1, "1"), (1, "2"), (1, "3")):
+        cfg_path = tmp_path / f"quad_w{workers}.toml"
+        cfg_path.write_text(quad_config(seeds=(1, 2, 3), workers=workers,
+                                        optimizer={"kind": "simplified_muon"},
+                                        problem=dict(QUAD_SPEC, seed_mode="per_run"),
+                                        T=20).to_text())
+        out = tmp_path / f"w{workers}"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        assert harness.cli_main(argv + (["--seed", seeds] if seeds else [])) == 0
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == ([f"seed {seeds}"] if seeds else ["seed 1", "seed 2", "seed 3"])
+        outputs.setdefault(workers, {}).update(
+            {p.name: p.read_bytes() for p in out.iterdir() if not p.name.endswith("_config.txt")})
+    assert len(outputs[3]) == 6 and outputs[3] == outputs[1]
+    assert len({outputs[3][f"run_seed{s}.csv"] for s in (1, 2, 3)}) == 3
+
+
+@pytest.mark.parametrize("iters", ["-3", "0"])
+def test_cli_run_bad_iters_exits_2(tmp_path, capsys, iters):
+    cfg_path = tmp_path / "quad.toml"
+    cfg_path.write_text(quad_config().to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--iters", iters,
+                           "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == ["error: T must be at least 1"]
+    assert [p.name for p in tmp_path.iterdir()] == ["quad.toml"]
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from muonlab import matcore, optim, problems
+from muonlab import harness, matcore, optim, problems
 
 
 def test_first_step_copies_gradient():
@@ -192,39 +192,63 @@ def test_adamw_decoupled_decay():
 # schedules
 # ---------------------------------------------------------------------------
 
+def _gap_problem(delta, **metadata):
+    """A 4x5 problem whose initial gap is exactly delta, with the given constants."""
+    return problems.Problem((4, 5), lambda W: delta, None, None,
+                            metadata=dict(metadata, f_star=0.0))
+
+
+def _schedule(spec, problem, T=100):
+    return harness.make_schedule(spec, problem, T, np.zeros(problem.shape))[0]
+
+
 def test_constant_schedule():
-    sched = optim.constant_schedule(0.01)
-    assert optim.next_eta(sched, t=0) == 0.01
-    assert optim.next_eta(sched, t=123) == 0.01
+    sched = optim.Schedule("constant", eta=0.01)
+    assert optim.next_eta(sched) == 0.01
+    assert optim.next_eta(sched, grad_nuc=123.0) == 0.01
+    assert optim.next_eta(_schedule({"kind": "constant", "eta": 0.01}, _gap_problem(1.0))) == 0.01
 
 
 def test_nonconvex_L_formula():
-    sched = optim.nonconvex_L_schedule(delta=1.0, r=4, T=100, L=2.0, beta=0.0)
+    sched = _schedule({"kind": "nonconvex_L", "beta": 0.0}, _gap_problem(1.0, L=2.0))
     assert optim.next_eta(sched) == pytest.approx(math.sqrt(1.0 / 800.0), rel=1e-12)
 
 
 def test_nonconvex_Lstar_formula():
-    sched = optim.nonconvex_Lstar_schedule(delta=2.0, T=50, L_star=4.0, beta=0.5)
+    sched = _schedule({"kind": "nonconvex_Lstar", "L_star": 4.0, "beta": 0.5},
+                      _gap_problem(2.0), T=50)
     assert optim.next_eta(sched) == pytest.approx(math.sqrt(0.5 * 2.0 / 200.0), rel=1e-12)
 
 
 def test_adaptive_schedules():
-    assert optim.next_eta(optim.adaptive_Lstar_schedule(6.0), grad_nuc=3.0) == 0.5
-    assert optim.next_eta(optim.adaptive_rL_schedule(4, 2.0), grad_nuc=3.0) == pytest.approx(3.0 / 8.0)
-    assert optim.next_eta(optim.adaptive_Lstar_schedule(6.0), grad_nuc=0.0) == 0.0
+    Lstar = optim.Schedule("adaptive_Lstar", divisor=6.0)
+    assert optim.next_eta(Lstar, grad_nuc=3.0) == 0.5
+    rL = _schedule({"kind": "adaptive_rL"}, _gap_problem(1.0, L=2.0))
+    assert optim.next_eta(rL, grad_nuc=3.0) == pytest.approx(3.0 / 8.0)
+    assert optim.next_eta(Lstar, grad_nuc=0.0) == 0.0
     with pytest.raises(ValueError):
-        optim.next_eta(optim.adaptive_Lstar_schedule(6.0))
+        optim.next_eta(Lstar)
+    with pytest.raises(ValueError):
+        optim.next_eta(Lstar, grad_nuc=-1.0)
 
 
 def test_theory_J_formula():
-    sched = optim.theory_J_schedule(delta=1.0, J=2.0, T=100)
+    sched = _schedule({"kind": "theory_J", "J": 2.0}, _gap_problem(1.0))
     assert optim.next_eta(sched) == pytest.approx(math.sqrt(2.0 / 200.0), rel=1e-12)
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        optim.nonconvex_L_schedule(delta=-1.0, r=4, T=10, L=1.0)
+        _schedule({"kind": "nonconvex_L"}, _gap_problem(-1.0, L=1.0), T=10)
     with pytest.raises(ValueError):
-        optim.nonconvex_Lstar_schedule(delta=1.0, T=0, L_star=1.0)
+        _schedule({"kind": "nonconvex_Lstar", "L_star": 1.0}, _gap_problem(1.0), T=0)
     with pytest.raises(ValueError):
-        optim.constant_schedule(0.0)
+        optim.Schedule("constant", eta=0.0)
+    with pytest.raises(ValueError):
+        _schedule({"kind": "constant", "eta": 0.0}, _gap_problem(1.0))
+    with pytest.raises(ValueError):
+        _schedule({"kind": "nonconvex_L", "beta": 1.0}, _gap_problem(1.0, L=1.0))
+    with pytest.raises(ValueError):
+        optim.Schedule("adaptive_Lstar")
+    with pytest.raises(ValueError):
+        optim.Schedule("adaptive_Lstar", eta=0.1, divisor=6.0)

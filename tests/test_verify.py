@@ -142,13 +142,14 @@ def test_adaptive_rate_bound_t0_equals_delta(adaptive_Lstar_run):
 def test_adaptive_rate_bound_degenerate_start():
     Q = problems.make_ill_conditioned_Q(3, 10.0, "geometric", seed=11)
     prob = problems.quadratic_new(Q, np.zeros((3, 4)))
-    sched = optim.adaptive_Lstar_schedule(prob.metadata["L_star"])
     W = np.zeros((3, 4))
+    sched, _ = harness.make_schedule({"kind": "adaptive_Lstar"}, prob, 5, W)
+    assert sched.divisor == prob.metadata["L_star"]
     recs = []
     for t in range(5):
         G = prob.grad(W)
         gnuc = matcore.nuclear_norm(G)
-        eta = optim.next_eta(sched, t=t, grad_nuc=gnuc)
+        eta = optim.next_eta(sched, grad_nuc=gnuc)
         d_f, d_op = dg.distance_metrics(W, prob.metadata["W_star"])
         recs.append(dg.StepRecord(t=t, f=prob.value(W), grad_F=matcore.frobenius_norm(G),
                                   grad_nuc=gnuc, eta=eta, dist_F=d_f, dist_op=d_op))

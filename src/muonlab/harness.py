@@ -21,8 +21,9 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,34 +62,61 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _parse_scalar(s: str):
-    s = s.strip()
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    return s
+_MUON_KEYS = {"orthogonalizer": optim.ORTHOGONALIZERS, "ns_steps": int}
+_ADAM_KEYS = {"beta1": float, "beta2": float, "eps": float}
 
+# kind -> (optim stepper, its state class, the optimizer.* keys other than kind
+# that it reads with their types).  The keys set a Muon state and are passed
+# to the other steppers; momentum-free Muon is the Muon stepper with beta = 0.
+_OPTIMIZERS = {
+    "muon": ("muon_step", optim.MuonState, {"beta": float, **_MUON_KEYS}),
+    "simplified_muon": ("muon_step", functools.partial(optim.MuonState, beta=0.0), _MUON_KEYS),
+    "gd": ("gd_step", None, {}),
+    "gd_nesterov": ("gd_nesterov_step", optim.NesterovState, {"mu": float}),
+    "adam": ("adam_step", optim.AdamState, _ADAM_KEYS),
+    "adamw": ("adamw_step", optim.AdamState, {**_ADAM_KEYS, "weight_decay": float}),
+}
 
-# the config keys that take a list; only their values split on commas
-_LIST_KEYS = ("run.seeds", "run.lr_grid", "problem.dims")
-
+# section -> (default kind, {kind: {each key but kind that the kind reads: its
+# type}}).  A type is int, float, bool, str, a tuple of the words the key takes,
+# or [int] or [float] for a list, the only values whose text splits on commas.
+# The run section has one kind and no kind key.
+CONFIG_SCHEMA = {
+    "problem": ("quadratic", {kind: {"seed": int, "seed_mode": ("fixed", "per_run"), **keys}
+                              for kind, keys in (
+        ("quadratic", {"m": int, "n": int, "cond": float, "decay": str, "half": bool,
+                       "wstar_scale": float, "wstar": ("uniform", "gaussian")}),
+        ("linear_mse", {"d": int, "B": int, "c": int, "features": ("gaussian", "lowrank", "csv"),
+                        "target_ratio": float, "path": str, "skip_header": bool}),
+        ("mlp", {"input_dim": int, "dims": [int], "B": int, "loss": str,
+                 "data": ("lowrank", "gaussian"), "target_ratio": float, "train_layer": int}),
+    )}),
+    "optimizer": ("gd", {kind: types for kind, (_, _, types) in _OPTIMIZERS.items()}),
+    "schedule": ("constant", {
+        "constant": {"eta": float},
+        "nonconvex_L": {"L": float, "beta": float},
+        "nonconvex_Lstar": {"L_star": float, "beta": float},
+        "adaptive_rL": {"L": float},
+        "adaptive_Lstar": {"L_star": float},
+        "theory_J": {"J": float},
+    }),
+    "run": ("run", {"run": {
+        "T": int, "cadence": int, "want_J": bool, "want_L": bool, "want_hatJ": bool,
+        "seeds": [int], "out_dir": str, "name": str, "lr_grid": [float], "workers": int,
+        "w0": ("zeros", "gaussian", "init"), "checkpoint": bool}}),
+}
+RUN_KEYS = tuple(CONFIG_SCHEMA["run"][1]["run"])
 
 _TYPE_NAMES = {int: "a whole number", float: "a number", bool: "true or false", str: "text"}
 
 
 def _typed(key: str, value, cast):
-    """The value of config key (section.key) as cast: int takes a whole
-    number, float a number, bool true or false, str text, and a tuple of
-    words one of them.  Any other value raises ValueError naming the key."""
+    """The value of config key (section.key) as cast: int takes a whole number, float
+    a number, bool true or false, str text, a tuple of words one of them, and [cast]
+    one or more (one value is a list of one).  Else it raises ValueError naming the key."""
+    if isinstance(cast, list):
+        return tuple(_typed(key, v, cast[0])
+                     for v in (value if isinstance(value, (tuple, list)) else (value,)))
     if isinstance(cast, tuple):
         if value in cast:
             return value
@@ -105,10 +133,50 @@ def _typed(key: str, value, cast):
         raise ValueError(f"{key} takes {_TYPE_NAMES[cast]}, got {value!r}") from None
 
 
-def _typed_tuple(key: str, value, cast) -> tuple:
-    """A list-valued config key as a tuple of cast; one value is a list of one."""
-    values = value if isinstance(value, (tuple, list)) else (value,)
-    return tuple(_typed(key, v, cast) for v in values)
+def _parsed(key: str, text: str, cast):
+    """The value of config key read from its text in a config file by cast."""
+    if isinstance(cast, list):
+        return tuple(_parsed(key, part.strip(), cast[0]) for part in text.split(","))
+    if cast in (int, float, bool):
+        try:
+            text = {"true": True, "false": False}[text] if cast is bool else cast(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{key} takes {_TYPE_NAMES[cast]}, got {text}") from None
+    return _typed(key, text, cast)
+
+
+def _read_section(section: str, spec: dict, read=_typed):
+    """(kind, values) of a config section: the kind it names and each other
+    key's value read by its type, once every key is one that kind reads."""
+    default, kinds = CONFIG_SCHEMA[section]
+    kind = spec.get("kind", default)
+    if kind not in kinds:
+        raise ValueError(f"unknown {section} kind {kind!r}")
+    types = kinds[kind]
+    values = {}
+    for key, value in spec.items():
+        if key in types:
+            values[key] = read(f"{section}.{key}", value, types[key])
+        elif key != "kind":
+            raise ValueError(f"{section}.{key} is not read by {section} kind {kind!r}, "
+                             f"which reads: {', '.join(('kind', *types))}")
+    return kind, values
+
+
+# "#" starts a comment at a line's start or after whitespace: data/run#2.csv is one value
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _config_line(lineno: int, line: str):
+    """(section, key, value text) of a config file line; None for a blank or comment."""
+    line = _COMMENT.split(line, maxsplit=1)[0].strip()
+    if not line:
+        return None
+    if "=" not in line or "." not in line.split("=", 1)[0]:
+        raise ValueError(f"config line {lineno}: expected 'section.key = value'")
+    lhs, rhs = line.split("=", 1)
+    section, key = lhs.strip().split(".", 1)
+    return section, key.strip(), rhs.strip()
 
 
 @dataclass
@@ -131,54 +199,51 @@ class ExperimentConfig:
     w0: str = "zeros"
     checkpoint: bool = False
 
+    def _run_values(self) -> dict:
+        """The run.* values that are set; an unset lr_grid or out_dir is None."""
+        return {key: getattr(self, key) for key in RUN_KEYS if getattr(self, key) is not None}
+
     def __post_init__(self):
-        for key, cast in (("T", int), ("cadence", int), ("workers", int), ("want_J", bool),
-                          ("want_L", bool), ("want_hatJ", bool), ("checkpoint", bool)):
-            setattr(self, key, _typed(f"run.{key}", getattr(self, key), cast))
+        for key, value in _read_section("run", self._run_values())[1].items():
+            setattr(self, key, value)
         if self.T < 1:
-            raise ValueError("T must be at least 1")
+            raise ValueError("run.T must be at least 1")
         if self.cadence < 1:
-            raise ValueError("cadence must be at least 1")
-        self.seeds = _typed_tuple("run.seeds", self.seeds, int)
+            raise ValueError("run.cadence must be at least 1")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
-        if self.lr_grid is not None:
-            self.lr_grid = _typed_tuple("run.lr_grid", self.lr_grid, float)
-        if self.w0 not in ("zeros", "gaussian", "init"):
-            raise ValueError("w0 must be zeros, gaussian or init")
+            raise ValueError("run.seeds must be distinct")
 
     def to_text(self) -> str:
         lines = []
-        run_keys = {key: getattr(self, key) for key in RUN_KEYS
-                    if getattr(self, key) is not None}
         for section, data in (("problem", self.problem),
                               ("optimizer", self.optimizer),
                               ("schedule", self.schedule),
-                              ("run", run_keys)):
+                              ("run", self._run_values())):
             for key in sorted(data):
-                lines.append(f"{section}.{key} = {_format_value(data[key])}")
+                text = _format_value(data[key])
+                line = f"{section}.{key} = {text}"
+                if line.splitlines() != [line] or _config_line(0, line) != (section, key, text):
+                    raise ValueError(f"{section}.{key} = {text!r} would not read back")
+                lines.append(line)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        sections = {"problem": {}, "optimizer": {}, "schedule": {}, "run": {}}
+        sections = {section: {} for section in CONFIG_SCHEMA}
         for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = _config_line(lineno, raw)
+            if line is None:
                 continue
-            if "=" not in line or "." not in line.split("=", 1)[0]:
-                raise ValueError(f"config line {lineno}: expected 'section.key = value'")
-            lhs, rhs = line.split("=", 1)
-            section, key = lhs.strip().split(".", 1)
-            key = key.strip()
+            section, key, value = line
             if section not in sections:
                 raise ValueError(f"config line {lineno}: unknown section {section!r}")
             if section == "run" and key not in RUN_KEYS:
                 raise ValueError(f"config line {lineno}: unknown key 'run.{key}'")
-            if f"{section}.{key}" in _LIST_KEYS:
-                sections[section][key] = tuple(_parse_scalar(v) for v in rhs.split(","))
-            else:
-                sections[section][key] = _parse_scalar(rhs)
+            sections[section][key] = value
+        for section, spec in sections.items():
+            kind, sections[section] = _read_section(section, spec, _parsed)
+            if "kind" in spec:
+                sections[section]["kind"] = kind
         return cls(**sections.pop("run"), **sections)
 
     @classmethod
@@ -187,44 +252,9 @@ class ExperimentConfig:
             return cls.from_text(fh.read())
 
 
-RUN_KEYS = tuple(f.name for f in fields(ExperimentConfig)
-                 if f.name not in ("problem", "optimizer", "schedule"))
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
-
-
-# kind -> the problem.* keys other than kind that it reads
-_PROBLEM_KEYS = {kind: ("seed", "seed_mode") + keys for kind, keys in (
-    ("quadratic", ("m", "n", "cond", "decay", "half", "wstar_scale", "wstar")),
-    ("linear_mse", ("d", "B", "c", "features", "target_ratio", "path", "skip_header")),
-    ("mlp", ("input_dim", "dims", "B", "loss", "data", "target_ratio", "train_layer")),
-)}
-
-# kind -> the schedule.* keys other than kind that it reads
-_SCHEDULE_KEYS = {
-    "constant": ("eta",),
-    "nonconvex_L": ("L", "beta"),
-    "nonconvex_Lstar": ("L_star", "beta"),
-    "adaptive_rL": ("L",),
-    "adaptive_Lstar": ("L_star",),
-    "theory_J": ("J",),
-}
-
-
-def _kind(section: str, spec: dict, keys_by_kind: dict, default: str) -> str:
-    """The kind a config section names, once every key in it is one that kind reads."""
-    kind = spec.get("kind", default)
-    if kind not in keys_by_kind:
-        raise ValueError(f"unknown {section} kind {kind!r}")
-    keys = ("kind",) + keys_by_kind[kind]
-    for key in spec:
-        if key not in keys:
-            raise ValueError(f"{section}.{key} is not read by {section} kind {kind!r}, "
-                             f"which reads: {', '.join(keys)}")
-    return kind
 
 
 def build_problem(spec: dict, run_seed: int = 0) -> Problem:
@@ -234,90 +264,54 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     mixed in so every run draws its own instance (used for the quadratic
     optimum resampling studies).
     """
-    def get(key, default, cast=int):
-        return _typed(f"problem.{key}", spec.get(key, default), cast)
-
-    kind = _kind("problem", spec, _PROBLEM_KEYS, "quadratic")
+    kind, spec = _read_section("problem", spec)
+    get = spec.get
     base_seed = get("seed", 0)
-    per_run = get("seed_mode", "fixed", str) == "per_run"
+    per_run = get("seed_mode", "fixed") == "per_run"
     eff = np.random.default_rng([base_seed, run_seed] if per_run else [base_seed])
     if kind == "quadratic":
         m = get("m", 15)
         n = get("n", 20)
-        cond = get("cond", 1e4, float)
-        decay = get("decay", "two_cluster", str)
-        half = get("half", True, bool)
-        scale = get("wstar_scale", 50.0, float)
+        scale = get("wstar_scale", 50.0)
         q_seed = int(eff.integers(0, 2 ** 31))
-        Q = problems.make_ill_conditioned_Q(m, cond, decay, seed=q_seed)
-        law = get("wstar", "uniform", str)
-        if law == "uniform":
+        Q = problems.make_ill_conditioned_Q(m, get("cond", 1e4), get("decay", "two_cluster"),
+                                            seed=q_seed)
+        if get("wstar", "uniform") == "uniform":
             W_star = eff.uniform(-scale, scale, size=(m, n))
-        elif law == "gaussian":
-            W_star = eff.standard_normal((m, n)) * scale
         else:
-            raise ValueError(f"unknown wstar law {law!r}")
-        return problems.quadratic_new(Q, W_star, half=half)
+            W_star = eff.standard_normal((m, n)) * scale
+        return problems.quadratic_new(Q, W_star, half=get("half", True))
     if kind == "linear_mse":
         d = get("d", 196)
         B = get("B", 400)
-        c = get("c", 10)
-        features = get("features", "gaussian", str)
+        features = get("features", "gaussian")
         if features == "gaussian":
             X = problems.gaussian_features(d, B, seed=base_seed)
         elif features == "lowrank":
-            X = problems.lowrank_features(d, B, get("target_ratio", 1.41, float),
-                                          seed=base_seed)
-        elif features == "csv":
+            X = problems.lowrank_features(d, B, get("target_ratio", 1.41), seed=base_seed)
+        else:
             if "path" not in spec:
                 raise ValueError("problem.features = csv needs problem.path")
-            X = problems.load_features_csv(get("path", None, str),
-                                           skip_header=get("skip_header", False, bool))
-        else:
-            raise ValueError(f"unknown features {features!r}")
-        Y = problems.onehot_labels(c, X.shape[1], seed=base_seed + 1)
+            X = problems.load_features_csv(spec["path"], skip_header=get("skip_header", False))
+        Y = problems.onehot_labels(get("c", 10), X.shape[1], seed=base_seed + 1)
         return problems.linear_mse_new(X, Y)
     # kind is "mlp"
     input_dim = get("input_dim", 10)
-    dims = _typed_tuple("problem.dims", spec.get("dims", (8, 6, 4)), int)
+    dims = get("dims", (8, 6, 4))
     B = get("B", 120)
-    loss = get("loss", "softmax_ce", str)
-    data = get("data", "lowrank", str)
-    if data == "lowrank":
-        X = problems.lowrank_features(input_dim, B,
-                                      get("target_ratio", 2.0, float),
-                                      seed=base_seed)
+    if get("data", "lowrank") == "lowrank":
+        X = problems.lowrank_features(input_dim, B, get("target_ratio", 2.0), seed=base_seed)
         X = X * (np.sqrt(B) / np.linalg.norm(X, "fro"))
-    elif data == "gaussian":
-        X = problems.gaussian_features(input_dim, B, seed=base_seed) / np.sqrt(input_dim)
     else:
-        raise ValueError(f"unknown data {data!r}")
+        X = problems.gaussian_features(input_dim, B, seed=base_seed) / np.sqrt(input_dim)
     Y = problems.onehot_labels(dims[-1], B, seed=base_seed + 1)
     shapes = []
     prev = input_dim
     for width in dims:
         shapes.append((width, prev))
         prev = width
-    train_layer = None if spec.get("train_layer") is None else get("train_layer", None)
-    return problems.mlp_new(shapes, X, Y, loss=loss, seed=base_seed + 2,
-                            train_layer=train_layer)
-
-
-_MUON_KEYS = {"orthogonalizer": optim.ORTHOGONALIZERS, "ns_steps": int}
-_ADAM_KEYS = {"beta1": float, "beta2": float, "eps": float}
-
-# kind -> (optim stepper, its state class, the optimizer.* keys other than kind
-# that it reads with their types).  The keys set a Muon state and are passed
-# to the other steppers; momentum-free Muon is the Muon stepper with beta = 0.
-_OPTIMIZERS = {
-    "muon": ("muon_step", optim.MuonState, {"beta": float, **_MUON_KEYS}),
-    "simplified_muon": ("muon_step", functools.partial(optim.MuonState, beta=0.0), _MUON_KEYS),
-    "gd": ("gd_step", None, {}),
-    "gd_nesterov": ("gd_nesterov_step", optim.NesterovState, {"mu": float}),
-    "adam": ("adam_step", optim.AdamState, _ADAM_KEYS),
-    "adamw": ("adamw_step", optim.AdamState, {**_ADAM_KEYS, "weight_decay": float}),
-}
-_OPTIMIZER_KEYS = {kind: tuple(types) for kind, (_, _, types) in _OPTIMIZERS.items()}
+    return problems.mlp_new(shapes, X, Y, loss=get("loss", "softmax_ce"), seed=base_seed + 2,
+                            train_layer=get("train_layer"))
 
 
 class _OptRun:
@@ -330,11 +324,9 @@ class _OptRun:
     """
 
     def __init__(self, spec: dict):
-        self.kind = _kind("optimizer", spec, _OPTIMIZER_KEYS, "gd")
-        stepper, state_class, types = _OPTIMIZERS[self.kind]
         # only the keys the config sets: optim's defaults are the only ones
-        self.options = {key: _typed(f"optimizer.{key}", spec[key], cast)
-                        for key, cast in types.items() if key in spec}
+        self.kind, self.options = _read_section("optimizer", spec)
+        stepper, state_class, _ = _OPTIMIZERS[self.kind]
         self.state = None
         if stepper == "muon_step":
             self.state, self.options = state_class(**self.options), {}
@@ -366,8 +358,8 @@ def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
     used and where the smoothness constant came from, for provenance in the
     run summary.
     """
-    kind = _kind("schedule", spec, _SCHEDULE_KEYS, "constant")
-    beta = _typed("schedule.beta", spec.get("beta", 0.0), float)
+    kind, values = _read_section("schedule", spec)
+    beta = values.get("beta", 0.0)
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"schedule.beta must lie in [0, 1), got {beta!r}")
     r = min(problem.shape)
@@ -375,11 +367,11 @@ def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
 
     def lookup(key):
         """(value, source) of schedule.<key>: the config's, else the metadata's."""
-        value = spec.get(key, problem.metadata.get(key))
+        value = values.get(key, problem.metadata.get(key))
         if value is None:
             raise ValueError(f"schedule {kind!r} needs {key}, which neither the "
                              f"config nor the problem metadata gives")
-        return _typed(f"schedule.{key}", value, float), "config" if key in spec else "metadata"
+        return float(value), "config" if key in values else "metadata"
 
     def positive(**constants):
         """Record the constants in resolved, once each is found positive."""
@@ -427,12 +419,10 @@ def _initial_w(config: ExperimentConfig, problem: Problem, seed: int) -> np.ndar
         return np.zeros(problem.shape)
     if config.w0 == "gaussian":
         return np.random.default_rng([seed, 10007]).standard_normal(problem.shape)
-    if config.w0 == "init":
-        W_init = problem.metadata.get("W_init")
-        if W_init is None:
-            raise ValueError("problem carries no stored initialization for w0=init")
-        return W_init.copy()
-    raise AssertionError("unreachable")
+    W_init = problem.metadata.get("W_init")
+    if W_init is None:
+        raise ValueError("problem carries no stored initialization for w0=init")
+    return W_init.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +630,7 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> RunA
     best_eta = None
     if config.lr_grid:
         # the grid replaces the schedule, whose keys must still be ones it reads
-        _kind("schedule", config.schedule, _SCHEDULE_KEYS, "constant")
+        _read_section("schedule", config.schedule)
         scan = _grid_scan(problem, config.optimizer, config.lr_grid, config.T, W0)
         grid_results = [{"eta": float(eta), "final_f": None if diverged else fT,
                          "diverged": diverged}
@@ -978,8 +968,6 @@ def quadratic_check_run(seed: int = 0, T: int = 500,
         eta = min(0.01 * delta / (problem.metadata["L_star"] * d_hat), d_hat)
     sched_spec = {"kind": schedule_kind}
     if eta is not None:
-        if schedule_kind != "constant":
-            raise ValueError("eta override applies to constant schedules only")
         sched_spec["eta"] = float(eta)
     config = ExperimentConfig(
         problem=prob_spec, optimizer={"kind": "simplified_muon"},

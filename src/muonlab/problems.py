@@ -359,14 +359,13 @@ def _mlp_loss_and_delta(out, Y, loss):
     if loss == "mse":
         R = out - Y
         return 0.5 * float(np.sum(R * R)) / B, R / B
-    if loss == "softmax_ce":
-        z = out - out.max(axis=0, keepdims=True)
-        ez = np.exp(z)
-        p = ez / ez.sum(axis=0, keepdims=True)
-        lse = np.log(ez.sum(axis=0)) + out.max(axis=0)
-        f = float(np.sum(lse) - np.sum(Y * out)) / B
-        return f, (p - Y) / B
-    raise ValueError(f"unknown loss {loss!r}")
+    # loss is "softmax_ce", as mlp_new checks
+    z = out - out.max(axis=0, keepdims=True)
+    ez = np.exp(z)
+    p = ez / ez.sum(axis=0, keepdims=True)
+    lse = np.log(ez.sum(axis=0)) + out.max(axis=0)
+    f = float(np.sum(lse) - np.sum(Y * out)) / B
+    return f, (p - Y) / B
 
 
 def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
@@ -386,6 +385,8 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
     those activations and of Y, so changing the caller's X or Y afterwards
     does not change the problem.
     """
+    if loss not in ("mse", "softmax_ce"):
+        raise ValueError(f"unknown loss {loss!r}")
     X = matcore.as_matrix(X)
     Y = matcore.as_matrix(Y).copy(order="K")
     shapes = [tuple(s) for s in layer_shapes]

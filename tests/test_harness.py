@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import dataclasses
 import json
 import os
 import re
@@ -32,6 +33,13 @@ def quad_config(**overrides):
 # config
 # ---------------------------------------------------------------------------
 
+def with_line(text, line):
+    """Config text with line in place of any line that sets the same key."""
+    key = line.split(" = ")[0]
+    return "".join(kept for kept in text.splitlines(keepends=True)
+                   if not kept.startswith(f"{key} = ")) + line + "\n"
+
+
 def test_config_round_trip():
     config = quad_config(want_J=True, want_L=True, seeds=(1, 2, 3),
                          lr_grid=(0.1, 0.2), out_dir="runs/x", name="demo",
@@ -42,24 +50,36 @@ def test_config_round_trip():
     assert again.to_text() == text
 
 
-_WORD = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8).filter(
-    lambda w: w not in ("true", "false"))
-# text with commas, spaces and digits that no number or switch parses as
-_PATHLIKE = st.text("abcxyz0189,._-/ ", max_size=16).map(lambda p: f"data/{p}.csv")
+_WORD = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+# text with commas, spaces, digits and "#"; a "#" after whitespace starts a
+# comment, so to_text refuses such a value (see the test after this one)
+_PATHLIKE = st.text("abcxyz0189,._-/ #", max_size=16).map(lambda p: f"data/{p}.csv").filter(
+    lambda p: not re.search(r"\s#", p))
+# text that would read as a number or a switch, were it not a text key's
+_NUMBERLIKE = st.one_of(st.text("0123456789", min_size=1, max_size=6),
+                        st.sampled_from(("true", "false")),
+                        st.builds("{}e{}".format, st.integers(0, 99), st.integers(-9, 9)))
+_TEXT = _WORD | _PATHLIKE | _NUMBERLIKE
 _NUMBER = st.floats(allow_nan=False)
 _WHOLE = st.integers(-10 ** 9, 10 ** 9)
+_SEED_MODE = st.sampled_from(("fixed", "per_run"))
 
 
 @settings(max_examples=200, deadline=None)
 @given(problem=st.one_of(
-           st.fixed_dictionaries({"kind": st.just("linear_mse"), "features": st.just("csv"),
-                                  "path": _PATHLIKE, "c": _WHOLE,
+           st.fixed_dictionaries({"kind": st.just("linear_mse"), "seed_mode": _SEED_MODE,
+                                  "features": st.sampled_from(("gaussian", "lowrank", "csv")),
+                                  "path": _TEXT, "c": _WHOLE,
                                   "skip_header": st.booleans()}),
-           st.fixed_dictionaries({"kind": st.just("mlp"), "loss": _WORD,
+           st.fixed_dictionaries({"kind": st.just("mlp"), "loss": _TEXT,
+                                  "seed_mode": _SEED_MODE,
+                                  "data": st.sampled_from(("lowrank", "gaussian")),
                                   "dims": st.lists(_WHOLE, min_size=1, max_size=4).map(tuple),
                                   "target_ratio": _NUMBER}),
            st.fixed_dictionaries({"kind": st.just("quadratic"), "m": _WHOLE,
-                                  "cond": _NUMBER, "decay": _WORD})),
+                                  "seed_mode": _SEED_MODE,
+                                  "wstar": st.sampled_from(("uniform", "gaussian")),
+                                  "cond": _NUMBER, "decay": _TEXT})),
        optimizer=st.fixed_dictionaries({"kind": st.just("muon"), "beta": _NUMBER,
                                         "orthogonalizer": st.sampled_from(("svd", "ns"))}),
        eta=_NUMBER,
@@ -68,7 +88,7 @@ _WHOLE = st.integers(-10 ** 9, 10 ** 9)
            "want_J": st.booleans(), "checkpoint": st.booleans(), "workers": _WHOLE,
            "seeds": st.lists(_WHOLE, min_size=1, max_size=4, unique=True).map(tuple),
            "lr_grid": st.none() | st.lists(_NUMBER, min_size=1, max_size=4).map(tuple),
-           "out_dir": st.none() | _PATHLIKE, "name": _WORD | _PATHLIKE,
+           "out_dir": st.none() | _TEXT, "name": _TEXT,
            "w0": st.sampled_from(("zeros", "gaussian", "init"))}))
 def test_config_text_round_trip_property(problem, optimizer, eta, run):
     config = harness.ExperimentConfig(problem=problem, optimizer=optimizer,
@@ -77,6 +97,50 @@ def test_config_text_round_trip_property(problem, optimizer, eta, run):
     again = harness.ExperimentConfig.from_text(text)
     assert again == config
     assert again.to_text() == text
+
+
+@pytest.mark.parametrize("path", ["data/run#2.csv", "2024", "true", "1e5", "feat,v2.csv"])
+def test_text_value_round_trips_as_text(path):
+    config = quad_config(problem={"kind": "linear_mse", "features": "csv", "path": path})
+    text = config.to_text()
+    again = harness.ExperimentConfig.from_text(text)
+    assert again == config and again.problem["path"] == path
+    assert again.to_text() == text
+
+
+@pytest.mark.parametrize("key,overrides", [
+    ("problem.path", {"problem": {"kind": "linear_mse", "path": "a\nb.csv"}}),
+    ("problem.path", {"problem": {"kind": "linear_mse", "path": " a.csv"}}),
+    ("problem.path", {"problem": {"kind": "linear_mse", "path": "a.csv "}}),
+    ("problem.path", {"problem": {"kind": "linear_mse", "path": "a #2.csv"}}),
+    ("problem.path", {"problem": {"kind": "linear_mse", "path": "#2.csv"}}),
+    ("run.name", {"name": "a\rb"}),
+], ids=["newline", "leading-space", "trailing-space", "hash-after-space", "leading-hash",
+        "carriage-return"])
+def test_to_text_refuses_a_value_that_would_not_read_back(key, overrides):
+    with pytest.raises(ValueError, match=f"^{key} = "):
+        quad_config(**overrides).to_text()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("problem.m = abc", "problem.m takes a whole number, got abc"),
+    ("problem.mm = 5", "problem.mm is not read by problem kind 'quadratic'"),
+    ("problem.seed_mode = per-run",
+     "problem.seed_mode takes one of fixed, per_run, got 'per-run'"),
+    ("optimizer.kind = lion", "unknown optimizer kind 'lion'"),
+    ("run.w0 = zero", "run.w0 takes one of zeros, gaussian, init, got 'zero'"),
+])
+def test_from_text_reads_each_value_by_its_key(line, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        harness.ExperimentConfig.from_text(with_line(quad_config().to_text(), line))
+
+
+def test_whole_number_for_a_float_key_snapshots_as_a_float():
+    text = quad_config().to_text()
+    assert "problem.cond = 100.0\n" in text
+    config = harness.ExperimentConfig.from_text(text.replace("cond = 100.0", "cond = 100"))
+    assert config == quad_config() and isinstance(config.problem["cond"], float)
+    assert config.to_text() == text
 
 
 def test_cli_run_feature_path_with_a_comma(tmp_path, capsys):
@@ -88,6 +152,11 @@ def test_cli_run_feature_path_with_a_comma(tmp_path, capsys):
     assert harness.ExperimentConfig.from_file(cfg_path).problem["path"] == str(path)
     assert harness.cli_main(["run", "--config", str(cfg_path)]) == 0
     assert "final f" in capsys.readouterr().out
+
+
+def test_schema_run_keys_are_the_run_fields():
+    names = [f.name for f in dataclasses.fields(harness.ExperimentConfig)]
+    assert names == ["problem", "optimizer", "schedule", *harness.RUN_KEYS]
 
 
 def test_config_from_file(tmp_path):
@@ -112,6 +181,24 @@ def test_config_validation():
                        ("lr_grid", ("a", 0.1)), ("lr_grid", True)):
         with pytest.raises(ValueError, match=f"^run.{key} takes "):
             quad_config(**{key: value})
+
+
+@pytest.mark.parametrize("problem,line", [
+    (QUAD_SPEC, "problem.seed_mode = per-run"),
+    (QUAD_SPEC, "problem.wstar = gauss"),
+    ({"kind": "linear_mse", "d": 8, "B": 12, "c": 3}, "problem.features = low_rank"),
+    (MLP_SPEC, "problem.data = gaussain"),
+    (QUAD_SPEC, "run.w0 = zero"),
+], ids=["seed_mode", "wstar", "features", "data", "w0"])
+def test_cli_run_misspelt_word_exits_2(tmp_path, capsys, problem, line):
+    cfg_path = tmp_path / "bad.toml"
+    cfg_path.write_text(with_line(quad_config(problem=problem, T=5).to_text(), line))
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    key = line.split(" = ")[0]
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {key} takes one of ")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.toml"]
 
 
 def test_cli_run_bad_run_value_exits_2(tmp_path, capsys):
@@ -171,6 +258,11 @@ def test_build_problem_kinds():
     assert mlp.shape == (4, 5)  # middle layer
     with pytest.raises(ValueError):
         harness.build_problem({"kind": "nope"}, 0)
+
+
+def test_build_problem_rejects_unknown_mlp_loss():
+    with pytest.raises(ValueError, match="unknown loss 'bogus'"):
+        harness.build_problem(dict(MLP_SPEC, loss="bogus"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +489,7 @@ def test_cli_run_unread_optimizer_key_exits_2(tmp_path, capsys, optimizer, key):
      "B": 20, "loss": "mse", "data": "lowrank", "target_ratio": 1.5, "train_layer": 1},
 ], ids=lambda spec: spec["kind"])
 def test_problem_accepts_every_key_its_kind_reads(spec):
-    assert set(spec) == {"kind", *harness._PROBLEM_KEYS[spec["kind"]]}
+    assert set(spec) == {"kind", *harness.CONFIG_SCHEMA["problem"][1][spec["kind"]]}
     assert harness.build_problem(spec, 1).metadata["kind"] == spec["kind"]
 
 
@@ -415,7 +507,7 @@ SCHEDULES = [
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda schedule: schedule["kind"])
 def test_schedule_accepts_every_key_its_kind_reads(schedule):
-    assert set(schedule) == {"kind", *harness._SCHEDULE_KEYS[schedule["kind"]]}
+    assert set(schedule) == {"kind", *harness.CONFIG_SCHEMA["schedule"][1][schedule["kind"]]}
     art = harness.run_experiment(quad_config(schedule=schedule, T=5), 1)
     assert art.schedule_resolved["kind"] == schedule["kind"]
 
@@ -958,7 +1050,7 @@ def test_cli_run_bad_iters_exits_2(tmp_path, capsys, iters):
                            "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.splitlines() == ["error: T must be at least 1"]
+    assert err.splitlines() == ["error: run.T must be at least 1"]
     assert [p.name for p in tmp_path.iterdir()] == ["quad.toml"]
 
 
@@ -1190,6 +1282,21 @@ def test_readme_lists_every_verify_check():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("`verify --check` accepts:", 1)[1].split("\n\n", 1)[0]
     assert re.findall(r"`([^`]+)`", block) == list(harness.VERIFY_CHECKS)
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    config = harness.ExperimentConfig.from_text(text)
+    cfg_path = tmp_path / "readme.toml"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert harness.cli_main(["run", "--config", str(cfg_path), "--iters", "3",
+                             "--out", str(out)]) == 0
+    suffixes = (".csv", "_summary.json", "_config.txt")
+    suffixes += ("_grid.json",) if config.lr_grid else ()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{config.name}_seed{seed}{suffix}" for seed in config.seeds for suffix in suffixes)
 
 
 def test_cli_ratio_study(tmp_path, capsys):

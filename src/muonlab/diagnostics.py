@@ -181,17 +181,6 @@ def weighted_j_tilde(j_values: Sequence[float], eta: float, D_op: float) -> floa
     return float(np.sum(weights * vals) / T)
 
 
-def vonneumann_bound(p_sv, q_sv, r_t: int) -> float:
-    """Trace-inequality bound: sum of the r_t largest singular-value products."""
-    p = np.asarray(p_sv, dtype=np.float64)
-    q = np.asarray(q_sv, dtype=np.float64)
-    if np.any(np.diff(p) > 1e-12) or np.any(np.diff(q) > 1e-12):
-        raise ValueError("singular values must be sorted nonincreasing")
-    if r_t > p.size or r_t > q.size:
-        raise ValueError(f"r_t={r_t} exceeds available singular values")
-    return float(np.sum(p[:r_t] * q[:r_t]))
-
-
 def distance_metrics(W, W_star):
     """(Frobenius, operator) distances to the reference point."""
     E = matcore.as_matrix(W) - matcore.as_matrix(W_star)
@@ -210,11 +199,3 @@ def comparison_ratio(D_F: float, D_op: float, L: float, L_star: float) -> float:
 def spectrum(A) -> np.ndarray:
     """Singular values, nonincreasing."""
     return matcore.svd(A).S.copy()
-
-
-def concentration_ratio(A) -> float:
-    """Effective-rank proxy ||A||_F^2 / ||A||_op^2; undefined for the zero matrix."""
-    S = matcore.svd(A).S
-    if S[0] == 0.0:
-        raise ValueError("concentration ratio undefined for the zero matrix")
-    return float(np.sum(S * S) / (S[0] * S[0]))

@@ -230,6 +230,10 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         sections = {section: {} for section in CONFIG_SCHEMA}
+        set_on = {}  # (section, key) -> line that set it
+        # a key set twice is reported after every value has been read, so a
+        # bad value keeps its own message
+        repeated = None
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = _config_line(lineno, raw)
             if line is None:
@@ -239,11 +243,16 @@ class ExperimentConfig:
                 raise ValueError(f"config line {lineno}: unknown section {section!r}")
             if section == "run" and key not in RUN_KEYS:
                 raise ValueError(f"config line {lineno}: unknown key 'run.{key}'")
+            first = set_on.setdefault((section, key), lineno)
+            if first != lineno and repeated is None:
+                repeated = f"config line {lineno}: '{section}.{key}' is already set on line {first}"
             sections[section][key] = value
         for section, spec in sections.items():
             kind, sections[section] = _read_section(section, spec, _parsed)
             if "kind" in spec:
                 sections[section]["kind"] = kind
+        if repeated is not None:
+            raise ValueError(repeated)
         return cls(**sections.pop("run"), **sections)
 
     @classmethod
@@ -479,11 +488,11 @@ def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
     in_bounds = _divergence_guard(problem.value(W0))
     for _ in range(T):
         if problem.value_grad_stacks:
-            values, G = problem.eval_value_grad(W)
+            values, G = problem.value_grad(W)
         else:
             values = []
             for j in range(len(live)):
-                f, G[j] = problem.eval_value_grad(W[j])
+                f, G[j] = problem.value_grad(W[j])
                 values.append(f)
         rows = [j for j, f in enumerate(values) if in_bounds(f)]
         if len(rows) < len(live):
@@ -524,7 +533,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
     ckpt_W = None
     t = 0
     while t < config.T:
-        f, G = problem.eval_value_grad(W)
+        f, G = problem.value_grad(W)
         if not in_bounds(f):
             truncated = True
             break
@@ -578,7 +587,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
         W = W_next
         t += 1
     # terminal row: state after the last completed step (or at truncation)
-    f_end, G_end = problem.eval_value_grad(W)
+    f_end, G_end = problem.value_grad(W)
     rec = StepRecord(t=t, f=float(f_end),
                      grad_F=float(np.linalg.norm(G_end, "fro")),
                      grad_nuc=float(np.sum(matcore.svd(G_end).S)))

@@ -1,11 +1,9 @@
-"""Dense matrix primitives: norms, SVD, polar factors, Kronecker utilities.
+"""Dense matrix primitives: norms, SVD and polar factors.
 
 All functions are pure, operate on float64 2-D numpy arrays, and are
 deterministic for fixed inputs.
 svd, the Frobenius, nuclear and weighted norms and the polar factors also
 take a (k, m, n) stack and give each slice bit for bit its 2-D result.
-The vectorization convention throughout the package is row-major: rows of a
-matrix are concatenated, so that kron(P, Q) @ vec_row(D) == vec_row(P @ D @ Q.T).
 """
 
 from __future__ import annotations
@@ -226,20 +224,4 @@ def lambda_norm(A, weight):
     if M.ndim == 2:
         return float(np.sqrt(max(float(np.sum(P)), 0.0)))
     return np.sqrt(np.maximum(np.sum(P, axis=(1, 2)), 0.0))
-
-
-def kron(P, Q, max_entries: int = 1_000_000) -> np.ndarray:
-    """Kronecker product, guarded to small sizes (brute-force oracle use only)."""
-    Pm = as_matrix(P)
-    Qm = as_matrix(Q)
-    out_entries = Pm.size * Qm.size
-    if out_entries > max_entries:
-        raise ValueError(
-            f"kron output would have {out_entries} entries (limit {max_entries})")
-    return np.kron(Pm, Qm)
-
-
-def vec_row(A) -> np.ndarray:
-    """Row-major vectorization: rows concatenated into a length m*n vector."""
-    return as_matrix(A).reshape(-1).copy()
 

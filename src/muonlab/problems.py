@@ -1,10 +1,11 @@
 """Objective oracles and data generation.
 
-Every problem exposes value(W), grad(W) and a Hessian-vector product
-hvp(W, D) over a single matrix parameter.  Quadratic and linear-MSE oracles
-are exact; the MLP oracle backpropagates gradients by hand and approximates
-hvp by central finite differences.  Known constants (smoothness, optimum)
-live in problem.metadata.
+Each problem kind writes one loss-and-gradient oracle value_grad(W) and a
+Hessian-vector product hvp(W, D) over a single matrix parameter; Problem
+derives value(W) and grad(W) from value_grad.  Quadratic and linear-MSE
+oracles are exact; the MLP oracle backpropagates gradients by hand and
+approximates hvp by central finite differences.  Known constants
+(smoothness, optimum) live in problem.metadata.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ class Problem:
 
     Attributes:
         shape: (m, n) of the parameter matrix.
-        value, grad, hvp: the oracles; hvp(W, D) is linear and symmetric in D.
+        value_grad: the loss-and-gradient oracle, returning (value, grad);
+            value(W) and grad(W) are its two halves.
+        hvp: Hessian-vector product; hvp(W, D) is linear and symmetric in D.
         hvp_exact: False when hvp is a finite-difference approximation.
-        value_grad: optional fused oracle returning (value, grad) cheaply.
         value_grad_stacks: True when value_grad also takes a (k, m, n) stack
             of parameters and returns a (k,) array of values with the (k, m, n)
             gradients, each slice bit for bit its own 2-D call.
@@ -39,24 +41,22 @@ class Problem:
         metadata: known constants, e.g. L, L_star, W_star, f_star, sigma.
     """
 
-    def __init__(self, shape, value, grad, hvp, hvp_exact=True, metadata=None,
-                 value_grad=None, kink_margin=None, probe_clean=None,
-                 value_grad_stacks=False):
+    def __init__(self, shape, value_grad, hvp, hvp_exact=True, metadata=None,
+                 kink_margin=None, probe_clean=None, value_grad_stacks=False):
         self.shape = tuple(shape)
-        self.value = value
-        self.grad = grad
+        self.value_grad = value_grad
         self.hvp = hvp
         self.hvp_exact = hvp_exact
-        self.value_grad = value_grad
         self.value_grad_stacks = value_grad_stacks
         self.kink_margin = kink_margin
         self.probe_clean = probe_clean
         self.metadata = dict(metadata or {})
 
-    def eval_value_grad(self, W):
-        if self.value_grad is not None:
-            return self.value_grad(W)
-        return self.value(W), self.grad(W)
+    def value(self, W):
+        return self.value_grad(W)[0]
+
+    def grad(self, W):
+        return self.value_grad(W)[1]
 
 
 def f_star(problem: Problem) -> Optional[float]:
@@ -88,13 +88,6 @@ def quadratic_new(Q, W_star, half: bool = True) -> Problem:
         "c_scale": c,
     }
 
-    def value(W):
-        E = W - W_star
-        return c * float(np.sum(E * (Q @ E)))
-
-    def grad(W):
-        return 2.0 * c * (Q @ (W - W_star))
-
     def value_grad(W):
         # Q @ E multiplies each slice of a stack on its own, and the sum over
         # the last two axes adds each slice in the order of its 2-D sum
@@ -107,8 +100,8 @@ def quadratic_new(Q, W_star, half: bool = True) -> Problem:
     def hvp(W, D):
         return 2.0 * c * (Q @ D)
 
-    return Problem(W_star.shape, value, grad, hvp, hvp_exact=True,
-                   metadata=meta, value_grad=value_grad, value_grad_stacks=True)
+    return Problem(W_star.shape, value_grad, hvp, hvp_exact=True,
+                   metadata=meta, value_grad_stacks=True)
 
 
 def make_ill_conditioned_Q(m: int, cond: float, decay: str = "two_cluster",
@@ -158,13 +151,6 @@ def linear_mse_new(X, Y) -> Problem:
         "Y": Y,
     }
 
-    def value(W):
-        R = W @ X - Y
-        return 0.5 * float(np.sum(R * R)) / B
-
-    def grad(W):
-        return ((W @ X - Y) @ X.T) / B
-
     def value_grad(W):
         R = W @ X - Y
         return 0.5 * float(np.sum(R * R)) / B, (R @ X.T) / B
@@ -173,9 +159,9 @@ def linear_mse_new(X, Y) -> Problem:
         return D @ H
 
     W_opt, *_ = np.linalg.lstsq(X.T, Y.T, rcond=None)
-    meta["f_star"] = float(value(W_opt.T))
-    return Problem((Y.shape[0], X.shape[0]), value, grad, hvp, hvp_exact=True,
-                   metadata=meta, value_grad=value_grad)
+    meta["f_star"] = value_grad(W_opt.T)[0]
+    return Problem((Y.shape[0], X.shape[0]), value_grad, hvp, hvp_exact=True,
+                   metadata=meta)
 
 
 def gaussian_features(d: int, B: int, seed: int = 0) -> np.ndarray:
@@ -420,11 +406,6 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
         pres, acts = _mlp_forward(ws, H_in)
         return ws, pres, acts
 
-    def value(W):
-        _, _, acts = forward(W)
-        f, _ = _mlp_loss_and_delta(acts[-1], Y, loss)
-        return f
-
     def value_grad(W):
         ws, pres, acts = forward(W)
         f, delta = _mlp_loss_and_delta(acts[-1], Y, loss)
@@ -433,11 +414,8 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
             delta = delta * (pres[idx - 1] > 0)
         return f, delta @ acts[0].T
 
-    def grad(W):
-        return value_grad(W)[1]
-
     def hvp(W, D):
-        return fd_hvp(grad, W, D)
+        return fd_hvp(lambda V: value_grad(V)[1], W, D)
 
     def kink_margin(W):
         _, pres, _ = forward(W)
@@ -469,9 +447,8 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
 
     meta = {"kind": "mlp", "loss": loss, "train_layer": train_layer,
             "layer_shapes": shapes, "W_init": frozen[train_layer].copy()}
-    return Problem(shapes[train_layer], value, grad, hvp, hvp_exact=False,
-                   metadata=meta, value_grad=value_grad, kink_margin=kink_margin,
-                   probe_clean=probe_clean)
+    return Problem(shapes[train_layer], value_grad, hvp, hvp_exact=False,
+                   metadata=meta, kink_margin=kink_margin, probe_clean=probe_clean)
 
 
 class StochasticGradOracle:

@@ -14,6 +14,7 @@ import numpy as np
 
 from muonlab import diagnostics as dg
 from muonlab import harness, matcore, problems, verify
+from oracles import concentration_ratio, kron, vec_row, vonneumann_bound
 
 
 def _report(num, desc, ok, elapsed, budget):
@@ -124,8 +125,7 @@ def test_criterion_07_curvature_oracle_equivalence():
         P = 0.5 * (P + P.T)
         Qf = rng.standard_normal((n, n))
         Qf = 0.5 * (Qf + Qf.T)
-        prob = problems.Problem((m, n), value=lambda W: 0.0,
-                                grad=lambda W: np.zeros((m, n)),
+        prob = problems.Problem((m, n), value_grad=lambda W: (0.0, np.zeros((m, n))),
                                 hvp=lambda W, D, P=P, Qf=Qf: P @ D @ Qf.T)
         G = rng.standard_normal((m, n))
         if rng.uniform() < 0.3 and min(m, n) > 1:  # rank-deficient directions too
@@ -137,11 +137,11 @@ def test_criterion_07_curvature_oracle_equivalence():
         r_t = int(np.sum(keep))
         O = U @ V.T
         j_hvp = dg.j_t(prob, None, O)
-        H = matcore.kron(P, Qf)
-        v = matcore.vec_row(O)
+        H = kron(P, Qf)
+        v = vec_row(O)
         j_brute = float(v @ H @ v)
         j_congr = float(np.sum((U.T @ P @ U) * (V.T @ Qf @ V)))
-        A = matcore.kron(U.T, V.T) @ H @ matcore.kron(U, V)
+        A = kron(U.T, V.T) @ H @ kron(U, V)
         idx = [i * (r_t + 1) for i in range(r_t)]
         j_entries = float(sum(A[i, j] for i in idx for j in idx))
         scale = max(1.0, abs(j_brute))
@@ -150,7 +150,7 @@ def test_criterion_07_curvature_oracle_equivalence():
         ok &= abs(j_hvp - j_entries) <= 1e-9 * scale
         p_sv = np.linalg.svd(P, compute_uv=False)
         q_sv = np.linalg.svd(Qf, compute_uv=False)
-        ok &= j_hvp <= dg.vonneumann_bound(p_sv, q_sv, r_t) + 1e-9
+        ok &= j_hvp <= vonneumann_bound(p_sv, q_sv, r_t) + 1e-9
         if not ok:
             break
     _report(7, "curvature form agrees across hvp, vectorized, congruence and "
@@ -160,7 +160,7 @@ def test_criterion_07_curvature_oracle_equivalence():
 
 def test_criterion_08_gaussian_concentration_ratio():
     t0 = time.time()
-    ratios = [dg.concentration_ratio(problems.gaussian_features(784, 1000, seed=s))
+    ratios = [concentration_ratio(problems.gaussian_features(784, 1000, seed=s))
               for s in range(5)]
     mean = float(np.mean(ratios))
     _report(8, f"784x1000 Gaussian concentration ratio mean {mean:.2f} in [200, 245]",

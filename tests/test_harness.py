@@ -224,6 +224,28 @@ def test_config_rejects_unknown_run_key():
         harness.ExperimentConfig.from_text(text)
 
 
+def test_config_rejects_a_key_set_twice():
+    with pytest.raises(ValueError, match="line 2: 'run.T' is already set on line 1"):
+        harness.ExperimentConfig.from_text("run.T = 5\nrun.T = 7\n")
+    text = quad_config().to_text()
+    line = next(l for l in text.splitlines() if l.startswith("optimizer.kind = "))
+    with pytest.raises(ValueError, match=r"'optimizer\.kind' is already set on line \d+$"):
+        harness.ExperimentConfig.from_text(text + line + "\n")
+
+
+def test_cli_run_key_set_twice_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "twice.toml"
+    text = quad_config(T=5).to_text()
+    lines = text.splitlines()
+    cfg_path.write_text(text + "run.T = 7\n")
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == [f"error: config line {len(lines) + 1}: 'run.T' is "
+                                f"already set on line {lines.index('run.T = 5') + 1}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["twice.toml"]
+
+
 def test_config_comments_and_blanks():
     text = quad_config().to_text() + "\n# a comment\n\n"
     assert harness.ExperimentConfig.from_text(text) == quad_config()
@@ -381,7 +403,7 @@ def separate_run(problem, spec, eta, T, W0):
     guard = harness.DIVERGENCE_FACTOR * max(abs(problem.value(W0)), 1e-12)
     W = W0.copy()
     for t in range(T):
-        f, G = problem.eval_value_grad(W)
+        f, G = problem.value_grad(W)
         if not np.isfinite(f) or f > guard:
             return (float("inf"), True), t
         W = step(W, G)
@@ -411,9 +433,7 @@ def uphill_problem(shape=(7, 5), seed=3):
         E = W - W_star
         return float(np.sum(E * E)), -2.0 * E
 
-    return problems.Problem(shape, lambda W: value_grad(W)[0],
-                            lambda W: value_grad(W)[1], lambda W, D: -2.0 * D,
-                            value_grad=value_grad)
+    return problems.Problem(shape, value_grad, lambda W, D: -2.0 * D)
 
 
 @pytest.mark.parametrize("spec", SCAN_SPECS, ids=lambda s: "-".join(map(str, s.values())))
@@ -805,10 +825,6 @@ def test_one_function_in_the_package_opens_files_for_writing():
 
 # module-level names that nothing in src/muonlab or perfbench/ refers to, and why they stay
 UNREFERENCED_ALLOWED = {
-    "diagnostics.vonneumann_bound": "criterion 7's trace-inequality oracle",
-    "diagnostics.concentration_ratio": "criterion 8's effective-rank oracle",
-    "matcore.kron": "brute-force Kronecker oracle for the row-major hvp checks",
-    "matcore.vec_row": "the row-major vectorization those Kronecker oracles act on",
     "problems.load_labels_csv": "the labels reader that a problem.labels_path key will use",
 }
 
@@ -1297,6 +1313,22 @@ def test_readme_config_example_runs(tmp_path, capsys):
     suffixes += ("_grid.json",) if config.lr_grid else ()
     assert sorted(p.name for p in out.iterdir()) == sorted(
         f"{config.name}_seed{seed}{suffix}" for seed in config.seeds for suffix in suffixes)
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    j, l = capsys.readouterr().out.splitlines()
+    prob = scope["prob"]
+    # Muon settles near the optimum; l_t finds the operator norm L of the
+    # constant Hessian, and J_t along a semi-orthogonal O is at most L * rank(O)
+    assert prob.value(scope["W"]) < 1e-3 * prob.value(np.zeros(prob.shape))
+    assert 0.0 < float(j) <= prob.metadata["L"] * min(prob.shape) + 1e-9
+    l_val, converged = ast.literal_eval(l)
+    assert converged and l_val == pytest.approx(prob.metadata["L"], rel=1e-6)
 
 
 def test_cli_ratio_study(tmp_path, capsys):

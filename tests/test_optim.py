@@ -194,7 +194,7 @@ def test_adamw_decoupled_decay():
 
 def _gap_problem(delta, **metadata):
     """A 4x5 problem whose initial gap is exactly delta, with the given constants."""
-    return problems.Problem((4, 5), lambda W: delta, None, None,
+    return problems.Problem((4, 5), lambda W: (delta, None), None,
                             metadata=dict(metadata, f_star=0.0))
 
 

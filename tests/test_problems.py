@@ -3,6 +3,7 @@ import pytest
 
 from muonlab import matcore, problems
 from muonlab.problems import fd_hvp
+from oracles import kron, vec_row
 
 
 # ---------------------------------------------------------------------------
@@ -40,10 +41,10 @@ def test_quadratic_hvp_matches_kron_oracle():
     rng = np.random.default_rng(3)
     Q = problems.make_ill_conditioned_Q(3, 10.0, "geometric", seed=1)
     prob = problems.quadratic_new(Q, rng.standard_normal((3, 4)))
-    H = matcore.kron(2.0 * prob.metadata["c_scale"] * Q, np.eye(4))
+    H = kron(2.0 * prob.metadata["c_scale"] * Q, np.eye(4))
     D = rng.standard_normal((3, 4))
-    lhs = matcore.vec_row(prob.hvp(None, D))
-    rhs = H @ matcore.vec_row(D)
+    lhs = vec_row(prob.hvp(None, D))
+    rhs = H @ vec_row(D)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -167,11 +168,11 @@ def test_linear_mse_hessian_as_kron_oracle():
     X = rng.standard_normal((d, B))
     Y = rng.standard_normal((c, B))
     prob = problems.linear_mse_new(X, Y)
-    H = matcore.kron(np.eye(c), X @ X.T / B)
+    H = kron(np.eye(c), X @ X.T / B)
     W = rng.standard_normal((c, d))
     O = matcore.orthogonalize_svd(rng.standard_normal((c, d)))
     quad_hvp = float(np.sum(O * prob.hvp(W, O)))
-    quad_kron = float(matcore.vec_row(O) @ H @ matcore.vec_row(O))
+    quad_kron = float(vec_row(O) @ H @ vec_row(O))
     assert quad_hvp == pytest.approx(quad_kron, abs=1e-10)
     assert quad_hvp == pytest.approx(np.trace(O.T @ O @ (X @ X.T) / B), abs=1e-10)
 
@@ -347,6 +348,24 @@ def test_fd_hvp_cross_validates_exact_hvp():
         exact = prob.hvp(W, D)
         approx = fd_hvp(prob.grad, W, D)
         assert np.linalg.norm(approx - exact) <= 1e-5 * max(1.0, np.linalg.norm(exact))
+
+
+def test_value_and_grad_are_the_halves_of_an_instance_value_grad():
+    rng = np.random.default_rng(23)
+    Q = problems.make_ill_conditioned_Q(5, 10.0, "geometric", seed=23)
+    kinds = [problems.quadratic_new(Q, rng.standard_normal((5, 6))),
+             problems.linear_mse_new(rng.standard_normal((4, 9)), rng.standard_normal((3, 9))),
+             _small_mlp(rng)]
+    for prob in kinds:
+        # replace the oracle on the instance, the way a tracer wraps it
+        inner, calls = prob.value_grad, []
+        prob.value_grad = lambda W, inner=inner, calls=calls: calls.append(W) or inner(W)
+        for _ in range(5):
+            W = rng.standard_normal(prob.shape)
+            f, G = inner(W)
+            assert prob.value(W) == f
+            assert np.array_equal(prob.grad(W), G)
+        assert len(calls) == 10
 
 
 # ---------------------------------------------------------------------------

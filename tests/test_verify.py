@@ -115,7 +115,7 @@ def test_descent_inequalities_detect_inflated_eta(taylor_run):
 
 def test_descent_inequalities_missing_constant(taylor_run):
     records, problem = taylor_run
-    bare = problems.Problem(problem.shape, problem.value, problem.grad, problem.hvp,
+    bare = problems.Problem(problem.shape, problem.value_grad, problem.hvp,
                             metadata={"kind": "quadratic"})
     with pytest.raises(ValueError):
         verify.check_descent_inequalities(records, bare, which="Lstar")

@@ -4,10 +4,12 @@ All functions are pure, operate on float64 2-D numpy arrays, and are
 deterministic for fixed inputs.
 svd, the Frobenius, nuclear and weighted norms and the polar factors also
 take a (k, m, n) stack and give each slice bit for bit its 2-D result.
+Every SVD runs on one BLAS thread (see _lapack_svd).
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +34,57 @@ NS_COEFFS = (
 )
 
 DEFAULT_NS_STEPS = 5
+
+# (get, set) thread-count functions of the OpenBLAS that numpy.linalg links:
+# the scipy-openblas64 names of the numpy wheels, then the plain ones.
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _find_blas_threads():
+    """The (get, set) pair of _THREAD_SYMBOLS that numpy's BLAS exports, or None."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+_BLAS_THREADS = _find_blas_threads()
+
+
+def _lapack_svd(M: np.ndarray, compute_uv: bool = True):
+    """np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv) on one BLAS thread.
+
+    With numpy 2.4.6 and OpenBLAS 0.3.31 on 2 cores, the thin SVDs of 15x20,
+    10x196, 64x128 and 100x196 inputs came out bit for bit the same on 1 and
+    2 threads, and a (9, 100, 196) stack took about 30 ms on 1 against
+    46-50 ms on 2 (BENCH_svd_one_thread.json).  Products do change in their
+    last bits on one thread (the linear-MSE gradient does), so only the
+    factorization runs here and every product keeps the process's count.
+
+    The thread count is process-global: it is set to 1 and the previous count
+    comes back in a finally.  muonlab starts no Python threads that call BLAS,
+    so no other BLAS call sees the one-thread setting.  A BLAS without the
+    OpenBLAS thread functions (MKL, Accelerate) makes this the plain call.
+    """
+    if _BLAS_THREADS is None:
+        return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
+    get_threads, set_threads = _BLAS_THREADS
+    previous = get_threads()
+    set_threads(1)
+    try:
+        return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
+    finally:
+        set_threads(previous)
 
 
 def as_matrix(A) -> np.ndarray:
@@ -76,7 +129,7 @@ def svd(A) -> SvdResult:
     and each slice is bit for bit the factorization of that slice alone.
     """
     M = as_matrices(A)
-    U, S, Vh = np.linalg.svd(M, full_matrices=False)
+    U, S, Vh = _lapack_svd(M)
     U = np.ascontiguousarray(U)
     V = np.ascontiguousarray(Vh.swapaxes(-1, -2))
     # first entry per column with magnitude above the threshold, vectorized
@@ -110,7 +163,7 @@ def _frobenius(M: np.ndarray):
 
 def nuclear_norm(A):
     """Sum of singular values; a (k, m, n) stack gives a (k,) array."""
-    S = np.linalg.svd(as_matrices(A), compute_uv=False)
+    S = _lapack_svd(as_matrices(A), compute_uv=False)
     if S.ndim == 1:
         return float(np.sum(S))
     return np.sum(S, axis=1)
@@ -130,7 +183,7 @@ def orthogonalize_svd(A) -> np.ndarray:
     LAPACK factors are used directly.
     """
     M = as_matrices(A)
-    U, S, Vh = np.linalg.svd(M, full_matrices=False)
+    U, S, Vh = _lapack_svd(M)
     # S is nonincreasing, so every slice keeps full rank when its last value does
     if (S[..., -1] > RANK_TOL * S[..., 0]).all():
         return U @ Vh

@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +280,142 @@ def test_svd_is_called_only_in_matcore():
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                 found += [(path.name, node.lineno) for a in node.names if a.name == "svd"]
     assert found and {name for name, _ in found} == {"matcore.py"}, found
+
+
+# ---------------------------------------------------------------------------
+# every SVD on one BLAS thread
+# ---------------------------------------------------------------------------
+
+SVD_FUNCTIONS = (matcore.svd, matcore.nuclear_norm, matcore.orthogonalize_svd)
+
+
+def decaying(rng, m, n):
+    """U diag(s) V^T with singular values from 1 down to 1e-12."""
+    r = min(m, n)
+    U, _ = np.linalg.qr(rng.standard_normal((m, r)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    return (U * np.logspace(0.0, -12.0, r)) @ V.T
+
+
+def as_arrays(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "decaying"])
+@pytest.mark.parametrize("k", [None, 9])
+@pytest.mark.parametrize("m,n", [(15, 20), (10, 196), (64, 128), (100, 196)])
+def test_one_thread_svds_keep_the_bits_of_the_plain_call(monkeypatch, m, n, k, kind):
+    rng = np.random.default_rng(m * n)
+    slices = [rng.standard_normal((m, n)) if kind == "gaussian" else decaying(rng, m, n)
+              for _ in range(k or 1)]
+    A = np.stack(slices) if k else slices[0]
+    why = ("this BLAS gives different SVD bits on one thread than on the process's "
+           "thread count, so artifacts pinned at that count would move")
+    plain = np.linalg.svd(A, full_matrices=False)
+    for got, want in zip(matcore._lapack_svd(A), plain):
+        assert np.array_equal(got, want), why
+    assert np.array_equal(matcore._lapack_svd(A, compute_uv=False),
+                          np.linalg.svd(A, compute_uv=False)), why
+    scoped = [as_arrays(f(A)) for f in SVD_FUNCTIONS]
+    monkeypatch.setattr(matcore, "_BLAS_THREADS", None)
+    for f, got in zip(SVD_FUNCTIONS, scoped):
+        for g, w in zip(got, as_arrays(f(A))):
+            assert np.array_equal(g, w), f"{f.__name__}: {why}"
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The BLAS thread getter, with the count at 2 for the test and restored after."""
+    if matcore._BLAS_THREADS is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread control")
+    get_threads, set_threads = matcore._BLAS_THREADS
+    previous = get_threads()
+    set_threads(2)
+    try:
+        yield get_threads
+    finally:
+        set_threads(previous)
+
+
+def record_svd_threads(monkeypatch, get_threads):
+    """Wrap np.linalg.svd so it records the BLAS thread count it runs on."""
+    seen, plain_svd = [], np.linalg.svd
+
+    def recording_svd(*args, **kwargs):
+        seen.append(get_threads())
+        return plain_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return seen
+
+
+def test_every_svd_runs_on_one_blas_thread(monkeypatch, two_blas_threads):
+    seen = record_svd_threads(monkeypatch, two_blas_threads)
+    A = np.random.default_rng(0).standard_normal((3, 10, 12))
+    for f in SVD_FUNCTIONS:
+        f(A)
+        f(A[0])
+        assert two_blas_threads() == 2
+    assert seen == [1] * 6
+
+
+def test_thread_count_comes_back_after_a_failed_svd(monkeypatch, two_blas_threads):
+    seen = []
+
+    def failing_svd(*args, **kwargs):
+        seen.append(two_blas_threads())
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    for f in SVD_FUNCTIONS:
+        with pytest.raises(np.linalg.LinAlgError):
+            f(np.ones((4, 5)))
+        assert two_blas_threads() == 2
+    assert seen == [1] * 3
+
+
+def test_without_thread_control_svds_are_the_plain_call(monkeypatch, two_blas_threads):
+    A = np.random.default_rng(1).standard_normal((9, 15, 20))
+    scoped = [as_arrays(f(A)) for f in SVD_FUNCTIONS]
+    monkeypatch.setattr(matcore, "_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),))
+    assert matcore._find_blas_threads() is None
+    monkeypatch.setattr(matcore, "_BLAS_THREADS", None)
+    seen = record_svd_threads(monkeypatch, two_blas_threads)
+    for f, want in zip(SVD_FUNCTIONS, scoped):
+        for g, w in zip(as_arrays(f(A)), want):
+            assert np.array_equal(g, w), f.__name__
+    assert seen == [2] * 3
+
+
+def test_thread_control_not_found_when_the_library_does_not_load(monkeypatch):
+    def no_library(path):
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(matcore.ctypes, "CDLL", no_library)
+    assert matcore._find_blas_threads() is None
+
+
+def test_openblas_num_threads_1_changes_nothing():
+    """Started on one thread, the scope leaves the count at 1 and the bits as they were."""
+    code = """
+import numpy as np
+from muonlab import matcore
+get = matcore._BLAS_THREADS[0] if matcore._BLAS_THREADS else (lambda: 1)
+A = np.random.default_rng(3).standard_normal((9, 100, 196))
+before = get()
+scoped = [*matcore.svd(A), matcore.nuclear_norm(A), matcore.orthogonalize_svd(A)]
+after = get()
+matcore._BLAS_THREADS = None
+plain = [*matcore.svd(A), matcore.nuclear_norm(A), matcore.orthogonalize_svd(A)]
+same = all(np.array_equal(s, p) for s, p in zip(scoped, plain))
+print(before, after, same)
+"""
+    src = str(Path(matcore.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["1", "1", "True"]
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,10 @@ CSV_COLUMNS = ("t", "f", "grad_F", "grad_nuc", "eta", "J_t", "L_t", "hatJ_t",
 
 DIVERGENCE_FACTOR = 1e6
 
+# Points whose distances to W* are factorized by one stacked SVD: recorded
+# rows in _diagnostic_run, samples in ratio_study.
+DISTANCE_BLOCK = 100
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -519,6 +523,15 @@ def _best_point(etas: Sequence[float], results: list):
     return best
 
 
+def _fill_distances(pending: list, W_star: np.ndarray) -> None:
+    """Set dist_F and dist_op of each (record, iterate) pair in pending with one
+    stacked distance_metrics call, then empty pending."""
+    d_f, d_op = distance_metrics(np.stack([W for _, W in pending]), W_star)
+    for (rec, _), f, op in zip(pending, d_f.tolist(), d_op.tolist()):
+        rec.dist_F, rec.dist_op = f, op
+    pending.clear()
+
+
 def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
                     W0: np.ndarray, seed: int):
     opt = _OptRun(config.optimizer)
@@ -528,6 +541,9 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
     W_star = problem.metadata.get("W_star")
     r = min(problem.shape)
     records = []
+    # recorded rows awaiting their distances; every step makes a new W, so
+    # holding a reference keeps that iterate
+    pending = []
     truncated = False
     ckpt_t = config.cadence * ((config.T // 2) // config.cadence) if config.checkpoint else None
     ckpt_W = None
@@ -579,7 +595,9 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
                 if problem.kink_margin(W) < 1e-7:
                     flags.append(FLAG_FD_KINK)
             if W_star is not None:
-                rec.dist_F, rec.dist_op = distance_metrics(W, W_star)
+                pending.append((rec, W))
+                if len(pending) == DISTANCE_BLOCK:
+                    _fill_distances(pending, W_star)
             if not validate_record(rec, r, rank_t, strict=problem.hvp_exact):
                 flags.append(FLAG_RAYLEIGH)
             rec.flags = ";".join(flags)
@@ -592,7 +610,8 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
                      grad_F=float(np.linalg.norm(G_end, "fro")),
                      grad_nuc=float(np.sum(matcore.svd(G_end).S)))
     if W_star is not None:
-        rec.dist_F, rec.dist_op = distance_metrics(W, W_star)
+        pending.append((rec, W))
+        _fill_distances(pending, W_star)
     if truncated:
         rec.flags = FLAG_DIVERGED
     validate_record(rec, r)
@@ -777,10 +796,15 @@ def ratio_study(m: int = 15, n: int = 20, samples: int = 1000, cond: float = 1e4
     L = float(S[0])
     L_star = float(np.sum(S))
     rows = []
-    for k in range(samples):
-        W_star = np.random.default_rng([seed, k]).uniform(-50.0, 50.0, size=(m, n))
-        d_f, d_op = distance_metrics(np.zeros((m, n)), W_star)
-        rows.append((k, d_f, d_op, comparison_ratio(d_f, d_op, L, L_star)))
+    for start in range(0, samples, DISTANCE_BLOCK):
+        block = range(start, min(start + DISTANCE_BLOCK, samples))
+        W_stars = np.stack([np.random.default_rng([seed, k]).uniform(-50.0, 50.0, size=(m, n))
+                            for k in block])
+        # the displacements W0 - W* (W0 = 0) measured from 0: subtracting 0
+        # keeps every bit of them
+        d_fs, d_ops = distance_metrics(0.0 - W_stars, np.zeros((m, n)))
+        for k, d_f, d_op in zip(block, d_fs.tolist(), d_ops.tolist()):
+            rows.append((k, d_f, d_op, comparison_ratio(d_f, d_op, L, L_star)))
     ratios = np.array([r[3] for r in rows])
     summary = {
         "m": m, "n": n, "samples": samples, "cond": cond, "decay": decay,
@@ -1142,6 +1166,9 @@ def _cmd_spectra(args) -> int:
         print("error: pass --csv or --kind", file=sys.stderr)
         return 2
     sv = spectrum(A)
+    if sv[0] == 0.0:
+        raise ValueError(f"{args.csv or 'the feature matrix'} is all zeros: "
+                         "its concentration ratio is undefined")
     ratio = float(np.sum(sv ** 2) / sv[0] ** 2)
     if args.out:
         emit_spectrum_csv(sv, args.out)

@@ -2,13 +2,14 @@
 
 The reference functions below evaluate one instance (or trial, or step) at a
 time, the way the audits are defined; the blocked audits in verify must give
-the same reports byte for byte.
+the same reports byte for byte, and the blocked distances to W* of a recorded
+run and of the ratio study the same rows.
 """
 
 import numpy as np
 import pytest
 
-from muonlab import matcore, optim, problems, verify
+from muonlab import diagnostics, harness, matcore, optim, problems, verify
 
 
 def _reference_random_spd(n, rng):
@@ -195,3 +196,128 @@ def test_oracle_sample_is_grad_plus_noise():
     quiet = problems.StochasticGradOracle(problem, 0.0, seed=9)
     assert np.array_equal(quiet.noise(), np.zeros((3, 4)))
     assert np.array_equal(quiet.sample(W), problem.grad(W))
+
+
+def _reference_fill_distances(pending, W_star):
+    """Each pending row's distances from its own 2-D distance_metrics call."""
+    for rec, W in pending:
+        rec.dist_F, rec.dist_op = diagnostics.distance_metrics(W, W_star)
+    pending.clear()
+
+
+_QUADRATIC = {"kind": "quadratic", "seed": 0, "seed_mode": "per_run"}
+
+
+def _recorded_run(opt_kind, eta_over_L, T, cadence, want_J, start_at_optimum=False):
+    """A recorded run on the default 15x20 quadratic at a constant eta = eta_over_L / L."""
+    problem = harness.build_problem(_QUADRATIC, run_seed=0)
+    eta = eta_over_L / problem.metadata["L"]
+    config = harness.ExperimentConfig(
+        problem=_QUADRATIC, optimizer={"kind": opt_kind},
+        schedule={"kind": "constant", "eta": eta}, T=T, cadence=cadence,
+        want_J=want_J, seeds=(0,))
+    W0 = (problem.metadata["W_star"].copy() if start_at_optimum
+          else np.zeros(problem.shape))
+    return harness._diagnostic_run(problem, config, optim.Schedule("constant", eta=eta),
+                                   W0, 0)
+
+
+def _assert_blocked_matches_per_row(monkeypatch, tmp_path, *run_args, **run_kw):
+    records, W, truncated, _ = _recorded_run(*run_args, **run_kw)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_fill_distances", _reference_fill_distances)
+        want, want_W, want_truncated, _ = _recorded_run(*run_args, **run_kw)
+    assert truncated == want_truncated
+    assert np.array_equal(W, want_W)
+    assert [(r.dist_F, r.dist_op) for r in records] == [
+        (r.dist_F, r.dist_op) for r in want]
+    assert all(type(r.dist_F) is float and type(r.dist_op) is float for r in records)
+    assert records == want
+    harness.emit_csv(records, str(tmp_path / "blocked.csv"))
+    harness.emit_csv(want, str(tmp_path / "per_row.csv"))
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
+    return records, truncated
+
+
+@pytest.mark.parametrize("want_J", [True, False])
+@pytest.mark.parametrize("cadence", [1, 3])
+@pytest.mark.parametrize("T", [1, 99, 100, 101, 250])
+def test_blocked_distances_match_per_row_reference(monkeypatch, tmp_path, T, cadence,
+                                                   want_J):
+    records, truncated = _assert_blocked_matches_per_row(
+        monkeypatch, tmp_path, "simplified_muon", 0.01, T, cadence, want_J)
+    assert not truncated
+    assert len(records) == len(range(0, T, cadence)) + 1
+    assert all(r.dist_op > 0 for r in records)
+
+
+@pytest.mark.parametrize("cadence", [1, 3])
+def test_blocked_distances_of_a_run_truncated_mid_block(monkeypatch, tmp_path, cadence):
+    # GD just past 2/L grows along the top curvature until the divergence guard trips
+    records, truncated = _assert_blocked_matches_per_row(
+        monkeypatch, tmp_path, "gd", 2.02, 400, cadence, True)
+    assert truncated and records[-1].flags == diagnostics.FLAG_DIVERGED
+    assert len(records) > harness.DISTANCE_BLOCK
+    assert len(records) % harness.DISTANCE_BLOCK != 0
+
+
+@pytest.mark.parametrize("want_J", [True, False])
+def test_blocked_distances_of_a_run_started_at_the_optimum(monkeypatch, tmp_path, want_J):
+    records, _ = _assert_blocked_matches_per_row(
+        monkeypatch, tmp_path, "simplified_muon", 0.01, 120, 1, want_J,
+        start_at_optimum=True)
+    assert [(r.dist_F, r.dist_op) for r in records] == [(0.0, 0.0)] * 121
+
+
+def test_stacked_distance_metrics_match_2d_calls():
+    rng = np.random.default_rng(11)
+    W_star = rng.standard_normal((15, 20))
+    W = rng.standard_normal((7, 15, 20)) * np.logspace(-3, 3, 7)[:, None, None]
+    W[2] = W_star                               # zero slice
+    W[4] = W_star + 1e-300                      # displacement rounds to zero
+    W[5] = W_star + np.outer(np.ones(15), np.ones(20))   # rank one
+    d_f, d_op = diagnostics.distance_metrics(W, W_star)
+    assert d_f.shape == d_op.shape == (7,)
+    for i in range(7):
+        assert (d_f[i], d_op[i]) == diagnostics.distance_metrics(W[i], W_star)
+    assert (d_f[2], d_op[2]) == (0.0, 0.0)
+
+
+def test_distance_block_count_of_a_recorded_run(monkeypatch):
+    """The 251 rows of a T=250 cadence-1 run take ceil(251/100) = 3 stacked SVDs."""
+    shapes = []
+    svd = matcore.svd
+
+    def counting_svd(A):
+        shapes.append(np.shape(A))
+        return svd(A)
+
+    monkeypatch.setattr(matcore, "svd", counting_svd)
+    records, _ = harness.quadratic_check_run(T=250, schedule_kind="constant")
+    assert len(records) == 251
+    assert [s for s in shapes if len(s) == 3] == [(100, 15, 20), (100, 15, 20), (51, 15, 20)]
+
+
+def _reference_ratio_rows(m, n, samples, cond, decay, seed):
+    Q = problems.make_ill_conditioned_Q(m, cond, decay, seed=seed)
+    S = matcore.svd(Q).S
+    L, L_star = float(S[0]), float(np.sum(S))
+    rows = []
+    for k in range(samples):
+        W_star = np.random.default_rng([seed, k]).uniform(-50.0, 50.0, size=(m, n))
+        d_f, d_op = diagnostics.distance_metrics(np.zeros((m, n)), W_star)
+        rows.append((k, d_f, d_op, diagnostics.comparison_ratio(d_f, d_op, L, L_star)))
+    return rows
+
+
+def test_ratio_study_blocks_match_per_sample_reference(tmp_path):
+    rows, summary = harness.ratio_study(m=6, n=9, samples=250, cond=100.0, seed=3,
+                                        out_dir=str(tmp_path))
+    want = _reference_ratio_rows(6, 9, 250, 100.0, "two_cluster", 3)
+    assert rows == want
+    assert all(type(v) is float for row in rows for v in row[1:])
+    assert (tmp_path / "ratio_study.csv").read_text() == harness._csv_text(
+        ("sample", "distF", "distOp", "ratio"), want)
+    ratios = np.array([r[3] for r in want])
+    assert summary["ratio_median"] == float(np.median(ratios))
+    assert summary["ratio_mean"] == float(np.mean(ratios))

@@ -270,6 +270,18 @@ def test_distance_metrics_orthogonal_displacement():
     assert dg.comparison_ratio(d_f, d_op, 2.0, 2.0) == pytest.approx(r, rel=1e-12)
 
 
+@pytest.mark.parametrize("W_shape, W_star_shape", [
+    ((15, 20), (1, 20)),        # would broadcast to distances of (0.0, 0.0)
+    ((15, 20), (20, 15)),
+    ((4, 15, 20), (1, 20)),
+    ((4, 15, 20), (15, 1)),
+])
+def test_distance_metrics_rejects_mismatched_shapes(W_shape, W_star_shape):
+    with pytest.raises(ValueError) as info:
+        dg.distance_metrics(np.ones(W_shape), np.ones(W_star_shape))
+    assert str(W_shape) in str(info.value) and str(W_star_shape) in str(info.value)
+
+
 def test_comparison_ratio_validation():
     with pytest.raises(ValueError):
         dg.comparison_ratio(1.0, 0.0, 1.0, 1.0)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -1348,3 +1349,18 @@ def test_cli_spectra(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "index,sigma"
     assert len(lines) == 11
+
+
+def test_cli_spectra_rejects_all_zero_features(tmp_path, capsys):
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("0,0,0\n0,0,0\n")
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = harness.cli_main(["spectra", "--csv", str(zeros), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {zeros} is all zeros: its concentration ratio is undefined"]
+    assert not out.exists()

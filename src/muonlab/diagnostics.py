@@ -185,20 +185,16 @@ def distance_metrics(W, W_star):
     """(Frobenius, operator) distances to the reference point.
 
     W may also be a (k, m, n) stack of points; the result is then two (k,)
-    arrays, and each slice is bit for bit the 2-D result of that slice (one
-    stacked SVD for the stack).  A zero displacement has distance 0.0.
+    arrays from one stacked SVD, and a 2-D W is a one-matrix stack whose two
+    values come back as floats.  A zero displacement has distance 0.0.
     """
     W, W_star = matcore.as_matrices(W), matcore.as_matrix(W_star)
     if W.shape[-2:] != W_star.shape:
         raise ValueError(f"points of shape {W.shape} do not match the reference "
                          f"point of shape {W_star.shape}")
     E = W - W_star
-    if E.ndim == 3:
-        nonzero = np.any(E, axis=(1, 2))
-        return matcore.frobenius_norm(E), np.where(nonzero, matcore.svd(E).S[:, 0], 0.0)
-    dF = float(np.linalg.norm(E, "fro"))
-    dop = float(matcore.svd(E).S[0]) if np.any(E) else 0.0
-    return dF, dop
+    d_op = np.where(np.any(E, axis=(-2, -1)), matcore.svd(E).S[..., 0], 0.0)
+    return matcore.frobenius_norm(E), matcore.per_matrix(d_op, E)
 
 
 def comparison_ratio(D_F: float, D_op: float, L: float, L_star: float) -> float:

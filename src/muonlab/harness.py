@@ -216,6 +216,8 @@ class ExperimentConfig:
             raise ValueError("run.cadence must be at least 1")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("run.seeds must be distinct")
+        if self.lr_grid is not None and not all(eta > 0 for eta in self.lr_grid):
+            raise ValueError("run.lr_grid entries must be positive")
 
     def to_text(self) -> str:
         lines = []
@@ -568,21 +570,16 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
             rank_t = None
             if config.want_J or config.want_hatJ:
                 O_diag = O if O is not None else optim.orthogonalize(G)
-                if not np.any(O_diag):
-                    flags.append(FLAG_ZERO_DIRECTION)
-                    rec.J_t = 0.0
-                    rank_t = 0
-                else:
-                    rec.J_t = j_t(problem, W, O_diag)
-                    rank_t = direction_rank(O_diag)
+                # j_t and hat_j_t give 0.0 for a zero direction or difference
+                rec.J_t = j_t(problem, W, O_diag)
+                rank_t = direction_rank(O_diag)
+                zero = not np.any(O_diag)
                 if config.want_hatJ:
                     grad_next = problem.grad(W_next)
-                    diff = G - grad_next
-                    if not np.any(diff):
-                        flags.append(FLAG_ZERO_DIRECTION)
-                        rec.hatJ_t = 0.0
-                    else:
-                        rec.hatJ_t = hat_j_t(problem, W, O_diag, G, grad_next)
+                    rec.hatJ_t = hat_j_t(problem, W, O_diag, G, grad_next)
+                    zero = zero or not np.any(G - grad_next)
+                if zero:
+                    flags.append(FLAG_ZERO_DIRECTION)
             if config.want_L:
                 val, conv = l_t(problem, W, seed=seed * 1000003 + t)
                 rec.L_t = float(val)

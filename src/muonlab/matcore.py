@@ -3,7 +3,9 @@
 All functions are pure, operate on float64 2-D numpy arrays, and are
 deterministic for fixed inputs.
 svd, the Frobenius, nuclear and weighted norms and the polar factors also
-take a (k, m, n) stack and give each slice bit for bit its 2-D result.
+take a (k, m, n) stack and give each slice bit for bit its 2-D result: each
+has one code path over the leading axes, a 2-D matrix runs it as a
+one-matrix stack, and per_matrix returns such a matrix's value as a float.
 Every SVD runs on one BLAS thread (see _lapack_svd).
 """
 
@@ -143,30 +145,33 @@ def svd(A) -> SvdResult:
     return SvdResult(U, S, V)
 
 
+def per_matrix(values, M: np.ndarray):
+    """values, one per matrix of M: a float for a 2-D M (values is then 0-d),
+    the (k,) array itself for a (k, m, n) stack."""
+    return float(values) if M.ndim == 2 else values
+
+
 def frobenius_norm(A):
     """Square root of the sum of squared entries.
 
-    A (k, m, n) stack gives a (k,) array: each slice is reduced by the same
-    dot product of its raveled entries that np.linalg.norm(slice, "fro")
-    takes, so it matches the 2-D call bit for bit (a pairwise sum would not).
+    A (k, m, n) stack gives a (k,) array: each slice is reduced by the dot
+    product of its row-major raveled entries, the one np.linalg.norm(slice,
+    "fro") takes on a C-ordered matrix (a pairwise sum would not match it).
     """
-    return _frobenius(as_matrices(A))
+    M = as_matrices(A)
+    return per_matrix(_frobenius(M), M)
 
 
-def _frobenius(M: np.ndarray):
-    """frobenius_norm of a validated matrix or stack."""
-    if M.ndim == 2:
-        return float(np.linalg.norm(M, "fro"))
-    f = M.reshape(M.shape[0], -1)
-    return np.sqrt((f[:, None, :] @ f[:, :, None])[:, 0, 0])
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a validated matrix or stack."""
+    f = M.reshape(M.shape[:-2] + (-1,))
+    return np.sqrt((f[..., None, :] @ f[..., :, None])[..., 0, 0])
 
 
 def nuclear_norm(A):
     """Sum of singular values; a (k, m, n) stack gives a (k,) array."""
-    S = _lapack_svd(as_matrices(A), compute_uv=False)
-    if S.ndim == 1:
-        return float(np.sum(S))
-    return np.sum(S, axis=1)
+    M = as_matrices(A)
+    return per_matrix(np.sum(_lapack_svd(M, compute_uv=False), axis=-1), M)
 
 
 def orthogonalize_svd(A) -> np.ndarray:
@@ -182,22 +187,15 @@ def orthogonalize_svd(A) -> np.ndarray:
     The product U_r @ V_r.T is invariant to paired sign flips, so the raw
     LAPACK factors are used directly.
     """
-    M = as_matrices(A)
-    U, S, Vh = _lapack_svd(M)
-    # S is nonincreasing, so every slice keeps full rank when its last value does
-    if (S[..., -1] > RANK_TOL * S[..., 0]).all():
-        return U @ Vh
-    if M.ndim == 2:
-        return _truncated_polar(U, S, Vh)
-    return np.stack([_truncated_polar(*f) for f in zip(U, S, Vh)])
-
-
-def _truncated_polar(U, S, Vh) -> np.ndarray:
-    """U_r @ V_r.T of one thin SVD; the zero matrix maps to zero."""
-    keep = S > RANK_TOL * S[0]
-    if not keep[0]:
-        return np.zeros((U.shape[0], Vh.shape[1]))
-    return U[:, keep] @ Vh[keep, :]
+    U, S, Vh = _lapack_svd(as_matrices(A))
+    O = U @ Vh
+    # S is nonincreasing, so a slice keeps full rank when its last value does;
+    # only the truncated ones are redone, and an empty keep gives zeros
+    keep = S > RANK_TOL * S[..., :1]
+    for i in np.ndindex(S.shape[:-1]):
+        if not keep[i][-1]:
+            O[i] = U[i][:, keep[i]] @ Vh[i][keep[i]]
+    return O
 
 
 def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS) -> np.ndarray:
@@ -215,9 +213,7 @@ def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS) -> np.ndarray:
     through the SVD route.
     """
     M = as_matrices(A)
-    fn = _frobenius(M)
-    if M.ndim == 3:
-        fn = fn.reshape(-1, 1, 1)
+    fn = _frobenius(M)[..., None, None]
     if np.any(fn == 0.0):
         raise ValueError("cannot orthogonalize the zero matrix; use the SVD route")
     if steps < 0:
@@ -274,7 +270,5 @@ def lambda_norm(A, weight):
             f"weight matrix is {W.shape[-1]}x{W.shape[-1]}, expected {M.shape[-1]} columns")
     require_spd(W, "weight matrix")
     P = (M @ W) * M
-    if M.ndim == 2:
-        return float(np.sqrt(max(float(np.sum(P)), 0.0)))
-    return np.sqrt(np.maximum(np.sum(P, axis=(1, 2)), 0.0))
+    return per_matrix(np.sqrt(np.maximum(np.sum(P, axis=(-2, -1)), 0.0)), M)
 

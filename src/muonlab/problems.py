@@ -93,9 +93,7 @@ def quadratic_new(Q, W_star, half: bool = True) -> Problem:
         # the last two axes adds each slice in the order of its 2-D sum
         E = W - W_star
         QE = Q @ E
-        if E.ndim == 2:
-            return c * float(np.sum(E * QE)), 2.0 * c * QE
-        return c * np.sum(E * QE, axis=(1, 2)), 2.0 * c * QE
+        return matcore.per_matrix(c * np.sum(E * QE, axis=(-2, -1)), E), 2.0 * c * QE
 
     def hvp(W, D):
         return 2.0 * c * (Q @ D)
@@ -116,8 +114,6 @@ def make_ill_conditioned_Q(m: int, cond: float, decay: str = "two_cluster",
         raise ValueError("m must be at least 2")
     if cond <= 1:
         raise ValueError("cond must exceed 1")
-    rng = np.random.default_rng(seed)
-    R, _ = np.linalg.qr(rng.standard_normal((m, m)))
     if decay == "geometric":
         lam = cond ** (-np.arange(m) / (m - 1))
     elif decay == "two_cluster":
@@ -125,8 +121,17 @@ def make_ill_conditioned_Q(m: int, cond: float, decay: str = "two_cluster",
         lam[0] = 1.0
     else:
         raise ValueError(f"unknown decay {decay!r}")
-    Q = (R * lam) @ R.T
-    return 0.5 * (Q + Q.T)
+    return spd_from_eigs(np.random.default_rng(seed).standard_normal((m, m)), lam)
+
+
+def spd_from_eigs(G: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """R diag(eigs) R^T, symmetrized, with R the Q factor of the square G.
+
+    G may also be a (k, n, n) stack with a (k, n) array of eigenvalues.
+    """
+    R, _ = np.linalg.qr(G)
+    M = (R * eigs[..., None, :]) @ R.swapaxes(-1, -2)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
 def linear_mse_new(X, Y) -> Problem:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import matcore, optim
 from .diagnostics import StepRecord, weighted_j_tilde
-from .problems import Problem, StochasticGradOracle, quadratic_new, f_star
+from .problems import Problem, StochasticGradOracle, quadratic_new, f_star, spd_from_eigs
 
 
 @dataclass
@@ -275,13 +275,6 @@ def _spd_draw(n: int, rng: np.random.Generator) -> tuple:
     return rng.standard_normal((n, n)), np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
 
 
-def _spd(G: np.ndarray, eigs: np.ndarray) -> np.ndarray:
-    """R diag(eigs) R^T with R the Q factor of G; G may be a (k, n, n) stack."""
-    R, _ = np.linalg.qr(G)
-    M = (R * eigs[..., None, :]) @ R.swapaxes(-1, -2)
-    return 0.5 * (M + M.swapaxes(-1, -2))
-
-
 def _spd_inverse(M: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(M)
     return (V / w[..., None, :]) @ V.swapaxes(-1, -2)
@@ -335,7 +328,7 @@ def check_norm_lemmas(n_instances: int = 1000, dims: tuple = (6, 9),
             GQ[i], eQ[i] = _spd_draw(m, rng)
             W1[i] = rng.standard_normal((m, n))
             W2[i] = rng.standard_normal((m, n))
-        M = _spd(GM, eM)
+        M = spd_from_eigs(GM, eM)
         eigs = np.linalg.eigvalsh(M)
         m_op, m_nuc = eigs[:, -1], np.sum(eigs, axis=1)
         a_f = matcore.frobenius_norm(A)
@@ -344,7 +337,7 @@ def check_norm_lemmas(n_instances: int = 1000, dims: tuple = (6, 9),
         a_w = matcore.lambda_norm(A, M)
         a_winv = matcore.lambda_norm(A, _spd_inverse(M))
         # smoothness transfer on quadratics built from random SPD curvatures
-        L, L_star, Gdiff = _quadratic_block(_spd(GQ, eQ), W1, W2)
+        L, L_star, Gdiff = _quadratic_block(spd_from_eigs(GQ, eQ), W1, W2)
         Wdiff = W1 - W2
         checks = (
             (a_f, a_nuc, "frob<=nuc"),
@@ -389,7 +382,7 @@ def check_momentum_error_lemma(sigma: float = 1.0, batch: int = 1, beta: float =
         raise ValueError("at least 50 trials are needed for stable statistics")
     rng = np.random.default_rng(seed)
     m, n = shape
-    Q = _spd(*_spd_draw(m, rng))
+    Q = spd_from_eigs(*_spd_draw(m, rng))
     problem = quadratic_new(Q, rng.standard_normal((m, n)))
     W = rng.standard_normal((m, n))
     g = problem.grad(W)

@@ -42,3 +42,53 @@ def concentration_ratio(A) -> float:
     if S[0] == 0.0:
         raise ValueError("concentration ratio undefined for the zero matrix")
     return float(np.sum(S * S) / (S[0] * S[0]))
+
+
+# Plain 2-D formulas for what matcore, diagnostics.distance_metrics and the
+# quadratic value_grad compute over the leading axes of a stack.  A 2-D call,
+# a one-matrix stack, must give exactly these bits.
+
+def frobenius_2d(A) -> float:
+    return float(np.linalg.norm(A, "fro"))
+
+
+def nuclear_2d(A) -> float:
+    return float(np.sum(matcore._lapack_svd(A, compute_uv=False)))
+
+
+def polar_2d(A) -> np.ndarray:
+    """U_r @ V_r.T, truncated at RANK_TOL; the zero matrix maps to zero."""
+    U, S, Vh = matcore._lapack_svd(A)
+    if S[-1] > matcore.RANK_TOL * S[0]:
+        return U @ Vh
+    keep = S > matcore.RANK_TOL * S[0]
+    if not keep[0]:
+        return np.zeros((U.shape[0], Vh.shape[1]))
+    return U[:, keep] @ Vh[keep, :]
+
+
+def ns_2d(A, steps: int = matcore.DEFAULT_NS_STEPS) -> np.ndarray:
+    X = A / frobenius_2d(A)
+    transposed = X.shape[0] > X.shape[1]
+    if transposed:
+        X = X.T
+    for k in range(steps):
+        a, b, c = matcore.NS_COEFFS[min(k, len(matcore.NS_COEFFS) - 1)]
+        P = X @ X.T
+        X = a * X + (b * P + c * (P @ P)) @ X
+    return X.T if transposed else X
+
+
+def lambda_norm_2d(A, W) -> float:
+    return float(np.sqrt(max(float(np.sum((A @ W) * A)), 0.0)))
+
+
+def distances_2d(W, W_star) -> tuple:
+    E = W - W_star
+    return frobenius_2d(E), float(matcore.svd(E).S[0]) if np.any(E) else 0.0
+
+
+def quadratic_value_grad_2d(Q, W_star, c: float, W) -> tuple:
+    E = W - W_star
+    QE = Q @ E
+    return c * float(np.sum(E * QE)), 2.0 * c * QE

@@ -62,6 +62,7 @@ _NUMBERLIKE = st.one_of(st.text("0123456789", min_size=1, max_size=6),
                         st.builds("{}e{}".format, st.integers(0, 99), st.integers(-9, 9)))
 _TEXT = _WORD | _PATHLIKE | _NUMBERLIKE
 _NUMBER = st.floats(allow_nan=False)
+_STEPSIZE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
 _WHOLE = st.integers(-10 ** 9, 10 ** 9)
 _SEED_MODE = st.sampled_from(("fixed", "per_run"))
 
@@ -88,7 +89,7 @@ _SEED_MODE = st.sampled_from(("fixed", "per_run"))
            "T": st.integers(1, 10 ** 9), "cadence": st.integers(1, 10 ** 9),
            "want_J": st.booleans(), "checkpoint": st.booleans(), "workers": _WHOLE,
            "seeds": st.lists(_WHOLE, min_size=1, max_size=4, unique=True).map(tuple),
-           "lr_grid": st.none() | st.lists(_NUMBER, min_size=1, max_size=4).map(tuple),
+           "lr_grid": st.none() | st.lists(_STEPSIZE, min_size=1, max_size=4).map(tuple),
            "out_dir": st.none() | _TEXT, "name": _TEXT,
            "w0": st.sampled_from(("zeros", "gaussian", "init"))}))
 def test_config_text_round_trip_property(problem, optimizer, eta, run):
@@ -176,6 +177,9 @@ def test_config_validation():
         quad_config(seeds=(1, 1))
     with pytest.raises(ValueError):
         quad_config(w0="bogus")
+    for grid in ((0.1, -0.001), (0.0,)):
+        with pytest.raises(ValueError, match="^run.lr_grid entries must be positive$"):
+            quad_config(lr_grid=grid)
     for key, value in (("T", 4.5), ("T", (1, 2)), ("cadence", 2.5), ("workers", 1.5),
                        ("want_J", "yes"), ("want_L", 1), ("want_hatJ", "no"),
                        ("checkpoint", "true"), ("seeds", (1.5, 2.5)), ("seeds", "a"),
@@ -209,6 +213,18 @@ def test_cli_run_bad_run_value_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.splitlines() == ["error: run.T takes a whole number, got 4.5"]
+
+
+@pytest.mark.parametrize("optimizer,grid", [("gd", "-0.001"), ("muon", "0.1,-0.001")])
+def test_cli_run_nonpositive_lr_grid_exits_2(tmp_path, capsys, optimizer, grid):
+    cfg_path = tmp_path / "bad.toml"
+    text = quad_config(optimizer={"kind": optimizer}).to_text()
+    cfg_path.write_text(with_line(text, f"run.lr_grid = {grid}"))
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == ["error: run.lr_grid entries must be positive"]
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.toml"]
 
 
 def test_config_rejects_malformed_text():
@@ -349,6 +365,18 @@ def test_divergent_run_truncates_and_flags(tmp_path):
     assert art.truncated
     assert dg.FLAG_DIVERGED in art.records[-1].flags
     assert os.path.exists(art.csv_path)
+
+
+def test_zero_direction_is_flagged_once_per_row(tmp_path):
+    # W0 = W* = 0: the direction and the gradient difference both vanish
+    problem = {"kind": "quadratic", "m": 4, "n": 5, "cond": 10.0, "decay": "geometric",
+               "wstar_scale": 0.0, "seed": 1}
+    config = quad_config(problem=problem, optimizer={"kind": "simplified_muon"}, T=2,
+                         want_J=True, want_hatJ=True, out_dir=str(tmp_path), name="still")
+    art = harness.run_experiment(config, 1)
+    rows = harness.read_records_csv(art.csv_path)
+    assert [r.flags for r in rows] == [dg.FLAG_ZERO_DIRECTION] * 2 + [""]
+    assert all(r.J_t == r.hatJ_t == 0.0 for r in rows[:2])
 
 
 def test_tuning_skips_diverged_points():

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muonlab import matcore
+from muonlab import matcore, problems
+from muonlab.diagnostics import distance_metrics
+import oracles
 from oracles import kron, vec_row
 
 
@@ -280,6 +282,83 @@ def test_svd_is_called_only_in_matcore():
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                 found += [(path.name, node.lineno) for a in node.names if a.name == "svd"]
     assert found and {name for name, _ in found} == {"matcore.py"}, found
+
+
+def _ndim_readers(node, where: str, found: set) -> None:
+    """Add to found the innermost function (module.name) of each .ndim read."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = f"{where.split('.')[0]}.{node.name}"
+    if (isinstance(node, ast.Attribute) and node.attr == "ndim") or (
+            isinstance(node, ast.Constant) and node.value == "ndim"):
+        found.add(where)
+    for child in ast.iter_child_nodes(node):
+        _ndim_readers(child, where, found)
+
+
+def test_only_per_matrix_and_as_finite_read_ndim():
+    """One code path per matrix quantity: a 2-D call runs the stacked path as a
+    one-matrix stack, so no function forks on ndim except these two."""
+    package = Path(matcore.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        _ndim_readers(ast.parse(path.read_text(encoding="utf-8")), path.stem, found)
+    assert found == {"matcore.per_matrix", "matcore._as_finite"}
+
+
+# ---------------------------------------------------------------------------
+# a 2-D call gives the bits of the 2-D formulas in tests/oracles.py
+# ---------------------------------------------------------------------------
+
+SHAPES_2D = [(1, 7), (7, 1), (6, 9), (9, 6), (15, 20), (20, 20), (64, 128), (100, 196)]
+SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
+
+
+def same_bits(got, want) -> bool:
+    return type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def inputs_2d(m, n, seed):
+    """A full-rank, a rank-deficient (or for a vector, zero) and a zero m x n matrix."""
+    rng = np.random.default_rng(seed)
+    r = min(m, n)
+    low = (rng.standard_normal((m, r // 2)) @ rng.standard_normal((r // 2, n))
+           if r > 1 else np.zeros((m, n)))
+    return {"full": rng.standard_normal((m, n)), "deficient": low, "zero": np.zeros((m, n))}
+
+
+@pytest.mark.parametrize("m,n", SHAPES_2D)
+def test_2d_calls_keep_the_2d_bits(m, n):
+    W = problems.spd_from_eigs(np.random.default_rng(n).standard_normal((n, n)),
+                               np.exp(np.linspace(-3.0, 3.0, n)))
+    W_star = np.random.default_rng(m).standard_normal((m, n))
+    for scale in SCALES:
+        for kind, A0 in inputs_2d(m, n, seed=m * n).items():
+            A = A0 * scale
+            where = f"{m}x{n} {kind} at scale {scale}"
+            assert same_bits(matcore.frobenius_norm(A), oracles.frobenius_2d(A)), where
+            assert same_bits(matcore.nuclear_norm(A), oracles.nuclear_2d(A)), where
+            assert same_bits(matcore.orthogonalize_svd(A), oracles.polar_2d(A)), where
+            assert same_bits(matcore.lambda_norm(A, W), oracles.lambda_norm_2d(A, W)), where
+            if np.any(A):  # Newton-Schulz is undefined at zero
+                assert same_bits(matcore.orthogonalize_ns(A), oracles.ns_2d(A)), where
+            W_t = W_star * scale
+            for got, want in zip(distance_metrics(W_t + A, W_t),
+                                 oracles.distances_2d(W_t + A, W_t)):
+                assert same_bits(got, want), where
+
+
+@pytest.mark.parametrize("m,n", [(6, 9), (15, 20), (64, 128), (100, 196)])
+@pytest.mark.parametrize("half", [True, False])
+def test_2d_quadratic_value_grad_keeps_the_2d_bits(m, n, half):
+    Q = problems.make_ill_conditioned_Q(m, 1e4, "geometric", seed=m)
+    rng = np.random.default_rng(n)
+    W_star = rng.standard_normal((m, n))
+    prob = problems.quadratic_new(Q, W_star, half=half)
+    c = 0.5 if half else 1.0
+    for scale in SCALES:
+        for W in (W_star + scale * rng.standard_normal((m, n)), W_star.copy()):
+            got, want = prob.value_grad(W), oracles.quadratic_value_grad_2d(Q, W_star, c, W)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), scale
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,14 @@ def l_t(problem: Problem, W, tol: float = 1e-6, max_iter: int = 100,
     """
     rng = np.random.default_rng(seed)
     D = rng.standard_normal(problem.shape)
-    D /= np.linalg.norm(D, "fro")
+    D /= matcore.frobenius_norm(D)
     lam_prev = 0.0
     lam = 0.0
     converged = False
     for _ in range(max_iter):
         HD = problem.hvp(W, D)
         lam = float(np.sum(D * HD))
-        nrm = float(np.linalg.norm(HD, "fro"))
+        nrm = matcore.frobenius_norm(HD)
         if nrm == 0.0:
             return 0.0, True
         D = HD / nrm

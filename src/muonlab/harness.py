@@ -288,6 +288,8 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
         m = get("m", 15)
         n = get("n", 20)
         scale = get("wstar_scale", 50.0)
+        if not np.isfinite(scale):
+            raise ValueError(f"problem.wstar_scale must be finite, got {scale}")
         q_seed = int(eff.integers(0, 2 ** 31))
         Q = problems.make_ill_conditioned_Q(m, get("cond", 1e4), get("decay", "two_cluster"),
                                             seed=q_seed)
@@ -316,7 +318,7 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     B = get("B", 120)
     if get("data", "lowrank") == "lowrank":
         X = problems.lowrank_features(input_dim, B, get("target_ratio", 2.0), seed=base_seed)
-        X = X * (np.sqrt(B) / np.linalg.norm(X, "fro"))
+        X = X * (np.sqrt(B) / matcore.frobenius_norm(X))
     else:
         X = problems.gaussian_features(input_dim, B, seed=base_seed) / np.sqrt(input_dim)
     Y = problems.onehot_labels(dims[-1], B, seed=base_seed + 1)
@@ -557,7 +559,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
             break
         recording = (t % config.cadence == 0)
         need_norms = recording or adaptive
-        grad_F = float(np.linalg.norm(G, "fro"))
+        grad_F = matcore.frobenius_norm(G)
         grad_nuc = matcore.nuclear_norm(G) if need_norms else None
         eta = optim.next_eta(schedule, grad_nuc=grad_nuc)
         if ckpt_t is not None and t == ckpt_t:
@@ -604,7 +606,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
     # terminal row: state after the last completed step (or at truncation)
     f_end, G_end = problem.value_grad(W)
     rec = StepRecord(t=t, f=float(f_end),
-                     grad_F=float(np.linalg.norm(G_end, "fro")),
+                     grad_F=matcore.frobenius_norm(G_end),
                      grad_nuc=float(np.sum(matcore.svd(G_end).S)))
     if W_star is not None:
         pending.append((rec, W))
@@ -758,14 +760,14 @@ def _write_artifact(config: ExperimentConfig, artifact: RunArtifact) -> None:
 # ---------------------------------------------------------------------------
 
 
-def default_grid(opt_kind: str, problem: Problem) -> tuple:
+def default_grid(opt_kind: str, problem: Optional[Problem]) -> tuple:
     """Nine-point logarithmic stepsize grid spanning four decades.
 
     Gradient-descent grids are centered at 1/L when the smoothness constant
-    is known; Muon-family and Adam grids are absolute.
+    is known; Muon-family and Adam grids are absolute and read no problem.
     """
-    L = problem.metadata.get("L")
     if opt_kind in ("gd", "gd_nesterov"):
+        L = problem.metadata.get("L")
         base = np.logspace(-2, 2, 9)
         return tuple(base / L) if L else tuple(np.logspace(-2, 2, 9))
     if opt_kind in ("adam", "adamw"):
@@ -820,39 +822,81 @@ def ratio_study(m: int = 15, n: int = 20, samples: int = 1000, cond: float = 1e4
     return rows, summary
 
 
-def _fan_out(fn, seeds: list) -> list:
-    """[fn(seed) for seed in seeds], spread over min(cores, len(seeds)) processes.
+# in a spawned fan-out process, the job counter it shares with its caller
+_claims = None
 
-    The processes come from the spawn context, so fn must be importable by
-    name and a calling script needs an ``if __name__ == "__main__":`` guard.
-    Results come back in seed order, and an exception in a process reaches
-    the caller.  With one process to use, nothing is started.
+
+def _keep_claims(counter) -> None:
+    global _claims
+    _claims = counter
+
+
+def _run_claimed(fn, jobs: list, first: int, claims=None) -> list:
+    """[(i, fn(jobs[i])), ...] for job `first`, then for each job this process
+    claims from the counter the fan-out's processes share; a failure ends all claims."""
+    claims = _claims if claims is None else claims
+    done, i = [], first
+    try:
+        while i < len(jobs):
+            done.append((i, fn(jobs[i])))
+            with claims.get_lock():
+                i, claims.value = claims.value, claims.value + 1
+    except BaseException:
+        claims.value = len(jobs)
+        raise
+    return done
+
+
+def _fan_out(fn, jobs: list) -> list:
+    """[fn(job) for job in jobs] on min(usable cores, len(jobs)) processes, the caller's included.
+
+    The caller runs job 0 while the other workers - 1, from the spawn context,
+    start with jobs 1 .. workers - 1; then each process claims the next job no
+    one has started, so a slower core runs fewer.  fn must be importable by
+    name, and a calling script needs an ``if __name__ == "__main__":`` guard.
+    Results come back in job order, an exception in any job reaches the caller,
+    and no process outlives the call.  With one core to use, nothing is started.
     """
-    workers = min(len(os.sched_getaffinity(0)), len(seeds))
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
     if workers < 2:
-        return [fn(seed) for seed in seeds]
+        return [fn(job) for job in jobs]
     # imported here, so a call that starts no process skips its ~15 ms import
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    context = multiprocessing.get_context("spawn")
+    claims = context.Value("q", workers)
+    pool = ProcessPoolExecutor(workers - 1, mp_context=context, initializer=_keep_claims,
+                               initargs=(claims,))
     try:
-        return list(pool.map(fn, seeds))
+        futures = [pool.submit(_run_claimed, fn, jobs, k) for k in range(1, workers)]
+        done = _run_claimed(fn, jobs, 0, claims)
+        for future in futures:
+            done += future.result()
+        return [result for _, result in sorted(done, key=lambda pair: pair[0])]
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _figure1_seed(seed: int, T: int, m: int, n: int, cond: float) -> dict:
-    """figure1_study's run for one seed."""
+def _figure1_block(job: tuple, T: int, m: int, n: int, cond: float) -> tuple:
+    """figure1_study's work on job = (seed, etas, with_gd), a block of one seed's
+    Muon grid: the block's _grid_scan results, and GD's (1/L, final loss) or None."""
+    seed, etas, with_gd = job
     problem = build_problem({"kind": "quadratic", "m": m, "n": n, "cond": cond,
                              "decay": "two_cluster", "seed": 0, "seed_mode": "per_run"},
                             run_seed=seed)
     W0 = np.zeros((m, n))
-    grid = default_grid("muon", problem)
-    best_muon = _best_point(grid, _grid_scan(
-        problem, {"kind": "muon", "beta": 0.9}, grid, T, W0))
+    results = _grid_scan(problem, {"kind": "muon", "beta": 0.9}, etas, T, W0)
+    if not with_gd:
+        return results, None
     eta_gd = 1.0 / problem.metadata["L"]
-    f_gd = _grid_scan(problem, {"kind": "gd"}, (eta_gd,), T, W0)[0][0]
-    return {"seed": seed, "muon_final_f": best_muon[0], "muon_eta": best_muon[1],
+    return results, (eta_gd, _grid_scan(problem, {"kind": "gd"}, (eta_gd,), T, W0)[0][0])
+
+
+def _figure1_join(seed: int, grid: tuple, parts: list) -> dict:
+    """figure1_study's row for one seed from its blocks' parts, in grid order."""
+    best_f, best_eta = _best_point(grid, [point for results, _ in parts for point in results])
+    eta_gd, f_gd = parts[-1][1]
+    return {"seed": seed, "muon_final_f": best_f, "muon_eta": best_eta,
             "gd_final_f": f_gd, "gd_eta": eta_gd}
 
 
@@ -862,13 +906,25 @@ def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
 
     Every seed draws its own optimum of a two-cluster quadratic; Muon (beta
     0.9) picks its stepsize from the default grid by final loss, GD uses the
-    prescribed 1/L.  Returns per-seed final losses.  Several seeds run in
-    spawned processes, one per usable core (see _fan_out); one seed runs here.
+    prescribed 1/L.  Returns per-seed final losses.
+
+    The work is spread over the usable cores (see _fan_out); with fewer seeds
+    than cores, each seed's grid is cut into row blocks, the last also running
+    GD, and joined in grid order, so the summary is byte for byte a serial
+    run's.  fig2 and fig3 stay in one process: their BLAS-threaded oracles
+    would compete for the cores (README, "Seeds on several cores").
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("figure1_study needs at least one seed")
-    results = _fan_out(functools.partial(_figure1_seed, T=T, m=m, n=n, cond=cond), seeds)
+    grid = default_grid("muon", None)
+    per_seed = max(1, min(len(grid), len(os.sched_getaffinity(0)) // len(seeds)))
+    blocks = [tuple(etas) for etas in np.array_split(grid, per_seed)]
+    parts = _fan_out(functools.partial(_figure1_block, T=T, m=m, n=n, cond=cond),
+                     [(seed, etas, b == per_seed - 1) for seed in seeds
+                      for b, etas in enumerate(blocks)])
+    results = [_figure1_join(seed, grid, parts[k * per_seed:(k + 1) * per_seed])
+               for k, seed in enumerate(seeds)]
     wins = sum(1 for r in results if r["muon_final_f"] < r["gd_final_f"])
     summary = {"T": T, "m": m, "n": n, "cond": cond, "decay": "two_cluster",
                "seeds": seeds, "muon_wins": wins,
@@ -1138,6 +1194,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 <= args.beta < 1.0:
+        raise ValueError(f"--beta must lie in [0, 1), got {args.beta}")
     run, check, which = VERIFY_CHECKS[args.check]
     positional, keywords = run(args)
     if which is not None:

@@ -310,10 +310,10 @@ def _fd_step(W: np.ndarray, D: np.ndarray) -> Optional[float]:
     """Step of the central-difference probe of hvp(W, D), scaled to the
     parameter and direction sizes: 1e-4 * (1 + ||W||_F) / (1 + ||D||_F);
     None for the zero direction."""
-    dn = float(np.linalg.norm(D, "fro"))
+    dn = matcore.frobenius_norm(D)
     if dn == 0.0:
         return None
-    return 1e-4 * (1.0 + float(np.linalg.norm(W, "fro"))) / (1.0 + dn)
+    return 1e-4 * (1.0 + matcore.frobenius_norm(W)) / (1.0 + dn)
 
 
 def fd_hvp(grad_fn, W, D) -> np.ndarray:
@@ -459,9 +459,10 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
 class StochasticGradOracle:
     """Additive-Gaussian stochastic gradient model with controlled variance.
 
-    sample(W) returns grad(W) + noise(), where noise() is N/sqrt(batch) and N
-    has i.i.d. Gaussian entries scaled so that E||N||_F^2 = sigma^2.  Samples
-    are unbiased and their squared deviation has expectation sigma^2 / batch.
+    A sample at W is problem.grad(W) + noise(), where noise() is N/sqrt(batch)
+    and N has i.i.d. Gaussian entries scaled so that E||N||_F^2 = sigma^2.
+    Samples are unbiased and their squared deviation has expectation
+    sigma^2 / batch.
     """
 
     def __init__(self, problem: Problem, sigma: float, batch: int = 1, seed: int = 0):
@@ -483,9 +484,3 @@ class StochasticGradOracle:
         if self.sigma == 0.0:
             return np.zeros(self.problem.shape)
         return self.rng.standard_normal(self.problem.shape) * self._entry_std / self._batch_root
-
-    def sample(self, W) -> np.ndarray:
-        G = self.problem.grad(W)
-        if self.sigma == 0.0:
-            return G
-        return G + self.noise()

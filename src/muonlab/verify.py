@@ -36,10 +36,6 @@ class CheckReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "CheckReport":
-        return cls(**json.loads(text))
-
 
 class _Margins:
     """Collects signed margins lhs - rhs; a violation is a margin above slack."""
@@ -378,6 +374,8 @@ def check_momentum_error_lemma(sigma: float = 1.0, batch: int = 1, beta: float =
     is the one that running the trials one after another gives, byte for
     byte.
     """
+    if not 0.0 <= beta < 1.0:  # the range the momentum bounds are stated for
+        raise ValueError(f"beta must lie in [0, 1), got {beta}")
     if trials < 50:
         raise ValueError("at least 50 trials are needed for stable statistics")
     rng = np.random.default_rng(seed)
@@ -428,6 +426,8 @@ def check_nonconvex_rate_bound(problem: Problem, which: str = "Lstar",
     bounds hold in expectation, so the empirical average over several seeded
     runs is compared with a Monte-Carlo slack factor.
     """
+    if not 0.0 <= beta < 1.0:  # the range the momentum bounds are stated for
+        raise ValueError(f"beta must lie in [0, 1), got {beta}")
     fs = f_star(problem)
     if fs is None:
         raise ValueError("the rate bound check needs a known optimal value")

@@ -2,6 +2,7 @@ import ast
 import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import warnings
@@ -992,22 +993,73 @@ def test_figure1_fan_out_matches_one_seed_calls(tmp_path, monkeypatch):
     assert len(summaries) == 1
 
 
-def test_figure1_one_seed_starts_no_process(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-seed study started a process pool")
+def test_figure1_caller_runs_a_share_of_the_work(monkeypatch):
+    sizes = []
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    usable_cores(monkeypatch, 1)
+    alone = harness.figure1_study(seeds=[3], **FIG1_SMALL)
+    assert sizes == []
+    # one seed on two cores: the caller runs one block of rows, one process the other
     usable_cores(monkeypatch, 2)
-    summary = harness.figure1_study(seeds=[3], **FIG1_SMALL)
-    assert [run["seed"] for run in summary["runs"]] == [3]
+    split = harness.figure1_study(seeds=[3], **FIG1_SMALL)
+    assert sizes == [1]
+    assert split == alone and [run["seed"] for run in split["runs"]] == [3]
+
+
+@pytest.mark.parametrize("seeds", [(0,), (0, 1), tuple(range(6))],
+                         ids=["one-seed", "two-seeds", "six-seeds"])
+def test_figure1_on_any_core_count_matches_a_serial_run(tmp_path, monkeypatch, seeds):
+    """One seed is cut into row blocks; with more seeds than cores, every
+    process claims the seeds no one has started."""
+    runs, summaries = [], set()
+    for cores in (1, 2, 3):
+        usable_cores(monkeypatch, cores)
+        out = tmp_path / f"cores{cores}"
+        runs.append(harness.figure1_study(seeds=seeds, out_dir=str(out), **FIG1_SMALL)["runs"])
+        summaries.add((out / "figure1_summary.json").read_bytes())
+    assert runs[0] == runs[1] == runs[2]
+    assert len(summaries) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_figure1_join_keeps_first_on_ties_across_blocks():
+    grid = (0.1, 0.2, 0.3, 0.4, 0.5)
+    inf = (float("inf"), True)
+    gd = (0.05, 9.0)
+    # rows 0-2 ran in the caller, rows 3-4 in a spawned process
+    tie = [([(2.0, False), (1.0, False), (3.0, False)], None), ([(1.0, False), inf], gd)]
+    assert harness._figure1_join(7, grid, tie) == {
+        "seed": 7, "muon_final_f": 1.0, "muon_eta": 0.2, "gd_final_f": 9.0, "gd_eta": 0.05}
+    # a row that diverged in the spawned block is dropped, whatever came before it
+    late = [([inf, inf, inf], None), ([inf, (5.0, False)], gd)]
+    assert harness._figure1_join(7, grid, late)["muon_eta"] == 0.5
+    none = [([inf, inf, inf], None), ([inf, inf], gd)]
+    assert harness._figure1_join(7, grid, none)["muon_final_f"] == float("inf")
+    assert harness._figure1_join(7, grid, none)["muon_eta"] is None
 
 
 def test_figure1_child_error_reaches_caller(monkeypatch):
     usable_cores(monkeypatch, 2)
-    with pytest.raises(ValueError, match="cond must exceed 1") as excinfo:
-        harness.figure1_study(seeds=(0, 1), T=5, m=6, n=8, cond=0.5)
+    # seed -1 is no valid seed; the caller runs seed 0 and a spawned process seed -1
+    with pytest.raises(ValueError, match="non-negative") as excinfo:
+        harness.figure1_study(seeds=(0, -1), T=5, m=6, n=8, cond=100.0)
     # raised in a child: the pool attaches the child's traceback as the cause
     assert type(excinfo.value.__cause__).__name__ == "_RemoteTraceback"
+    assert multiprocessing.active_children() == []
+
+
+def test_figure1_caller_error_leaves_no_process(monkeypatch):
+    usable_cores(monkeypatch, 2)
+    with pytest.raises(ValueError, match="non-negative") as excinfo:
+        harness.figure1_study(seeds=(-1, 0), T=5, m=6, n=8, cond=100.0)
+    assert excinfo.value.__cause__ is None
+    assert multiprocessing.active_children() == []
 
 
 def test_figure1_rejects_empty_seeds(monkeypatch):
@@ -1207,6 +1259,20 @@ def test_cli_verify_taylor(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("check,beta", [
+    ("nonconvex-rL", "1.0"), ("momentum-error", "1.5"), ("momentum-error", "-0.1"),
+    ("nonconvex-Lstar", "nan"), ("norm-lemmas", "inf"),
+])
+def test_cli_verify_beta_outside_unit_interval_exits_2(tmp_path, capsys, check, beta):
+    out = tmp_path / "report.json"
+    rc = harness.cli_main(["verify", "--check", check, "--beta", beta, "--iters", "5",
+                           "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: --beta must lie in [0, 1)")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("problem,schedule", [
     (MLP_SPEC, {"kind": "adaptive_Lstar"}),
     (MLP_SPEC, {"kind": "adaptive_rL"}),
@@ -1241,10 +1307,13 @@ def test_cli_run_bad_schedule_exits_2(tmp_path, capsys, problem, schedule):
     ("skip_header", {"kind": "linear_mse", "features": "csv", "path": "features.csv",
                      "skip_header": "no"}),
     ("path", {"kind": "linear_mse", "features": "csv"}),
+    ("wstar_scale", dict(QUAD_SPEC, wstar_scale=float("inf"))),
+    ("wstar_scale", dict(QUAD_SPEC, wstar_scale=float("nan"))),
 ], ids=["quad-list-m", "quad-word-cond", "quad-list-seed", "mlp-word-dims",
         "mlp-float-dims", "mlp-list-train_layer", "mlp-list-B", "linmse-list-c",
         "quad-fraction-m", "quad-word-half", "mlp-fraction-dims",
-        "mlp-fraction-train_layer", "linmse-word-skip_header", "linmse-csv-no-path"])
+        "mlp-fraction-train_layer", "linmse-word-skip_header", "linmse-csv-no-path",
+        "quad-inf-wstar_scale", "quad-nan-wstar_scale"])
 def test_cli_run_bad_problem_value_exits_2(tmp_path, capsys, key, problem):
     cfg_path = tmp_path / "bad.toml"
     out = tmp_path / "out"

@@ -270,18 +270,31 @@ def test_lambda_norm_stack_shapes_must_pair():
         matcore.lambda_norm(A, np.stack([np.eye(3)] * 3))
 
 
-def test_svd_is_called_only_in_matcore():
-    """Every factorization goes through matcore, where the benchmark counts it."""
+def _linalg_uses(name: str) -> list:
+    """(module file, line) of every use of numpy's linalg.<name> in the package."""
     package = Path(matcore.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Attribute) and node.attr == "svd"
+            if (isinstance(node, ast.Attribute) and node.attr == name
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
                 found.append((path.name, node.lineno))
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
-                found += [(path.name, node.lineno) for a in node.names if a.name == "svd"]
+                found += [(path.name, node.lineno) for a in node.names if a.name == name]
+    return found
+
+
+def test_svd_is_called_only_in_matcore():
+    """Every factorization goes through matcore, where the benchmark counts it."""
+    found = _linalg_uses("svd")
     assert found and {name for name, _ in found} == {"matcore.py"}, found
+
+
+def test_linalg_norm_is_called_only_in_matcore():
+    """Every Frobenius norm goes through matcore.frobenius_norm, whose bits do not
+    depend on the memory order of its argument."""
+    found = _linalg_uses("norm")
+    assert {name for name, _ in found} <= {"matcore.py"}, found
 
 
 def _ndim_readers(node, where: str, found: set) -> None:

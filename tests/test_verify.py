@@ -278,6 +278,15 @@ def test_momentum_error_refuses_small_trials():
         verify.check_momentum_error_lemma(trials=10)
 
 
+@pytest.mark.parametrize("beta", [1.0, 1.5, -0.1, float("nan")])
+def test_momentum_checks_refuse_beta_outside_unit_interval(beta):
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
+        verify.check_momentum_error_lemma(beta=beta)
+    problem = harness.build_problem({"kind": "quadratic", "m": 3, "n": 4, "cond": 10.0})
+    with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\)"):
+        verify.check_nonconvex_rate_bound(problem, beta=beta)
+
+
 def test_momentum_error_short_run():
     report = verify.check_momentum_error_lemma(sigma=1.0, batch=1, beta=0.9, T=15,
                                                trials=80, seed=4)
@@ -332,7 +341,7 @@ def test_nonconvex_rate_bound_stochastic():
 
 def test_check_report_round_trip():
     report = verify.check_norm_lemmas(20, seed=8)
-    again = verify.CheckReport.from_json(report.to_json())
+    again = verify.CheckReport(**json.loads(report.to_json()))
     assert again == report
 
 
@@ -361,7 +370,7 @@ def test_reports_that_check_no_margin_are_strict_json():
     for report in (vacuous, one_record):
         assert report.passed
         assert strict_json(report.to_json())["worst_margin"] is None
-        assert verify.CheckReport.from_json(report.to_json()) == report
+        assert verify.CheckReport(**json.loads(report.to_json())) == report
 
 
 def test_norm_lemmas_refuse_zero_instances():

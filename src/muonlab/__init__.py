@@ -1,7 +1,7 @@
 """Matrix-parameter optimization and verification toolkit.
 
 Subpackages:
-    matcore      dense matrix primitives (norms, SVD, polar factors, Kronecker)
+    matcore      dense matrix primitives (norms, singular values, polar factors)
     optim        optimizer steppers and stepsize schedules
     problems     objective oracles (quadratic, linear MSE, small MLP) and data
     diagnostics  per-step curvature and norm diagnostics

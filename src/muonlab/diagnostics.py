@@ -40,7 +40,6 @@ class StepRecord:
     dist_op: Optional[float] = None
     ratio_lhs: Optional[float] = None
     ratio_rhs: Optional[float] = None
-    ratio_ok: Optional[bool] = None
     flags: str = ""
 
 
@@ -150,15 +149,13 @@ def hat_j_t(problem: Problem, W, O_t, grad_prev, grad_next) -> float:
 
 
 def ratio_condition(J_t_val: float, L_t_val: float, grad_F: float, grad_nuc: float):
-    """Evaluate J_t/L_t <= (nuclear/Frobenius gradient norm ratio)^2.
+    """The two sides of J_t/L_t <= (nuclear/Frobenius gradient norm ratio)^2.
 
-    Returns (ok, lhs, rhs); ok is None when a denominator is degenerate.
+    Returns (lhs, rhs), or (None, None) when a denominator is degenerate.
     """
     if L_t_val <= 0 or grad_F <= 0:
-        return None, None, None
-    lhs = J_t_val / L_t_val
-    rhs = (grad_nuc / grad_F) ** 2
-    return bool(lhs <= rhs), lhs, rhs
+        return None, None
+    return J_t_val / L_t_val, (grad_nuc / grad_F) ** 2
 
 
 def average_j(j_values: Sequence[float]) -> float:
@@ -193,7 +190,7 @@ def distance_metrics(W, W_star):
         raise ValueError(f"points of shape {W.shape} do not match the reference "
                          f"point of shape {W_star.shape}")
     E = W - W_star
-    d_op = np.where(np.any(E, axis=(-2, -1)), matcore.svd(E).S[..., 0], 0.0)
+    d_op = np.where(np.any(E, axis=(-2, -1)), matcore.svd(E)[..., 0], 0.0)
     return matcore.frobenius_norm(E), matcore.per_matrix(d_op, E)
 
 
@@ -202,8 +199,3 @@ def comparison_ratio(D_F: float, D_op: float, L: float, L_star: float) -> float:
     if min(D_F, D_op, L, L_star) <= 0:
         raise ValueError("all inputs must be positive")
     return (D_F ** 2 * L) / (D_op ** 2 * L_star)
-
-
-def spectrum(A) -> np.ndarray:
-    """Singular values, nonincreasing."""
-    return matcore.svd(A).S.copy()

@@ -33,8 +33,7 @@ from .diagnostics import (FLAG_DIVERGED, FLAG_FD_KINK, FLAG_POWER_FALLBACK,
                           FLAG_RAYLEIGH, FLAG_ZERO_DIRECTION, RunSummary,
                           StepRecord, average_j, comparison_ratio,
                           direction_rank, distance_metrics, hat_j_t, j_t, l_t,
-                          ratio_condition, spectrum, validate_record,
-                          weighted_j_tilde)
+                          ratio_condition, validate_record, weighted_j_tilde)
 from .problems import Problem, f_star
 
 CSV_COLUMNS = ("t", "f", "grad_F", "grad_nuc", "eta", "J_t", "L_t", "hatJ_t",
@@ -391,10 +390,11 @@ def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
         return float(value), "config" if key in values else "metadata"
 
     def positive(**constants):
-        """Record the constants in resolved, once each is found positive."""
+        """Record the constants in resolved, once each is found positive and finite."""
         for key, value in constants.items():
-            if not value > 0:
-                raise ValueError(f"schedule constant {key!r} must be positive, got {value}")
+            if not 0 < value < np.inf:
+                raise ValueError(
+                    f"schedule constant {key!r} must be positive and finite, got {value}")
         resolved.update(constants)
 
     if kind == "constant":
@@ -559,13 +559,13 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
             break
         recording = (t % config.cadence == 0)
         need_norms = recording or adaptive
-        grad_F = matcore.frobenius_norm(G)
         grad_nuc = matcore.nuclear_norm(G) if need_norms else None
         eta = optim.next_eta(schedule, grad_nuc=grad_nuc)
         if ckpt_t is not None and t == ckpt_t:
             ckpt_W = W.copy()
         W_next, O = opt.step(W, G, eta)
         if recording:
+            grad_F = matcore.frobenius_norm(G)
             rec = StepRecord(t=t, f=float(f), grad_F=grad_F, grad_nuc=grad_nuc,
                              eta=float(eta))
             flags = []
@@ -588,8 +588,8 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
                 if not conv:
                     flags.append(FLAG_POWER_FALLBACK)
             if rec.J_t is not None and rec.L_t is not None:
-                ok, lhs, rhs = ratio_condition(rec.J_t, rec.L_t, grad_F, grad_nuc)
-                rec.ratio_ok, rec.ratio_lhs, rec.ratio_rhs = ok, lhs, rhs
+                rec.ratio_lhs, rec.ratio_rhs = ratio_condition(rec.J_t, rec.L_t,
+                                                               grad_F, grad_nuc)
             if problem.kink_margin is not None and (config.want_J or config.want_L):
                 if problem.kink_margin(W) < 1e-7:
                     flags.append(FLAG_FD_KINK)
@@ -607,7 +607,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
     f_end, G_end = problem.value_grad(W)
     rec = StepRecord(t=t, f=float(f_end),
                      grad_F=matcore.frobenius_norm(G_end),
-                     grad_nuc=float(np.sum(matcore.svd(G_end).S)))
+                     grad_nuc=float(np.sum(matcore.svd(G_end))))
     if W_star is not None:
         pending.append((rec, W))
         _fill_distances(pending, W_star)
@@ -719,8 +719,6 @@ def read_records_csv(path: str) -> list:
                                  flags=cells[-1])
             except ValueError as exc:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
-            if rec.ratio_lhs is not None and rec.ratio_rhs is not None:
-                rec.ratio_ok = bool(rec.ratio_lhs <= rec.ratio_rhs)
             records.append(rec)
     return records
 
@@ -791,7 +789,7 @@ def ratio_study(m: int = 15, n: int = 20, samples: int = 1000, cond: float = 1e4
     # scalar curvature has no conditioning to speak of; the ratio is exactly 1
     Q = (np.array([[1.0]]) if m == 1
          else problems.make_ill_conditioned_Q(m, cond, decay, seed=seed))
-    S = matcore.svd(Q).S
+    S = matcore.svd(Q)
     L = float(S[0])
     L_star = float(np.sum(S))
     rows = []
@@ -1175,6 +1173,8 @@ def _cmd_run(args) -> int:
     if args.optimizer:
         optimizer["kind"] = args.optimizer
     if args.beta is not None:
+        if not 0.0 <= args.beta < 1.0:
+            raise ValueError(f"--beta must lie in [0, 1), got {args.beta}")
         optimizer["beta"] = args.beta
     changes = {"optimizer": optimizer}
     if args.out:
@@ -1220,7 +1220,7 @@ def _cmd_spectra(args) -> int:
     else:
         print("error: pass --csv or --kind", file=sys.stderr)
         return 2
-    sv = spectrum(A)
+    sv = matcore.svd(A)
     if sv[0] == 0.0:
         raise ValueError(f"{args.csv or 'the feature matrix'} is all zeros: "
                          "its concentration ratio is undefined")

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: norms, SVD and polar factors.
+"""Dense matrix primitives: norms, singular values and polar factors.
 
 All functions are pure, operate on float64 2-D numpy arrays, and are
 deterministic for fixed inputs.
@@ -12,7 +12,6 @@ Every SVD runs on one BLAS thread (see _lapack_svd).
 from __future__ import annotations
 
 import ctypes
-from typing import NamedTuple
 
 import numpy as np
 
@@ -110,39 +109,19 @@ def _as_finite(A, ndims: tuple, what: str) -> np.ndarray:
     return M
 
 
-class SvdResult(NamedTuple):
-    """Thin SVD A = U @ diag(S) @ V.T with k = min(m, n) columns.
+def svd(A) -> np.ndarray:
+    """Singular values of A, nonincreasing, as a (min(m, n),) array.
 
-    S is nonincreasing and nonnegative; U and V have orthonormal columns.
-    Column signs are normalized so the first entry of each U column with
-    magnitude above 1e-12 is positive, which makes the factorization
-    deterministic.
+    A may also be a (k, m, n) stack: the result is then (k, min(m, n)), each
+    row bit for bit the values of that slice alone.
+
+    LAPACK runs in its with-vectors mode and the vectors are dropped.  gesdd's
+    values-only mode (nuclear_norm's) differs in the last bits, about 1e-15
+    relative on (100, 15, 20), (196, 400) and (100, 6, 9) inputs, and the
+    references in perfbench/references.json hold the with-vectors bits.  A
+    re-record of those references can switch the mode here, in one place.
     """
-
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
-
-
-def svd(A) -> SvdResult:
-    """Deterministic thin SVD with the sign convention of SvdResult.
-
-    A may also be a (k, m, n) stack: U, S and V then carry a leading k axis,
-    and each slice is bit for bit the factorization of that slice alone.
-    """
-    M = as_matrices(A)
-    U, S, Vh = _lapack_svd(M)
-    U = np.ascontiguousarray(U)
-    V = np.ascontiguousarray(Vh.swapaxes(-1, -2))
-    # first entry per column with magnitude above the threshold, vectorized
-    big = np.abs(U) > 1e-12
-    first = big.argmax(axis=-2)
-    lead = np.take_along_axis(U, first[..., None, :], axis=-2)[..., 0, :]
-    flip = (lead < 0) & big.any(axis=-2)
-    sign = np.where(flip, -1.0, 1.0)[..., None, :]
-    U *= sign
-    V *= sign
-    return SvdResult(U, S, V)
+    return _lapack_svd(as_matrices(A))[1]
 
 
 def per_matrix(values, M: np.ndarray):
@@ -209,16 +188,14 @@ def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS) -> np.ndarray:
     A may also be a (k, m, n) stack; each slice is normalized by its own
     Frobenius norm and gets exactly the result it would get on its own.
 
-    Raises ValueError on the zero matrix; callers handle the degenerate case
-    through the SVD route.
+    The zero matrix maps to the zero matrix, as in orthogonalize_svd: it is
+    divided by 1 instead of its norm, and every iteration keeps it at zero.
     """
     M = as_matrices(A)
-    fn = _frobenius(M)[..., None, None]
-    if np.any(fn == 0.0):
-        raise ValueError("cannot orthogonalize the zero matrix; use the SVD route")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    X = M / fn
+    fn = _frobenius(M)[..., None, None]
+    X = M / np.where(fn == 0.0, 1.0, fn)
     transposed = X.shape[-2] > X.shape[-1]
     if transposed:
         X = X.swapaxes(-1, -2)

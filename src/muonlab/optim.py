@@ -41,21 +41,14 @@ def orthogonalize(M: np.ndarray, method: str = "svd",
                   ns_steps: int = matcore.DEFAULT_NS_STEPS) -> np.ndarray:
     """Semi-orthogonal update direction for a momentum/gradient matrix.
 
-    The zero matrix yields the zero direction (no movement) regardless of
-    method, since the Newton-Schulz route is undefined there.  On a stack
-    this holds slice by slice.
+    Both methods map the zero matrix to the zero direction (no movement), and
+    on a stack they do so slice by slice.
     """
     if method == "svd":
-        return matcore.orthogonalize_svd(M)  # maps zero slices to zero itself
+        return matcore.orthogonalize_svd(M)
     if method != "ns":
         raise ValueError(f"unknown orthogonalizer {method!r}")
-    nonzero = np.any(M, axis=(-2, -1))
-    if nonzero.all():
-        return matcore.orthogonalize_ns(M, steps=ns_steps)
-    O = np.zeros_like(M)
-    if nonzero.any():
-        O[nonzero] = matcore.orthogonalize_ns(M[nonzero], steps=ns_steps)
-    return O
+    return matcore.orthogonalize_ns(M, steps=ns_steps)
 
 
 @dataclass

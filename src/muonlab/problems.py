@@ -38,7 +38,7 @@ class Problem:
             hidden-layer preactivation to zero (MLPs only).
         probe_clean: optional predicate, true when the hvp(W, D) probe keeps
             every hidden ReLU mask unchanged (MLPs only).
-        metadata: known constants, e.g. L, L_star, W_star, f_star, sigma.
+        metadata: known constants, e.g. L, L_star, W_star, f_star.
     """
 
     def __init__(self, shape, value_grad, hvp, hvp_exact=True, metadata=None,
@@ -77,7 +77,7 @@ def quadratic_new(Q, W_star, half: bool = True) -> Problem:
     if Q.shape[0] != W_star.shape[0]:
         raise ValueError("Q and W_star row dimensions must agree")
     c = 0.5 if half else 1.0
-    S = matcore.svd(Q).S
+    S = matcore.svd(Q)
     meta = {
         "kind": "quadratic",
         "L": 2.0 * c * float(S[0]),
@@ -150,7 +150,7 @@ def linear_mse_new(X, Y) -> Problem:
     H = (X @ X.T) / B
     meta = {
         "kind": "linear_mse",
-        "L": matcore.svd(X).S[0] ** 2 / B,
+        "L": matcore.svd(X)[0] ** 2 / B,
         "L_star": float(np.sum(X * X)) / B,
         "X": X,
         "Y": Y,
@@ -187,8 +187,8 @@ def lowrank_features(d: int, B: int, target_ratio: float, seed: int = 0) -> np.n
     if d < 1 or B < 1:
         raise ValueError("d and B must be positive")
     k = min(d, B)
-    if target_ratio < 1:
-        raise ValueError("target_ratio must be at least 1")
+    if not target_ratio >= 1:
+        raise ValueError(f"target_ratio must be at least 1, got {target_ratio}")
     if target_ratio > k:
         raise ValueError(f"target_ratio {target_ratio} is infeasible for min(d,B)={k}")
     if target_ratio == 1.0:

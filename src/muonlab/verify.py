@@ -282,7 +282,7 @@ def _quadratic_block(Q: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> tuple:
     and gradients, with the same check that every Q[i] is SPD."""
     matcore.require_spd(Q, "Q")
     c = 0.5
-    S = matcore.svd(Q).S
+    S = matcore.svd(Q)
     return (2.0 * c * S[:, 0], 2.0 * c * np.sum(S, axis=1),
             2.0 * c * (Q @ W1) - 2.0 * c * (Q @ W2))
 
@@ -329,7 +329,7 @@ def check_norm_lemmas(n_instances: int = 1000, dims: tuple = (6, 9),
         m_op, m_nuc = eigs[:, -1], np.sum(eigs, axis=1)
         a_f = matcore.frobenius_norm(A)
         a_nuc = matcore.nuclear_norm(A)
-        a_op = matcore.svd(A).S[:, 0]
+        a_op = matcore.svd(A)[:, 0]
         a_w = matcore.lambda_norm(A, M)
         a_winv = matcore.lambda_norm(A, _spd_inverse(M))
         # smoothness transfer on quadratics built from random SPD curvatures
@@ -344,7 +344,7 @@ def check_norm_lemmas(n_instances: int = 1000, dims: tuple = (6, 9),
             (a_w, np.sqrt(m_nuc) * a_op, "w<=sqrt(nucM)op"),
             (matcore.frobenius_norm(Gdiff), L * matcore.frobenius_norm(Wdiff),
              "lipschitz-F"),
-            (matcore.nuclear_norm(Gdiff), L_star * matcore.svd(Wdiff).S[:, 0],
+            (matcore.nuclear_norm(Gdiff), L_star * matcore.svd(Wdiff)[:, 0],
              "lipschitz-nuc"),
         )
         for i in range(k):

@@ -38,7 +38,7 @@ def vonneumann_bound(p_sv, q_sv, r_t: int) -> float:
 
 def concentration_ratio(A) -> float:
     """Effective-rank proxy ||A||_F^2 / ||A||_op^2; undefined for the zero matrix."""
-    S = matcore.svd(A).S
+    S = matcore.svd(A)
     if S[0] == 0.0:
         raise ValueError("concentration ratio undefined for the zero matrix")
     return float(np.sum(S * S) / (S[0] * S[0]))
@@ -68,7 +68,8 @@ def polar_2d(A) -> np.ndarray:
 
 
 def ns_2d(A, steps: int = matcore.DEFAULT_NS_STEPS) -> np.ndarray:
-    X = A / frobenius_2d(A)
+    """Newton-Schulz from A over its Frobenius norm; the zero matrix maps to zero."""
+    X = A / (frobenius_2d(A) or 1.0)
     transposed = X.shape[0] > X.shape[1]
     if transposed:
         X = X.T
@@ -85,7 +86,7 @@ def lambda_norm_2d(A, W) -> float:
 
 def distances_2d(W, W_star) -> tuple:
     E = W - W_star
-    return frobenius_2d(E), float(matcore.svd(E).S[0]) if np.any(E) else 0.0
+    return frobenius_2d(E), float(matcore.svd(E)[0]) if np.any(E) else 0.0
 
 
 def quadratic_value_grad_2d(Q, W_star, c: float, W) -> tuple:

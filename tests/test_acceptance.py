@@ -131,7 +131,9 @@ def test_criterion_07_curvature_oracle_equivalence():
         if rng.uniform() < 0.3 and min(m, n) > 1:  # rank-deficient directions too
             k = int(rng.integers(1, min(m, n)))
             G = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
-        U, S, V = matcore.svd(G)
+        # U @ V.T and every form below are invariant under paired sign flips
+        U, S, Vh = np.linalg.svd(G, full_matrices=False)
+        V = Vh.T
         keep = S > 1e-10 * S[0]
         U, V = U[:, keep], V[:, keep]
         r_t = int(np.sum(keep))

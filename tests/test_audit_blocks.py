@@ -41,7 +41,7 @@ def _reference_norm_lemmas(n_instances, dims, seed, slack):
         m_op, m_nuc = float(eigs[-1]), float(np.sum(eigs))
         a_f = matcore.frobenius_norm(A)
         a_nuc = matcore.nuclear_norm(A)
-        a_op = float(matcore.svd(A).S[0])
+        a_op = float(matcore.svd(A)[0])
         a_w = matcore.lambda_norm(A, M)
         a_winv = matcore.lambda_norm(A, M_inv)
         r = min(m, n)
@@ -64,7 +64,7 @@ def _reference_norm_lemmas(n_instances, dims, seed, slack):
         _c(matcore.frobenius_norm(Gdiff),
            prob.metadata["L"] * matcore.frobenius_norm(Wdiff), "lipschitz-F")
         _c(matcore.nuclear_norm(Gdiff),
-           prob.metadata["L_star"] * float(matcore.svd(Wdiff).S[0]), "lipschitz-nuc")
+           prob.metadata["L_star"] * float(matcore.svd(Wdiff)[0]), "lipschitz-nuc")
     return margins.report("norm_lemmas", {"dims": list(dims), "seed": seed},
                           n_instances)
 
@@ -299,7 +299,7 @@ def test_distance_block_count_of_a_recorded_run(monkeypatch):
 
 def _reference_ratio_rows(m, n, samples, cond, decay, seed):
     Q = problems.make_ill_conditioned_Q(m, cond, decay, seed=seed)
-    S = matcore.svd(Q).S
+    S = matcore.svd(Q)
     L, L_star = float(S[0]), float(np.sum(S))
     rows = []
     for k in range(samples):

@@ -757,6 +757,19 @@ def test_csv_emit_read_emit_is_byte_exact(tmp_path, records):
     assert second.read_bytes() == first.read_bytes()
 
 
+def test_step_record_fields_are_the_csv_columns(tmp_path):
+    """Each StepRecord field is one CSV column, in order, so no field lives only
+    in memory, and a record with every field set reads back equal."""
+    names = [f.name for f in dataclasses.fields(dg.StepRecord)]
+    assert ([n.replace("_", "").lower() for n in names]
+            == [c.replace("_", "").lower() for c in harness.CSV_COLUMNS])
+    values = {n: 0.25 * (i + 1) for i, n in enumerate(names)}
+    values.update(t=7, flags=";".join(FLAGS[:2]))
+    rec = dg.StepRecord(**values)
+    harness.emit_csv([rec], tmp_path / "one.csv")
+    assert harness.read_records_csv(tmp_path / "one.csv") == [rec]
+
+
 def _good_row() -> str:
     return ",".join(["0", "1.0", "2.0", "3.0"] + [""] * (len(harness.CSV_COLUMNS) - 4))
 
@@ -1273,6 +1286,41 @@ def test_cli_verify_beta_outside_unit_interval_exits_2(tmp_path, capsys, check, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("beta", ["1.5", "1.0", "nan", "-0.1"])
+def test_cli_run_beta_outside_unit_interval_exits_2(tmp_path, capsys, monkeypatch, beta):
+    cfg_path = tmp_path / "muon.toml"
+    out = tmp_path / "out"
+    cfg_path.write_text(quad_config(optimizer={"kind": "muon"}, T=5).to_text())
+
+    def no_problem(*args, **kwargs):
+        raise AssertionError("a problem was built for a refused --beta")
+
+    monkeypatch.setattr(harness, "build_problem", no_problem)
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--beta", beta,
+                           "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: --beta must lie in [0, 1)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,changes", [
+    ("target_ratio", {"problem": {"kind": "linear_mse", "d": 8, "B": 12,
+                                  "features": "lowrank", "target_ratio": float("nan")}}),
+    ("target_ratio", {"problem": dict(MLP_SPEC, target_ratio=float("nan"))}),
+    ("'eta'", {"schedule": {"kind": "constant", "eta": float("inf")}}),
+], ids=["linmse-nan-target_ratio", "mlp-nan-target_ratio", "constant-inf-eta"])
+def test_cli_run_nonfinite_value_exits_2(tmp_path, capsys, name, changes):
+    cfg_path = tmp_path / "bad.toml"
+    out = tmp_path / "out"
+    cfg_path.write_text(quad_config(T=5, **changes).to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("problem,schedule", [
     (MLP_SPEC, {"kind": "adaptive_Lstar"}),
     (MLP_SPEC, {"kind": "adaptive_rL"}),
@@ -1446,6 +1494,16 @@ def test_cli_spectra(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "index,sigma"
     assert len(lines) == 11
+
+
+def test_cli_spectra_rejects_nan_ratio(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    rc = harness.cli_main(["spectra", "--kind", "lowrank", "--d", "10", "--B", "15",
+                           "--ratio", "nan", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: target_ratio must be at least 1, got nan"]
+    assert not out.exists()
 
 
 def test_cli_spectra_rejects_all_zero_features(tmp_path, capsys):

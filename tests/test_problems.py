@@ -240,6 +240,9 @@ def test_lowrank_features_rank_one():
 def test_lowrank_features_feasibility():
     with pytest.raises(ValueError):
         problems.lowrank_features(4, 8, 4.5, seed=14)
+    for below in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="target_ratio must be at least 1"):
+            problems.lowrank_features(4, 8, below, seed=14)
     X = problems.lowrank_features(4, 8, 4.0, seed=14)  # boundary: flat spectrum
     s = np.linalg.svd(X, compute_uv=False)
     assert np.sum(s ** 2) / s[0] ** 2 == pytest.approx(4.0, rel=1e-9)

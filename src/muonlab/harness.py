@@ -345,7 +345,10 @@ class _OptRun:
         stepper, state_class, _ = _OPTIMIZERS[self.kind]
         self.state = None
         if stepper == "muon_step":
-            self.state, self.options = state_class(**self.options), {}
+            try:
+                self.state, self.options = state_class(**self.options), {}
+            except ValueError as exc:  # each message starts with the key it refuses
+                raise ValueError(f"optimizer.{exc}") from exc
         elif state_class is not None:
             self.state = state_class()
 
@@ -642,16 +645,19 @@ def _summarize(records, problem: Problem, schedule) -> RunSummary:
     return summary
 
 
-def run_experiment(config: ExperimentConfig, seed: Optional[int] = None) -> RunArtifact:
+def run_experiment(config: ExperimentConfig, seed: Optional[int] = None, *,
+                   problem: Optional[Problem] = None) -> RunArtifact:
     """Execute one seeded run: optional stepsize tuning, then the recorded run.
 
     The tuning loop (when run.lr_grid is set) evaluates every grid point with
     a lean pass, never selects a diverged point, and keeps all grid results in
-    the artifact so stepsize claims stay auditable.
+    the artifact so stepsize claims stay auditable.  problem, when given, is
+    build_problem(config.problem, seed) built earlier: runs never write to it.
     """
     if seed is None:
         seed = config.seeds[0]
-    problem = build_problem(config.problem, run_seed=seed)
+    if problem is None:
+        problem = build_problem(config.problem, run_seed=seed)
     W0 = _initial_w(config, problem, seed)
     grid_results = None
     best_eta = None
@@ -765,9 +771,8 @@ def default_grid(opt_kind: str, problem: Optional[Problem]) -> tuple:
     is known; Muon-family and Adam grids are absolute and read no problem.
     """
     if opt_kind in ("gd", "gd_nesterov"):
-        L = problem.metadata.get("L")
-        base = np.logspace(-2, 2, 9)
-        return tuple(base / L) if L else tuple(np.logspace(-2, 2, 9))
+        # dividing by 1.0 keeps every bit of the absolute grid
+        return tuple(np.logspace(-2, 2, 9) / (problem.metadata.get("L") or 1.0))
     if opt_kind in ("adam", "adamw"):
         return tuple(np.logspace(-4, 0, 9))
     return tuple(np.logspace(-3.5, 0.5, 9))
@@ -932,6 +937,20 @@ def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
     return summary
 
 
+def _tuned_runs(prob_spec: dict, seed: int, opt_specs: dict, prefix: str, **run):
+    """(problem, {name: artifact}): build the problem once, then tune and record each
+    optimizer of opt_specs on it as run <prefix>_<name> with the other run.* settings."""
+    problem = build_problem(prob_spec, run_seed=seed)
+    artifacts = {}
+    for name, spec in opt_specs.items():
+        config = ExperimentConfig(
+            problem=prob_spec, optimizer=spec, schedule={"kind": "constant", "eta": 1.0},
+            seeds=(seed,), lr_grid=default_grid(name, problem), name=f"{prefix}_{name}",
+            **run)
+        artifacts[name] = run_experiment(config, seed, problem=problem)
+    return problem, artifacts
+
+
 def figure2_suite(kind: str = "lowrank", c: int = 100, seed: int = 0,
                   d: int = 196, B: int = 400, T: int = 400,
                   paper_dims: bool = False, out_dir: Optional[str] = None):
@@ -950,24 +969,12 @@ def figure2_suite(kind: str = "lowrank", c: int = 100, seed: int = 0,
                  "c": c, "seed": seed}
     if kind == "lowrank":
         prob_spec["target_ratio"] = 1.41
-    problem = build_problem(prob_spec, run_seed=seed)
-    artifacts = {}
-    opt_specs = {
-        "gd": {"kind": "gd"},
-        "gd_nesterov": {"kind": "gd_nesterov", "mu": 0.9},
-        "adam": {"kind": "adam"},
-        "muon": {"kind": "muon", "beta": 0.9},
-    }
-    cadence = max(1, T // 50)
-    for name, spec in opt_specs.items():
-        config = ExperimentConfig(
-            problem=prob_spec, optimizer=spec, schedule={"kind": "constant", "eta": 1.0},
-            T=T, cadence=cadence, seeds=(seed,), lr_grid=default_grid(name, problem),
-            out_dir=out_dir, name=f"fig2_{kind}_c{c}_{name}")
-        artifacts[name] = run_experiment(config, seed)
+    opt_specs = {"gd": {"kind": "gd"}, "gd_nesterov": {"kind": "gd_nesterov", "mu": 0.9},
+                 "adam": {"kind": "adam"}, "muon": {"kind": "muon", "beta": 0.9}}
+    problem, artifacts = _tuned_runs(prob_spec, seed, opt_specs, f"fig2_{kind}_c{c}",
+                                     T=T, cadence=max(1, T // 50), out_dir=out_dir)
     best_name = min(artifacts, key=lambda k: artifacts[k].summary.final_f)
-    W_best = artifacts[best_name].final_W
-    d_f, d_op = distance_metrics(np.zeros(problem.shape), W_best)
+    d_f, d_op = distance_metrics(np.zeros(problem.shape), artifacts[best_name].final_W)
     meta = problem.metadata
     ratio = comparison_ratio(d_f, d_op, meta["L"], meta["L_star"])
     summary = {
@@ -996,27 +1003,14 @@ def figure3_suite(input_dim: int = 10, dims: tuple = (8, 6, 4), B: int = 120,
     """
     prob_spec = {"kind": "mlp", "input_dim": input_dim, "dims": tuple(dims),
                  "B": B, "loss": "softmax_ce", "data": "lowrank", "seed": seed}
-    problem = build_problem(prob_spec, run_seed=seed)
-    artifacts = {}
-    for name, spec in (("gd", {"kind": "gd"}),
-                       ("muon", {"kind": "simplified_muon"})):
-        config = ExperimentConfig(
-            problem=prob_spec, optimizer=spec,
-            schedule={"kind": "constant", "eta": 1.0},
-            T=T, cadence=cadence, want_J=True, want_L=True,
-            seeds=(seed,), lr_grid=default_grid(name, problem), out_dir=out_dir,
-            name=f"fig3_{name}", w0="init", checkpoint=True)
-        artifacts[name] = run_experiment(config, seed)
-    muon_side = {}
-    gd_side = {}
-    for rec in artifacts["muon"].records:
-        if rec.J_t is not None and rec.J_t > 0:
-            muon_side[rec.t] = rec.grad_nuc ** 2 / rec.J_t
-        elif rec.J_t is not None:
-            muon_side[rec.t] = float("inf")
-    for rec in artifacts["gd"].records:
-        if rec.L_t is not None and rec.L_t > 0:
-            gd_side[rec.t] = rec.grad_F ** 2 / rec.L_t
+    _, artifacts = _tuned_runs(
+        prob_spec, seed, {"gd": {"kind": "gd"}, "muon": {"kind": "simplified_muon"}}, "fig3",
+        T=T, cadence=cadence, want_J=True, want_L=True, out_dir=out_dir, w0="init",
+        checkpoint=True)
+    muon_side = {rec.t: rec.grad_nuc ** 2 / rec.J_t if rec.J_t > 0 else float("inf")
+                 for rec in artifacts["muon"].records if rec.J_t is not None}
+    gd_side = {rec.t: rec.grad_F ** 2 / rec.L_t
+               for rec in artifacts["gd"].records if rec.L_t is not None and rec.L_t > 0}
     common = sorted(set(muon_side) & set(gd_side))
     wins = sum(1 for t in common if muon_side[t] >= gd_side[t])
     summary = {
@@ -1056,7 +1050,7 @@ def quadratic_check_run(seed: int = 0, T: int = 500,
     config = ExperimentConfig(
         problem=prob_spec, optimizer={"kind": "simplified_muon"},
         schedule=sched_spec, T=T, cadence=1, want_J=want_J, seeds=(seed,))
-    artifact = run_experiment(config, seed)
+    artifact = run_experiment(config, seed, problem=problem)
     return artifact.records, problem
 
 
@@ -1196,6 +1190,8 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     if not 0.0 <= args.beta < 1.0:
         raise ValueError(f"--beta must lie in [0, 1), got {args.beta}")
+    if args.iters < 1:
+        raise ValueError(f"--iters must be at least 1, got {args.iters}")
     run, check, which = VERIFY_CHECKS[args.check]
     positional, keywords = run(args)
     if which is not None:
@@ -1216,6 +1212,8 @@ def _cmd_spectra(args) -> int:
     elif args.kind == "gaussian":
         A = problems.gaussian_features(args.d, args.B, seed=args.seed)
     elif args.kind == "lowrank":
+        if not args.ratio >= 1:
+            raise ValueError(f"--ratio must be at least 1, got {args.ratio}")
         A = problems.lowrank_features(args.d, args.B, args.ratio, seed=args.seed)
     else:
         print("error: pass --csv or --kind", file=sys.stderr)

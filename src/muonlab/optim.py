@@ -69,9 +69,11 @@ class MuonState:
 
     def __post_init__(self):
         if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must lie in [0, 1)")
+            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
         if self.orthogonalizer not in ORTHOGONALIZERS:
-            raise ValueError(f"unknown orthogonalizer {self.orthogonalizer!r}")
+            raise ValueError(f"orthogonalizer {self.orthogonalizer!r} is unknown")
+        if self.ns_steps < 0:
+            raise ValueError(f"ns_steps must be >= 0, got {self.ns_steps}")
 
 
 def muon_step(state: MuonState, W, G, eta, out=None) -> np.ndarray:

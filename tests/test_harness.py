@@ -1127,6 +1127,51 @@ def test_figure3_suite_smoke_and_replay(tmp_path):
     assert j_replayed == pytest.approx(row.J_t, abs=1e-8 * max(1.0, abs(row.J_t)))
 
 
+@pytest.mark.parametrize("study", [
+    lambda: harness.figure2_suite(kind="lowrank", c=3, d=12, B=20, T=5),
+    lambda: harness.figure2_suite(kind="gaussian", c=3, d=12, B=20, T=5),
+    lambda: harness.figure3_suite(input_dim=6, dims=(5, 4, 3), B=20, T=5, cadence=2),
+    lambda: harness.quadratic_check_run(seed=2, T=5),
+], ids=["fig2-lowrank", "fig2-gaussian", "fig3", "quadratic-check"])
+def test_each_study_builds_its_problem_once(monkeypatch, study):
+    built = []
+    build = harness.build_problem
+
+    def counted(spec, *args, **kwargs):
+        built.append(spec)
+        return build(spec, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_problem", counted)
+    study()
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("problem,optimizer,run", [
+    (dict(QUAD_SPEC), {"kind": "muon", "beta": 0.9}, {}),
+    ({"kind": "linear_mse", "d": 12, "B": 20, "c": 3, "features": "lowrank",
+      "target_ratio": 1.41}, {"kind": "muon"}, {}),
+    ({"kind": "linear_mse", "d": 12, "B": 20, "c": 3}, {"kind": "gd_nesterov", "mu": 0.9}, {}),
+    (dict(MLP_SPEC), {"kind": "simplified_muon"},
+     {"checkpoint": True, "want_J": True, "want_L": True, "w0": "init", "cadence": 2}),
+], ids=["quadratic", "linmse-lowrank", "linmse-gaussian", "mlp"])
+def test_a_passed_problem_gives_the_same_bytes(tmp_path, monkeypatch, problem, optimizer,
+                                               run):
+    """run_experiment on a problem built beforehand writes what it writes when
+    it builds the problem itself."""
+    config = quad_config(problem=problem, optimizer=optimizer, T=5, out_dir="out",
+                         lr_grid=(0.01, 0.1, 1.0), **run)
+    outputs = []
+    for kwargs in ({}, {"problem": harness.build_problem(config.problem, 3)}):
+        # the same relative out_dir in a directory of its own, so the config snapshots agree
+        side = tmp_path / str(len(outputs))
+        side.mkdir()
+        monkeypatch.chdir(side)
+        harness.run_experiment(config, 3, **kwargs)
+        outputs.append({p.name: p.read_bytes() for p in (side / "out").iterdir()})
+    assert len(outputs[0]) == 4 + run.get("checkpoint", False)
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -1302,6 +1347,40 @@ def test_cli_run_beta_outside_unit_interval_exits_2(tmp_path, capsys, monkeypatc
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: --beta must lie in [0, 1)")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("optimizer,message", [
+    ({"kind": "muon", "beta": 1.5}, "optimizer.beta must lie in [0, 1), got 1.5"),
+    ({"kind": "muon", "beta": 1.0}, "optimizer.beta must lie in [0, 1), got 1.0"),
+    ({"kind": "muon", "beta": float("nan")}, "optimizer.beta must lie in [0, 1), got nan"),
+    ({"kind": "muon", "orthogonalizer": "ns", "ns_steps": -1},
+     "optimizer.ns_steps must be >= 0, got -1"),
+    ({"kind": "simplified_muon", "ns_steps": -1}, "optimizer.ns_steps must be >= 0, got -1"),
+], ids=["beta-1.5", "beta-1.0", "beta-nan", "ns_steps-ns", "ns_steps-svd"])
+@pytest.mark.parametrize("grid", [None, (0.01, 0.1)], ids=["schedule", "lr_grid"])
+def test_cli_run_bad_muon_key_names_the_key(tmp_path, capsys, optimizer, message, grid):
+    cfg_path = tmp_path / "muon.toml"
+    cfg_path.write_text(quad_config(optimizer=optimizer, T=5, lr_grid=grid).to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["muon.toml"]
+
+
+@pytest.mark.parametrize("iters", ["0", "-5"])
+@pytest.mark.parametrize("check", ["taylor", "norm-lemmas", "nonconvex-rL"])
+def test_cli_verify_iters_below_one_names_the_flag(tmp_path, capsys, monkeypatch, iters, check):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran for a refused --iters")
+
+    monkeypatch.setattr(harness, "VERIFY_CHECKS", {
+        name: (no_check, no_check, which) for name, (_, _, which) in harness.VERIFY_CHECKS.items()})
+    out = tmp_path / "report.json"
+    rc = harness.cli_main(["verify", "--check", check, "--iters", iters, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --iters must be at least 1, got {iters}"]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name,changes", [
@@ -1496,14 +1575,19 @@ def test_cli_spectra(tmp_path, capsys):
     assert len(lines) == 11
 
 
-def test_cli_spectra_rejects_nan_ratio(tmp_path, capsys):
+def test_cli_spectra_rejects_nan_ratio(tmp_path, capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a feature matrix was drawn for a refused --ratio")
+
+    monkeypatch.setattr(problems, "lowrank_features", no_draw)
     out = tmp_path / "s.csv"
-    rc = harness.cli_main(["spectra", "--kind", "lowrank", "--d", "10", "--B", "15",
-                           "--ratio", "nan", "--out", str(out)])
-    assert rc == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: target_ratio must be at least 1, got nan"]
-    assert not out.exists()
+    for ratio in ("nan", "0.5"):
+        rc = harness.cli_main(["spectra", "--kind", "lowrank", "--d", "10", "--B", "15",
+                               "--ratio", ratio, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --ratio must be at least 1, got {float(ratio)}"]
+        assert not out.exists()
 
 
 def test_cli_spectra_rejects_all_zero_features(tmp_path, capsys):

@@ -103,6 +103,17 @@ def test_orthogonalize_stack_zero_slice_each_route():
         optim.MuonState(orthogonalizer="qr")
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"beta": 1.5}, r"^beta must lie in \[0, 1\), got 1.5$"),
+    ({"orthogonalizer": "qr"}, r"^orthogonalizer 'qr' is unknown$"),
+    ({"orthogonalizer": "svd", "ns_steps": -1}, r"^ns_steps must be >= 0, got -1$"),
+])
+def test_muon_state_refusal_starts_with_the_field(fields, message):
+    with pytest.raises(ValueError, match=message):
+        optim.MuonState(**fields)
+    optim.MuonState(ns_steps=0)
+
+
 def test_step_writes_to_out_and_leaves_inputs():
     rng = np.random.default_rng(14)
     W = rng.standard_normal((3, 4))

@@ -45,6 +45,13 @@ DIVERGENCE_FACTOR = 1e6
 # rows in _diagnostic_run, samples in ratio_study.
 DISTANCE_BLOCK = 100
 
+# Fewest entries per matrix for which a grid scan splits its polar factors
+# over the cores.  On 2 cores, splitting a 9-slice stack over two threads lost
+# at 4x6 and 8x10, was a toss-up at 15x20, won at 20x30 to 32x64 in two of
+# three runs, and won in all three at 64x128 and 100x196
+# (BENCH_split_polar.json).
+SPLIT_MIN_ENTRIES = 32 * 64
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -110,13 +117,24 @@ CONFIG_SCHEMA = {
 }
 RUN_KEYS = tuple(CONFIG_SCHEMA["run"][1]["run"])
 
+# section.key -> (test, what it must be) for values whose type lets through
+# ones that would fail later without naming the key.  _typed applies it, so a
+# config file is refused before any problem is built.
+_RANGES = {
+    "problem.seed": (lambda v: v >= 0, "at least 0"),
+    "problem.m": (lambda v: v >= 2, "at least 2"),
+    "optimizer.mu": (np.isfinite, "finite"),
+    "optimizer.weight_decay": (np.isfinite, "finite"),
+}
+
 _TYPE_NAMES = {int: "a whole number", float: "a number", bool: "true or false", str: "text"}
 
 
 def _typed(key: str, value, cast):
     """The value of config key (section.key) as cast: int takes a whole number, float
     a number, bool true or false, str text, a tuple of words one of them, and [cast]
-    one or more (one value is a list of one).  Else it raises ValueError naming the key."""
+    one or more (one value is a list of one), each within the key's _RANGES entry.
+    Else it raises ValueError naming the key."""
     if isinstance(cast, list):
         return tuple(_typed(key, v, cast[0])
                      for v in (value if isinstance(value, (tuple, list)) else (value,)))
@@ -131,9 +149,12 @@ def _typed(key: str, value, cast):
         typed = cast(value)
         if cast is int and typed != value:
             raise ValueError
-        return typed
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key} takes {_TYPE_NAMES[cast]}, got {value!r}") from None
+    test, what = _RANGES.get(key, (None, None))
+    if test is not None and not test(typed):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return typed
 
 
 def _parsed(key: str, text: str, cast):
@@ -479,7 +500,7 @@ def _divergence_guard(f0: float):
 
 
 def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
-               W0: np.ndarray) -> list:
+               W0: np.ndarray, cores: int = 1) -> list:
     """Final loss of a diagnostics-free run at every stepsize in etas.
 
     Returns [(final_f, diverged), ...] in grid order, with (inf, True) for a
@@ -489,6 +510,18 @@ def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
     factorization per Muon step), and a point that trips the divergence guard
     leaves the stack.  Each point's result is bit for bit the one a separate
     run would give.
+
+    With cores >= 2 the steps after the first may run inside
+    matcore.one_blas_thread(cores), every BLAS call on one thread and each
+    stacked polar factor split over the cores.  That needs two or more
+    points, a per-point oracle, a Muon step that factorizes by SVD, matrices
+    of at least SPLIT_MIN_ENTRIES entries, and a probe: at step 0, where
+    every point is W0, point 1 is evaluated on one thread, and its loss and
+    gradient, and the polar factor of the gradient, must match point 0's on
+    the process's thread count bit for bit.  Whether they do depends on the
+    shapes and the BLAS build, not on the kind of problem.  The probe makes
+    no oracle call or factorization of its own beyond one polar factor of
+    W0's gradient on each thread count.
     """
     results = [(float("inf"), True)] * len(etas)
     live = list(range(len(etas)))  # grid index of each stack row
@@ -497,26 +530,38 @@ def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
     G = np.empty_like(W)
     eta = np.array(etas, dtype=np.float64).reshape(-1, 1, 1)
     in_bounds = _divergence_guard(problem.value(W0))
-    for _ in range(T):
-        if problem.value_grad_stacks:
-            values, G = problem.value_grad(W)
-        else:
-            values = []
-            for j in range(len(live)):
-                f, G[j] = problem.value_grad(W[j])
-                values.append(f)
-        rows = [j for j, f in enumerate(values) if in_bounds(f)]
-        if len(rows) < len(live):
-            if not rows:
-                return results
-            live = [live[j] for j in rows]
-            W, G, eta = W[rows], G[rows], eta[rows]
-            opt.keep(rows)
-        opt.step(W, G, eta, out=W)
-    for j, idx in enumerate(live):
-        f = problem.value(W[j])
-        if in_bounds(f):
-            results[idx] = (float(f), False)
+    probing = (cores >= 2 and len(etas) >= 2 and not problem.value_grad_stacks
+               and getattr(opt.state, "orthogonalizer", None) == "svd"
+               and W0.size >= SPLIT_MIN_ENTRIES)
+    with contextlib.ExitStack() as scope:
+        for _ in range(T):
+            if problem.value_grad_stacks:
+                values, G = problem.value_grad(W)
+            else:
+                values = []
+                for j in range(len(live)):
+                    probe_row = probing and j == 1
+                    with matcore.one_blas_thread() if probe_row else contextlib.nullcontext():
+                        f, G[j] = problem.value_grad(W[j])
+                    values.append(f)
+            if probing:
+                probing = False
+                if (values[1] == values[0] and np.array_equal(G[1], G[0])
+                        and matcore.polar_keeps_bits_on_one_thread(G[0])):
+                    scope.enter_context(matcore.one_blas_thread(cores))
+                values[1], G[1] = values[0], G[0]  # the process's bits, should they differ
+            rows = [j for j, f in enumerate(values) if in_bounds(f)]
+            if len(rows) < len(live):
+                if not rows:
+                    return results
+                live = [live[j] for j in rows]
+                W, G, eta = W[rows], G[rows], eta[rows]
+                opt.keep(rows)
+            opt.step(W, G, eta, out=W)
+        for j, idx in enumerate(live):
+            f = problem.value(W[j])
+            if in_bounds(f):
+                results[idx] = (float(f), False)
     return results
 
 
@@ -664,7 +709,8 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None, *,
     if config.lr_grid:
         # the grid replaces the schedule, whose keys must still be ones it reads
         _read_section("schedule", config.schedule)
-        scan = _grid_scan(problem, config.optimizer, config.lr_grid, config.T, W0)
+        scan = _grid_scan(problem, config.optimizer, config.lr_grid, config.T, W0,
+                          cores=len(os.sched_getaffinity(0)))
         grid_results = [{"eta": float(eta), "final_f": None if diverged else fT,
                          "diverged": diverged}
                         for eta, (fT, diverged) in zip(config.lr_grid, scan)]
@@ -888,7 +934,8 @@ def _figure1_block(job: tuple, T: int, m: int, n: int, cond: float) -> tuple:
                              "decay": "two_cluster", "seed": 0, "seed_mode": "per_run"},
                             run_seed=seed)
     W0 = np.zeros((m, n))
-    results = _grid_scan(problem, {"kind": "muon", "beta": 0.9}, etas, T, W0)
+    # cores=1: the fan-out's processes already fill the cores
+    results = _grid_scan(problem, {"kind": "muon", "beta": 0.9}, etas, T, W0, cores=1)
     if not with_gd:
         return results, None
     eta_gd = 1.0 / problem.metadata["L"]

@@ -6,11 +6,14 @@ svd, the Frobenius, nuclear and weighted norms and the polar factors also
 take a (k, m, n) stack and give each slice bit for bit its 2-D result: each
 has one code path over the leading axes, a 2-D matrix runs it as a
 one-matrix stack, and per_matrix returns such a matrix's value as a float.
-Every SVD runs on one BLAS thread (see _lapack_svd).
+Every SVD runs on one BLAS thread (see _lapack_svd), and inside
+one_blas_thread every BLAS call does, with orthogonalize_svd splitting a
+stack over several Python threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 
 import numpy as np
@@ -62,6 +65,20 @@ def _find_blas_threads():
 _BLAS_THREADS = _find_blas_threads()
 
 
+def _swap_blas_threads(count):
+    """Set BLAS to count threads and return the count it had.
+
+    Without the OpenBLAS thread functions, or for a count of None (the
+    return value then), nothing is set and None comes back.
+    """
+    if _BLAS_THREADS is None or count is None:
+        return None
+    get_threads, set_threads = _BLAS_THREADS
+    previous = get_threads()
+    set_threads(count)
+    return previous
+
+
 def _lapack_svd(M: np.ndarray, compute_uv: bool = True):
     """np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv) on one BLAS thread.
 
@@ -73,19 +90,52 @@ def _lapack_svd(M: np.ndarray, compute_uv: bool = True):
     factorization runs here and every product keeps the process's count.
 
     The thread count is process-global: it is set to 1 and the previous count
-    comes back in a finally.  muonlab starts no Python threads that call BLAS,
-    so no other BLAS call sees the one-thread setting.  A BLAS without the
-    OpenBLAS thread functions (MKL, Accelerate) makes this the plain call.
+    comes back in a finally.  The only Python threads muonlab starts that
+    call BLAS are one_blas_thread's helpers, and they run inside a block that
+    holds the count at 1, so this call leaves the count alone there.  A BLAS
+    without the OpenBLAS thread functions (MKL, Accelerate) makes this the
+    plain call.
     """
-    if _BLAS_THREADS is None:
-        return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
-    get_threads, set_threads = _BLAS_THREADS
-    previous = get_threads()
-    set_threads(1)
+    previous = None if _lent is not None else _swap_blas_threads(1)
     try:
         return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
     finally:
-        set_threads(previous)
+        _swap_blas_threads(previous)
+
+
+# (helper thread pool, parts) that one_blas_thread lends orthogonalize_svd
+# for its block; None outside it.
+_lent = None
+
+
+@contextlib.contextmanager
+def one_blas_thread(cores: int = 1):
+    """Run the block with BLAS on one thread, and on cores >= 2 split polar factors.
+
+    The previous thread count comes back on exit, also when the block raises.
+    With cores >= 2, orthogonalize_svd cuts each stack of two or more matrices
+    into up to `cores` contiguous parts, one in the calling thread and each
+    other on a helper thread of a pool that lives for the block; no helper
+    thread outlives it.  Each part's SVD, product and truncation fixes are
+    those of an unsplit call on one thread, so the bits are too.  Nothing
+    else runs on the helper threads.  The setting is process-wide: a block
+    should hold only the calling thread's muonlab calls.
+    """
+    global _lent
+    previous = _swap_blas_threads(1)
+    lent, pool = _lent, None
+    try:
+        if cores >= 2:
+            # imported here, so a run that never splits skips the import
+            from concurrent.futures import ThreadPoolExecutor
+            pool = ThreadPoolExecutor(cores - 1, thread_name_prefix="muonlab-polar")
+            _lent = (pool, cores)
+        yield
+    finally:
+        _lent = lent
+        if pool is not None:
+            pool.shutdown()
+        _swap_blas_threads(previous)
 
 
 def as_matrix(A) -> np.ndarray:
@@ -162,19 +212,51 @@ def orthogonalize_svd(A) -> np.ndarray:
 
     A may also be a (k, m, n) stack: all slices are factorized by one LAPACK
     call and each slice gets exactly the result it would get on its own.
+    Inside one_blas_thread(cores) with cores >= 2, the stack is cut into
+    contiguous parts that run on helper threads at once.
 
     The product U_r @ V_r.T is invariant to paired sign flips, so the raw
     LAPACK factors are used directly.
     """
-    U, S, Vh = _lapack_svd(as_matrices(A))
-    O = U @ Vh
+    M = as_matrices(A)
+    O = np.empty(M.shape)
+    stack, out = M.reshape((-1,) + M.shape[-2:]), O.reshape((-1,) + M.shape[-2:])
+    lent = _lent
+    if lent is None or len(stack) < 2:
+        _polar_into(stack, out)
+        return O
+    pool, cores = lent
+    parts = min(cores, len(stack))
+    edges = [len(stack) * p // parts for p in range(parts + 1)]
+    futures = [pool.submit(_polar_into, stack[a:b], out[a:b])
+               for a, b in zip(edges[1:-1], edges[2:])]
+    _polar_into(stack[:edges[1]], out[:edges[1]])
+    for future in futures:
+        future.result()
+    return O
+
+
+def polar_keeps_bits_on_one_thread(A) -> bool:
+    """True when orthogonalize_svd of the matrix A has the same bits with every
+    BLAS call on one thread (inside one_blas_thread) as with its product on
+    the process's thread count."""
+    M = as_matrix(A)[None]
+    plain, one = np.empty(M.shape), np.empty(M.shape)
+    _polar_into(M, plain)
+    with one_blas_thread():
+        _polar_into(M, one)
+    return np.array_equal(plain, one)
+
+
+def _polar_into(M: np.ndarray, O: np.ndarray) -> None:
+    """Write the polar factor of each matrix of the (k, m, n) stack M to O."""
+    U, S, Vh = _lapack_svd(M)
+    np.matmul(U, Vh, out=O)
     # S is nonincreasing, so a slice keeps full rank when its last value does;
     # only the truncated ones are redone, and an empty keep gives zeros
-    keep = S > RANK_TOL * S[..., :1]
-    for i in np.ndindex(S.shape[:-1]):
-        if not keep[i][-1]:
-            O[i] = U[i][:, keep[i]] @ Vh[i][keep[i]]
-    return O
+    keep = S > RANK_TOL * S[:, :1]
+    for i in np.flatnonzero(~keep[:, -1]):
+        O[i] = U[i][:, keep[i]] @ Vh[i][keep[i]]
 
 
 def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS) -> np.ndarray:

@@ -4,6 +4,8 @@ The row-major vectorization convention of the package: rows of a matrix are
 concatenated, so that kron(P, Q) @ vec_row(D) == vec_row(P @ D @ Q.T).
 """
 
+import math
+
 import numpy as np
 
 from muonlab import matcore
@@ -93,3 +95,39 @@ def quadratic_value_grad_2d(Q, W_star, c: float, W) -> tuple:
     E = W - W_star
     QE = Q @ E
     return c * float(np.sum(E * QE)), 2.0 * c * QE
+
+
+# Closed forms of two verify bounds, written from the statements they check
+# rather than from verify's arithmetic.
+
+def momentum_error_bound(sigma: float, batch: int, beta: float, t: int) -> float:
+    """Bound on E||M_t - Mbar_t||_F at step t.
+
+    M_t = beta M_{t-1} + (1 - beta) g_t with M_0 = g_0 averages noisy
+    gradients g_t = grad + xi_t, Mbar_t the same recursion on the exact
+    gradient, and the xi_t are independent with E||xi_t||_F^2 =
+    sigma^2 / batch.  The difference is beta^t xi_0 plus (1 - beta) times
+    sum_{s=1..t} beta^(t-s) xi_s, so its second moment is at most
+    (sigma^2 / batch) ((1 - beta) / (1 + beta) + beta^(2t)), and the square
+    root of a sum is at most the sum of the square roots.
+    """
+    scale = sigma / math.sqrt(batch)
+    return scale * math.sqrt((1 - beta) / (1 + beta)) + scale * beta ** t
+
+
+def nonconvex_rate_rhs(delta: float, T: int, eta: float, C: float, r: int, beta: float,
+                       sigma: float, batch: int) -> float:
+    """Right-hand side of the constant-stepsize Muon rate bound.
+
+    (1/T) sum_{t<T} E||grad f(W_t)||_* is at most the descent terms
+    delta / (T eta) + C eta / 2, the momentum lag 2 beta C eta / (1 - beta),
+    and twice sqrt(r) times the momentum error of momentum_error_bound
+    averaged over the steps, whose beta^t parts sum to at most
+    beta / (1 - beta) over t >= 1.  C is r L (Frobenius constant) or L_star
+    (spectral constant), delta = f(W_0) - f*.
+    """
+    descent = delta / (T * eta) + C * eta / 2
+    lag = 2 * beta * C * eta / (1 - beta)
+    noise = 2 * math.sqrt(r) * sigma / math.sqrt(batch) * (
+        math.sqrt((1 - beta) / (1 + beta)) + beta / ((1 - beta) * T))
+    return descent + lag + noise

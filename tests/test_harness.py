@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import re
+import threading
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from muonlab import diagnostics as dg
-from muonlab import harness, optim, problems, verify
+from muonlab import harness, matcore, optim, problems, verify
 
 
 QUAD_SPEC = {"kind": "quadratic", "m": 6, "n": 8, "cond": 100.0,
@@ -79,7 +80,7 @@ _SEED_MODE = st.sampled_from(("fixed", "per_run"))
                                   "data": st.sampled_from(("lowrank", "gaussian")),
                                   "dims": st.lists(_WHOLE, min_size=1, max_size=4).map(tuple),
                                   "target_ratio": _NUMBER}),
-           st.fixed_dictionaries({"kind": st.just("quadratic"), "m": _WHOLE,
+           st.fixed_dictionaries({"kind": st.just("quadratic"), "m": st.integers(2, 10 ** 9),
                                   "seed_mode": _SEED_MODE,
                                   "wstar": st.sampled_from(("uniform", "gaussian")),
                                   "cond": _NUMBER, "decay": _TEXT})),
@@ -1173,6 +1174,130 @@ def test_a_passed_problem_gives_the_same_bytes(tmp_path, monkeypatch, problem, o
 
 
 # ---------------------------------------------------------------------------
+# grid scans split over the cores
+# ---------------------------------------------------------------------------
+
+# an MLP whose trained 40x64 layer has more than SPLIT_MIN_ENTRIES entries
+SPLIT_MLP = {"kind": "mlp", "input_dim": 30, "dims": (64, 40, 5), "B": 40}
+SPLIT_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
+SIMPLIFIED = {"kind": "simplified_muon"}
+
+
+def spy_scopes(monkeypatch):
+    """The cores of each matcore.one_blas_thread block entered, in order."""
+    entered, scope = [], matcore.one_blas_thread
+
+    def recording(cores=1):
+        entered.append(cores)
+        return scope(cores)
+
+    monkeypatch.setattr(matcore, "one_blas_thread", recording)
+    return entered
+
+
+def split_mlp():
+    problem = harness.build_problem(SPLIT_MLP, 1)
+    assert np.prod(problem.shape) >= harness.SPLIT_MIN_ENTRIES
+    return problem, problem.metadata["W_init"]
+
+
+def test_split_mlp_grid_writes_the_bytes_of_one_core(tmp_path, monkeypatch):
+    config = quad_config(problem=SPLIT_MLP, optimizer=SIMPLIFIED, T=6, out_dir="out",
+                         lr_grid=SPLIT_GRID, w0="init", want_J=True)
+    entered, outputs = spy_scopes(monkeypatch), []
+    for cores in (1, 2):
+        usable_cores(monkeypatch, cores)
+        side = tmp_path / str(cores)
+        side.mkdir()
+        monkeypatch.chdir(side)
+        harness.run_experiment(config, 1)
+        outputs.append({p.name: p.read_bytes() for p in (side / "out").iterdir()})
+    if 2 not in entered:
+        pytest.skip("this BLAS gives the MLP other bits on one thread, so the probe refused")
+    # the probe's oracle row, its polar factor, then the scan's steps
+    assert entered == [1, 1, 2]
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+
+
+def test_scan_gives_back_the_blas_threads_and_python_threads(monkeypatch, two_blas_threads):
+    problem, W0 = split_mlp()
+    threads = threading.active_count()
+    entered = spy_scopes(monkeypatch)
+    split = harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0, cores=2)
+    assert two_blas_threads() == 2 and threading.active_count() == threads
+    if 2 not in entered:
+        pytest.skip("this BLAS gives the MLP other bits on one thread, so the probe refused")
+    assert split == harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0)
+    # an oracle that fails at step 3, inside the split steps
+    seen, value_grad = [], problem.value_grad
+
+    def failing(W):
+        seen.append(two_blas_threads())
+        if len(seen) > 1 + 3 * len(SPLIT_GRID):
+            raise RuntimeError("the oracle failed")
+        return value_grad(W)
+
+    problem.value_grad = failing
+    with pytest.raises(RuntimeError, match="the oracle failed"):
+        harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0, cores=2)
+    assert seen[-1] == 1
+    assert two_blas_threads() == 2 and threading.active_count() == threads
+
+
+def test_probe_refuses_an_oracle_whose_bits_follow_the_thread_count(monkeypatch,
+                                                                    two_blas_threads):
+    problem, W0 = split_mlp()
+    seen, value_grad = [], problem.value_grad
+
+    def thread_dependent(W):
+        seen.append(two_blas_threads())
+        f, G = value_grad(W)
+        return f + 1e-9 * seen[-1], G + 1e-9 * seen[-1]
+
+    problem.value_grad = thread_dependent
+    entered = spy_scopes(monkeypatch)
+    split = harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0, cores=2)
+    # the probe's one row ran on one thread; no polar probe and no split followed
+    assert entered == [1] and seen.count(1) == 1
+    assert seen.count(2) == len(seen) - 1 and two_blas_threads() == 2
+    seen.clear()
+    assert split == harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0)
+    assert set(seen) == {2}
+
+
+@pytest.mark.parametrize("problem_spec,spec,grid,cores", [
+    (SPLIT_MLP, SIMPLIFIED, SPLIT_GRID, 1),
+    (SPLIT_MLP, SIMPLIFIED, SPLIT_GRID[:1], 2),
+    (SPLIT_MLP, {"kind": "gd"}, SPLIT_GRID, 2),
+    (SPLIT_MLP, {"kind": "muon", "orthogonalizer": "ns"}, SPLIT_GRID, 2),
+    (MLP_SPEC, SIMPLIFIED, SPLIT_GRID, 2),
+    (dict(QUAD_SPEC, m=40, n=64), SIMPLIFIED, SPLIT_GRID, 2),
+], ids=["one-core", "one-point", "gd", "ns-route", "below-the-floor", "stacked-oracle"])
+def test_scan_missing_a_split_condition_does_not_probe(monkeypatch, problem_spec, spec, grid,
+                                                       cores):
+    problem = harness.build_problem(problem_spec, 1)
+    W0 = problem.metadata.get("W_init", np.ones(problem.shape))
+    entered = spy_scopes(monkeypatch)
+    harness._grid_scan(problem, spec, grid, 3, W0, cores=cores)
+    assert entered == []
+
+
+def test_figure1_study_never_splits(monkeypatch):
+    usable_cores(monkeypatch, 2)
+    entered, cores, scan = spy_scopes(monkeypatch), [], harness._grid_scan
+
+    def recording(*args, **kwargs):
+        cores.append(kwargs.get("cores", 1))
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_grid_scan", recording)
+    # slices above SPLIT_MIN_ENTRIES; the caller runs the first block of rows
+    harness.figure1_study(seeds=[3], T=20, m=40, n=64, cond=100.0)
+    assert cores and set(cores) == {1}
+    assert entered == []
+
+
+# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -1381,6 +1506,28 @@ def test_cli_verify_iters_below_one_names_the_flag(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err.splitlines() == [
         f"error: --iters must be at least 1, got {iters}"]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"optimizer": {"kind": "gd_nesterov", "mu": float("nan")}},
+     "optimizer.mu must be finite, got nan"),
+    ({"optimizer": {"kind": "adamw", "weight_decay": float("nan")}},
+     "optimizer.weight_decay must be finite, got nan"),
+    ({"problem": dict(QUAD_SPEC, seed=-1)}, "problem.seed must be at least 0, got -1"),
+    ({"problem": dict(QUAD_SPEC, m=0)}, "problem.m must be at least 2, got 0"),
+], ids=["nan-mu", "nan-weight_decay", "negative-seed", "zero-m"])
+def test_cli_run_out_of_range_value_names_the_key(tmp_path, capsys, monkeypatch, changes,
+                                                  message):
+    def no_problem(*args, **kwargs):
+        raise AssertionError("a problem was built for a refused value")
+
+    monkeypatch.setattr(harness, "build_problem", no_problem)
+    cfg_path = tmp_path / "bad.toml"
+    cfg_path.write_text(quad_config(T=5, **changes).to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.toml"]
 
 
 @pytest.mark.parametrize("name,changes", [

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -402,20 +403,6 @@ def test_one_thread_svds_keep_the_bits_of_the_plain_call(monkeypatch, m, n, k, k
             assert np.array_equal(g, w), f"{f.__name__}: {why}"
 
 
-@pytest.fixture
-def two_blas_threads():
-    """The BLAS thread getter, with the count at 2 for the test and restored after."""
-    if matcore._BLAS_THREADS is None:
-        pytest.skip("numpy's BLAS exports no OpenBLAS thread control")
-    get_threads, set_threads = matcore._BLAS_THREADS
-    previous = get_threads()
-    set_threads(2)
-    try:
-        yield get_threads
-    finally:
-        set_threads(previous)
-
-
 def record_svd_threads(monkeypatch, get_threads):
     """Wrap np.linalg.svd so it records the BLAS thread count it runs on."""
     seen, plain_svd = [], np.linalg.svd
@@ -495,6 +482,78 @@ print(before, after, same)
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["1", "1", "True"]
+
+
+# ---------------------------------------------------------------------------
+# one_blas_thread: every BLAS call on one thread, polar factors split
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cores", [2, 3, 5])
+@pytest.mark.parametrize("shape", [(6, 8), (8, 6), (64, 128)])
+def test_split_polar_factor_keeps_the_bits(cores, shape):
+    """Each part's factorization, product and truncation fixes are those of the
+    unsplit call, for stacks with fewer and more slices than parts."""
+    A = mixed_stack(*shape, seed=cores)
+    A = np.concatenate([A, A[::-1], A[:1]])  # 9 slices, truncated ones in every part
+    with matcore.one_blas_thread():
+        whole = [matcore.orthogonalize_svd(A[:k]) for k in (1, 2, 4, 9)]
+        two_d = matcore.orthogonalize_svd(A[2])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches inside each call
+    try:
+        with matcore.one_blas_thread(cores):
+            for k, want in zip((1, 2, 4, 9), whole):
+                assert np.array_equal(matcore.orthogonalize_svd(A[:k]), want), k
+            assert np.array_equal(matcore.orthogonalize_svd(A[2]), two_d)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_one_blas_thread_restores_the_count_and_starts_no_lasting_thread(two_blas_threads):
+    threads = threading.active_count()
+    A = np.random.default_rng(4).standard_normal((4, 10, 12))
+    with matcore.one_blas_thread(2):
+        assert two_blas_threads() == 1
+        matcore.orthogonalize_svd(A)
+        assert threading.active_count() == threads + 1
+    assert two_blas_threads() == 2 and threading.active_count() == threads
+    with pytest.raises(RuntimeError, match="inside the block"):
+        with matcore.one_blas_thread(2):
+            matcore.orthogonalize_svd(A)
+            raise RuntimeError("inside the block")
+    assert two_blas_threads() == 2 and threading.active_count() == threads
+    assert matcore._lent is None
+
+
+def test_a_failing_part_reaches_the_caller(monkeypatch, two_blas_threads):
+    calls, polar_into = [], matcore._polar_into
+
+    def failing_in_a_helper(M, O):
+        calls.append(threading.current_thread() is threading.main_thread())
+        if not calls[-1]:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        polar_into(M, O)
+
+    monkeypatch.setattr(matcore, "_polar_into", failing_in_a_helper)
+    threads = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError):
+        with matcore.one_blas_thread(2):
+            matcore.orthogonalize_svd(np.ones((2, 4, 5)))
+    assert sorted(calls) == [False, True]
+    assert two_blas_threads() == 2 and threading.active_count() == threads
+
+
+def test_polar_probe_refuses_a_product_whose_bits_follow_the_thread_count(
+        monkeypatch, two_blas_threads):
+    A = np.random.default_rng(6).standard_normal((9, 12))
+    plain_matmul = np.matmul
+
+    def thread_dependent(U, Vh, out):
+        plain_matmul(U, Vh, out=out)
+        out += 1e-3 * two_blas_threads()
+
+    monkeypatch.setattr(np, "matmul", thread_dependent)
+    assert not matcore.polar_keeps_bits_on_one_thread(A)
 
 
 # ---------------------------------------------------------------------------

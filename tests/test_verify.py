@@ -6,6 +6,7 @@ import pytest
 
 from muonlab import diagnostics as dg
 from muonlab import harness, matcore, optim, problems, verify
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +334,38 @@ def test_nonconvex_rate_bound_stochastic():
                                                beta=0.9, sigma=2.0, batch=1,
                                                runs=20, seed=6)
     assert report.passed
+
+
+@pytest.mark.parametrize("which", ["rL", "Lstar"])
+@pytest.mark.parametrize("beta,sigma,batch,eta", [
+    (0.9, 0.0, 1, None), (0.5, 2.0, 4, None), (0.0, 1.5, 1, 0.01), (0.99, 0.3, 16, 0.002),
+])
+def test_nonconvex_rate_rhs_is_the_closed_form(which, beta, sigma, batch, eta):
+    problem = harness.build_problem({"kind": "quadratic", "m": 5, "n": 7, "cond": 30.0,
+                                     "seed": 2}, 2)
+    T = 4
+    report = verify.check_nonconvex_rate_bound(problem, which=which, T=T, beta=beta,
+                                               sigma=sigma, batch=batch, eta=eta, seed=1)
+    meta, r = problem.metadata, min(problem.shape)
+    C = r * meta["L"] if which == "rL" else meta["L_star"]
+    delta = problem.value(np.zeros(problem.shape)) - meta["f_star"]
+    if eta is None:  # the prescribed stepsize sqrt((1 - beta) delta / (T C))
+        eta = np.sqrt((1 - beta) * delta / (T * C))
+        assert report.params["eta"] == pytest.approx(eta, rel=1e-14)
+    want = oracles.nonconvex_rate_rhs(delta, T, eta, C, r, beta, sigma, batch)
+    assert report.params["rhs"] == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("sigma,batch", [(1.0, 1), (0.5, 4), (3.0, 9)])
+def test_momentum_error_bound_is_the_closed_form(beta, sigma, batch):
+    for t in (0, 1, 2, 7, 50):
+        want = oracles.momentum_error_bound(sigma, batch, beta, t)
+        assert verify.momentum_error_bound(sigma, batch, beta, t) == pytest.approx(
+            want, rel=1e-14), t
+        # the oracle bounds the root of the deviation's exact second moment
+        weights = [beta ** t] + [(1 - beta) * beta ** (t - s) for s in range(1, t + 1)]
+        assert sigma / np.sqrt(batch) * np.sqrt(np.sum(np.square(weights))) <= want * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

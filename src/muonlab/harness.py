@@ -117,24 +117,35 @@ CONFIG_SCHEMA = {
 }
 RUN_KEYS = tuple(CONFIG_SCHEMA["run"][1]["run"])
 
-# section.key -> (test, what it must be) for values whose type lets through
-# ones that would fail later without naming the key.  _typed applies it, so a
-# config file is refused before any problem is built.
-_RANGES = {
-    "problem.seed": (lambda v: v >= 0, "at least 0"),
-    "problem.m": (lambda v: v >= 2, "at least 2"),
-    "optimizer.mu": (np.isfinite, "finite"),
-    "optimizer.weight_decay": (np.isfinite, "finite"),
-}
+
+# config key (section.key) or subcommand flag (--name) -> (test, what the value must
+# do), for every number a user types whose type alone lets through values that would
+# fail late or silently.  _typed applies it, before any problem is built.
+_RANGES = {key: rule for keys, rule in (
+    ("problem.seed problem.wstar_scale run.seeds --seed --sigma",
+     (lambda v: v >= 0, "be at least 0")),
+    ("problem.n problem.d problem.B problem.c problem.input_dim problem.dims problem.target_ratio"
+     " run.T run.cadence --iters --cadence --classes --m --n --samples --d --B --ratio"
+     " --instances --batch", (lambda v: v >= 1, "be at least 1")),
+    ("problem.m", (lambda v: v >= 2, "be at least 2")),
+    ("--trials", (lambda v: v >= 50, "be at least 50")),
+    ("optimizer.ns_steps", (lambda v: v >= 0, "be >= 0")),
+    ("problem.cond --cond", (lambda v: v > 1, "exceed 1")),
+    ("optimizer.eps run.lr_grid --lr schedule.eta schedule.L schedule.L_star schedule.J",
+     (lambda v: v > 0, "be positive")),
+    ("optimizer.beta optimizer.beta1 optimizer.beta2 schedule.beta --beta",
+     (lambda v: 0 <= v < 1, "lie in [0, 1)")),
+) for key in keys.split()}
 
 _TYPE_NAMES = {int: "a whole number", float: "a number", bool: "true or false", str: "text"}
 
 
 def _typed(key: str, value, cast):
-    """The value of config key (section.key) as cast: int takes a whole number, float
-    a number, bool true or false, str text, a tuple of words one of them, and [cast]
-    one or more (one value is a list of one), each within the key's _RANGES entry.
-    Else it raises ValueError naming the key."""
+    """The value of config key (section.key) or flag (--name) as cast: int takes a
+    whole number, float a finite number, bool true or false, str text, a tuple of
+    words one of them, and [cast] one or more (one value is a list of one), each
+    within the key's _RANGES entry.  Else it raises ValueError naming the key.  The
+    range is tested first, so nan is refused with the range it misses."""
     if isinstance(cast, list):
         return tuple(_typed(key, v, cast[0])
                      for v in (value if isinstance(value, (tuple, list)) else (value,)))
@@ -153,7 +164,9 @@ def _typed(key: str, value, cast):
         raise ValueError(f"{key} takes {_TYPE_NAMES[cast]}, got {value!r}") from None
     test, what = _RANGES.get(key, (None, None))
     if test is not None and not test(typed):
-        raise ValueError(f"{key} must be {what}, got {value!r}")
+        raise ValueError(f"{key} must {what}, got {value!r}")
+    if cast is float and not np.isfinite(typed):
+        raise ValueError(f"{key} must be finite, got {value!r}")
     return typed
 
 
@@ -230,14 +243,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, value in _read_section("run", self._run_values())[1].items():
             setattr(self, key, value)
-        if self.T < 1:
-            raise ValueError("run.T must be at least 1")
-        if self.cadence < 1:
-            raise ValueError("run.cadence must be at least 1")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("run.seeds must be distinct")
-        if self.lr_grid is not None and not all(eta > 0 for eta in self.lr_grid):
-            raise ValueError("run.lr_grid entries must be positive")
 
     def to_text(self) -> str:
         lines = []
@@ -308,8 +315,6 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
         m = get("m", 15)
         n = get("n", 20)
         scale = get("wstar_scale", 50.0)
-        if not np.isfinite(scale):
-            raise ValueError(f"problem.wstar_scale must be finite, got {scale}")
         q_seed = int(eff.integers(0, 2 ** 31))
         Q = problems.make_ill_conditioned_Q(m, get("cond", 1e4), get("decay", "two_cluster"),
                                             seed=q_seed)
@@ -366,10 +371,7 @@ class _OptRun:
         stepper, state_class, _ = _OPTIMIZERS[self.kind]
         self.state = None
         if stepper == "muon_step":
-            try:
-                self.state, self.options = state_class(**self.options), {}
-            except ValueError as exc:  # each message starts with the key it refuses
-                raise ValueError(f"optimizer.{exc}") from exc
+            self.state, self.options = state_class(**self.options), {}
         elif state_class is not None:
             self.state = state_class()
 
@@ -400,8 +402,6 @@ def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
     """
     kind, values = _read_section("schedule", spec)
     beta = values.get("beta", 0.0)
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"schedule.beta must lie in [0, 1), got {beta!r}")
     r = min(problem.shape)
     resolved = {"kind": kind}
 
@@ -462,7 +462,7 @@ def _initial_w(config: ExperimentConfig, problem: Problem, seed: int) -> np.ndar
         return np.random.default_rng([seed, 10007]).standard_normal(problem.shape)
     W_init = problem.metadata.get("W_init")
     if W_init is None:
-        raise ValueError("problem carries no stored initialization for w0=init")
+        raise ValueError("run.w0 = init needs a problem that stores its initialization")
     return W_init.copy()
 
 
@@ -1117,7 +1117,7 @@ def _nonconvex_run(a):
     problem = build_problem({"kind": "quadratic", "m": 8, "n": 10, "cond": 100.0,
                              "decay": "two_cluster", "seed": a.seed}, run_seed=a.seed)
     return (problem,), {"T": min(a.iters, 300), "beta": a.beta, "sigma": a.sigma,
-                        "batch": a.batch, "runs": max(20, a.trials) if a.sigma > 0 else 1,
+                        "batch": a.batch, "runs": a.trials if a.sigma > 0 else 1,
                         "seed": a.seed}
 
 
@@ -1214,8 +1214,6 @@ def _cmd_run(args) -> int:
     if args.optimizer:
         optimizer["kind"] = args.optimizer
     if args.beta is not None:
-        if not 0.0 <= args.beta < 1.0:
-            raise ValueError(f"--beta must lie in [0, 1), got {args.beta}")
         optimizer["beta"] = args.beta
     changes = {"optimizer": optimizer}
     if args.out:
@@ -1235,10 +1233,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 0.0 <= args.beta < 1.0:
-        raise ValueError(f"--beta must lie in [0, 1), got {args.beta}")
-    if args.iters < 1:
-        raise ValueError(f"--iters must be at least 1, got {args.iters}")
     run, check, which = VERIFY_CHECKS[args.check]
     positional, keywords = run(args)
     if which is not None:
@@ -1259,8 +1253,6 @@ def _cmd_spectra(args) -> int:
     elif args.kind == "gaussian":
         A = problems.gaussian_features(args.d, args.B, seed=args.seed)
     elif args.kind == "lowrank":
-        if not args.ratio >= 1:
-            raise ValueError(f"--ratio must be at least 1, got {args.ratio}")
         A = problems.lowrank_features(args.d, args.B, args.ratio, seed=args.seed)
     else:
         print("error: pass --csv or --kind", file=sys.stderr)
@@ -1285,6 +1277,9 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     created = []
     token = problems.new_files.set(created)
     try:
+        for dest, value in vars(args).items():  # each numeric flag, as argparse typed it
+            if type(value) in (int, float):
+                _typed(f"--{dest}", value, type(value))
         if args.cmd == "run":
             return _cmd_run(args)
         if args.cmd == "ratio-study":

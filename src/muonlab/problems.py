@@ -378,9 +378,11 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
     """
     if loss not in ("mse", "softmax_ce"):
         raise ValueError(f"unknown loss {loss!r}")
+    shapes = [tuple(s) for s in layer_shapes]
+    if min(min(s) for s in shapes) < 1:
+        raise ValueError(f"every layer width must be at least 1, got {shapes}")
     X = matcore.as_matrix(X)
     Y = matcore.as_matrix(Y).copy(order="K")
-    shapes = [tuple(s) for s in layer_shapes]
     for i in range(1, len(shapes)):
         if shapes[i][1] != shapes[i - 1][0]:
             raise ValueError(f"layer shape chain broken between {shapes[i-1]} and {shapes[i]}")

@@ -13,6 +13,7 @@ that amount before slack was applied.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
@@ -48,9 +49,10 @@ class _Margins:
 
     def check(self, lhs: float, rhs: float, slack: float, where, label: str = ""):
         margin = float(lhs - rhs)
+        if math.isnan(margin):  # nan > slack is false, so it would pass unseen
+            raise ValueError(f"{label} at {where}: margin {lhs} - {rhs} is nan")
         self.count += 1
-        if margin > self.worst:
-            self.worst = margin
+        self.worst = max(self.worst, margin)
         if margin > slack:
             self.violations.append(
                 {"where": where, "label": label, "lhs": float(lhs),

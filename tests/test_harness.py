@@ -1,3 +1,4 @@
+import argparse
 import ast
 import concurrent.futures
 import dataclasses
@@ -5,6 +6,7 @@ import json
 import multiprocessing
 import os
 import re
+import tempfile
 import threading
 import warnings
 from collections import Counter
@@ -63,9 +65,10 @@ _NUMBERLIKE = st.one_of(st.text("0123456789", min_size=1, max_size=6),
                         st.sampled_from(("true", "false")),
                         st.builds("{}e{}".format, st.integers(0, 99), st.integers(-9, 9)))
 _TEXT = _WORD | _PATHLIKE | _NUMBERLIKE
-_NUMBER = st.floats(allow_nan=False)
-_STEPSIZE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+_STEPSIZE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _WHOLE = st.integers(-10 ** 9, 10 ** 9)
+_COUNT = st.integers(1, 10 ** 9)
+_RATIO = st.floats(min_value=1.0, allow_infinity=False)
 _SEED_MODE = st.sampled_from(("fixed", "per_run"))
 
 
@@ -73,24 +76,27 @@ _SEED_MODE = st.sampled_from(("fixed", "per_run"))
 @given(problem=st.one_of(
            st.fixed_dictionaries({"kind": st.just("linear_mse"), "seed_mode": _SEED_MODE,
                                   "features": st.sampled_from(("gaussian", "lowrank", "csv")),
-                                  "path": _TEXT, "c": _WHOLE,
+                                  "path": _TEXT, "c": _COUNT,
                                   "skip_header": st.booleans()}),
            st.fixed_dictionaries({"kind": st.just("mlp"), "loss": _TEXT,
                                   "seed_mode": _SEED_MODE,
                                   "data": st.sampled_from(("lowrank", "gaussian")),
-                                  "dims": st.lists(_WHOLE, min_size=1, max_size=4).map(tuple),
-                                  "target_ratio": _NUMBER}),
+                                  "dims": st.lists(_COUNT, min_size=1, max_size=4).map(tuple),
+                                  "target_ratio": _RATIO}),
            st.fixed_dictionaries({"kind": st.just("quadratic"), "m": st.integers(2, 10 ** 9),
                                   "seed_mode": _SEED_MODE,
                                   "wstar": st.sampled_from(("uniform", "gaussian")),
-                                  "cond": _NUMBER, "decay": _TEXT})),
-       optimizer=st.fixed_dictionaries({"kind": st.just("muon"), "beta": _NUMBER,
+                                  "cond": _RATIO.filter(lambda c: c > 1),
+                                  "decay": _TEXT})),
+       optimizer=st.fixed_dictionaries({"kind": st.just("muon"),
+                                        "beta": st.floats(0.0, 1.0, exclude_max=True),
                                         "orthogonalizer": st.sampled_from(("svd", "ns"))}),
-       eta=_NUMBER,
+       eta=_STEPSIZE,
        run=st.fixed_dictionaries({
            "T": st.integers(1, 10 ** 9), "cadence": st.integers(1, 10 ** 9),
            "want_J": st.booleans(), "checkpoint": st.booleans(), "workers": _WHOLE,
-           "seeds": st.lists(_WHOLE, min_size=1, max_size=4, unique=True).map(tuple),
+           "seeds": st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=4,
+                             unique=True).map(tuple),
            "lr_grid": st.none() | st.lists(_STEPSIZE, min_size=1, max_size=4).map(tuple),
            "out_dir": st.none() | _TEXT, "name": _TEXT,
            "w0": st.sampled_from(("zeros", "gaussian", "init"))}))
@@ -179,8 +185,8 @@ def test_config_validation():
         quad_config(seeds=(1, 1))
     with pytest.raises(ValueError):
         quad_config(w0="bogus")
-    for grid in ((0.1, -0.001), (0.0,)):
-        with pytest.raises(ValueError, match="^run.lr_grid entries must be positive$"):
+    for grid, bad in (((0.1, -0.001), "-0.001"), ((0.0,), "0.0")):
+        with pytest.raises(ValueError, match=f"^run.lr_grid must be positive, got {bad}$"):
             quad_config(lr_grid=grid)
     for key, value in (("T", 4.5), ("T", (1, 2)), ("cadence", 2.5), ("workers", 1.5),
                        ("want_J", "yes"), ("want_L", 1), ("want_hatJ", "no"),
@@ -225,7 +231,7 @@ def test_cli_run_nonpositive_lr_grid_exits_2(tmp_path, capsys, optimizer, grid):
     rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.splitlines() == ["error: run.lr_grid entries must be positive"]
+    assert err.splitlines() == ["error: run.lr_grid must be positive, got -0.001"]
     assert [p.name for p in tmp_path.iterdir()] == ["bad.toml"]
 
 
@@ -1330,7 +1336,7 @@ def test_cli_run_bad_iters_exits_2(tmp_path, capsys, iters):
                            "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.splitlines() == ["error: run.T must be at least 1"]
+    assert err.splitlines() == [f"error: --iters must be at least 1, got {iters}"]
     assert [p.name for p in tmp_path.iterdir()] == ["quad.toml"]
 
 
@@ -1530,11 +1536,237 @@ def test_cli_run_out_of_range_value_names_the_key(tmp_path, capsys, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["bad.toml"]
 
 
+def refuse_work(*args, **kwargs):
+    raise AssertionError("work began for a refused input")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every builder, study and check the CLI calls raises AssertionError (exit 1)."""
+    for name in ("build_problem", "figure2_suite", "figure3_suite", "ratio_study"):
+        monkeypatch.setattr(harness, name, refuse_work)
+    for name in ("gaussian_features", "lowrank_features", "load_features_csv"):
+        monkeypatch.setattr(problems, name, refuse_work)
+    monkeypatch.setattr(harness, "VERIFY_CHECKS", {
+        name: (refuse_work, refuse_work, which)
+        for name, (_, _, which) in harness.VERIFY_CHECKS.items()})
+
+
+@pytest.mark.parametrize("base,line,message", [
+    ({}, "problem.n = 0", "problem.n must be at least 1, got 0"),
+    ({}, "problem.cond = nan", "problem.cond must exceed 1, got nan"),
+    ({}, "problem.wstar_scale = -1.0", "problem.wstar_scale must be at least 0, got -1.0"),
+    ({"optimizer": {"kind": "adam"}}, "optimizer.eps = nan",
+     "optimizer.eps must be positive, got nan"),
+    ({"optimizer": {"kind": "adam"}}, "optimizer.beta1 = nan",
+     "optimizer.beta1 must lie in [0, 1), got nan"),
+    ({"optimizer": {"kind": "adamw"}}, "optimizer.beta2 = nan",
+     "optimizer.beta2 must lie in [0, 1), got nan"),
+    ({"optimizer": {"kind": "adam"}}, "optimizer.beta1 = 1.0",
+     "optimizer.beta1 must lie in [0, 1), got 1.0"),
+    ({"optimizer": {"kind": "adam"}}, "optimizer.eps = inf",
+     "optimizer.eps must be finite, got inf"),
+    ({"w0": "gaussian"}, "run.seeds = 2,-1", "run.seeds must be at least 0, got -1"),
+    ({"problem": MLP_SPEC}, "problem.dims = 4,0,3", "problem.dims must be at least 1, got 0"),
+    ({"problem": MLP_SPEC}, "problem.input_dim = 0",
+     "problem.input_dim must be at least 1, got 0"),
+    ({"problem": {"kind": "linear_mse", "d": 8, "B": 12}}, "problem.c = 0",
+     "problem.c must be at least 1, got 0"),
+    ({"schedule": {"kind": "nonconvex_L"}}, "schedule.beta = 1.0",
+     "schedule.beta must lie in [0, 1), got 1.0"),
+    ({"schedule": {"kind": "adaptive_rL"}}, "schedule.L = -2.0",
+     "schedule.L must be positive, got -2.0"),
+], ids=["n", "cond", "wstar_scale", "eps", "beta1", "beta2", "beta1-one", "eps-inf", "seeds",
+        "dims", "input_dim", "c", "schedule-beta", "schedule-L"])
+def test_cli_run_refuses_an_out_of_range_key_before_any_work(tmp_path, capsys, no_work, base,
+                                                             line, message):
+    cfg_path = tmp_path / "bad.toml"
+    cfg_path.write_text(with_line(quad_config(T=5, **base).to_text(), line))
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.toml"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fig2", "--iters", "0"], "--iters must be at least 1, got 0"),
+    (["fig2", "--classes", "0"], "--classes must be at least 1, got 0"),
+    (["fig3", "--cadence", "0"], "--cadence must be at least 1, got 0"),
+    (["spectra", "--kind", "gaussian", "--d", "0"], "--d must be at least 1, got 0"),
+    (["spectra", "--kind", "lowrank", "--B", "-1"], "--B must be at least 1, got -1"),
+    (["ratio-study", "--samples", "0"], "--samples must be at least 1, got 0"),
+    (["ratio-study", "--cond", "nan"], "--cond must exceed 1, got nan"),
+    (["ratio-study", "--m", "0"], "--m must be at least 1, got 0"),
+    (["verify", "--check", "nonconvex-rL", "--sigma", "nan"],
+     "--sigma must be at least 0, got nan"),
+    (["verify", "--check", "nonconvex-rL", "--sigma", "-1"],
+     "--sigma must be at least 0, got -1.0"),
+    (["verify", "--check", "momentum-error", "--sigma", "inf"], "--sigma must be finite, got inf"),
+    (["verify", "--check", "momentum-error", "--batch", "0"], "--batch must be at least 1, got 0"),
+    (["verify", "--check", "norm-lemmas", "--instances", "0"],
+     "--instances must be at least 1, got 0"),
+    (["verify", "--check", "momentum-error", "--trials", "10"],
+     "--trials must be at least 50, got 10"),
+    (["verify", "--check", "taylor", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["run", "--lr", "-1"], "--lr must be positive, got -1.0"),
+    (["run", "--lr", "nan"], "--lr must be positive, got nan"),
+    (["run", "--lr", "inf"], "--lr must be finite, got inf"),
+])
+def test_cli_refuses_an_out_of_range_flag_before_any_work(tmp_path, capsys, no_work, argv,
+                                                          message):
+    made = []
+    if argv[0] == "run":
+        cfg_path = tmp_path / "quad.toml"
+        cfg_path.write_text(quad_config(T=5).to_text())
+        argv = argv + ["--config", str(cfg_path)]
+        made.append(cfg_path.name)
+    rc = harness.cli_main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert [p.name for p in tmp_path.iterdir()] == made
+
+
+def test_range_table_names_only_config_keys_and_flags():
+    keys = {f"{section}.{key}" for section, (_, kinds) in harness.CONFIG_SCHEMA.items()
+            for types in kinds.values() for key in types}
+    parser = harness._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for command in commands.values() for action in command._actions
+             for flag in action.option_strings}
+    assert set(harness._RANGES) - keys - flags == set()
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract
+# ---------------------------------------------------------------------------
+
+# values that miss most ranges or are no number at all; none is a large size
+_EDGE = st.sampled_from((0, -1, float("inf"), float("-inf"), float("nan"), "many"))
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+_SIZE = st.integers(1, 6)
+# each optimizer key's range, as valid draws
+_OPTIMIZER_DRAWS = {"beta": _UNIT, "beta1": _UNIT, "beta2": _UNIT, "mu": _UNIT,
+                    "eps": st.floats(1e-12, 1.0), "weight_decay": st.floats(0.0, 1.0),
+                    "ns_steps": st.integers(0, 6),
+                    "orthogonalizer": st.sampled_from(("svd", "ns"))}
+
+
+def _edged(draw, values: dict, optional=()) -> dict:
+    """values (name -> strategy of its valid values) drawn, with up to two of them
+    drawn as edge values instead and each name of optional perhaps left out."""
+    # half the inputs keep every value in range, so runs and checks go through too
+    count = draw(st.sampled_from((0, 0, 1, 2)))
+    edged = draw(st.lists(st.sampled_from(sorted(values)), min_size=count, max_size=count,
+                          unique=True))
+    drawn = {name: draw(_EDGE if name in edged else valid) for name, valid in values.items()}
+    return {name: value for name, value in drawn.items()
+            if name in edged or name not in optional or draw(st.booleans())}
+
+
+def _argv(flags: dict) -> list:
+    return [text for flag, value in flags.items() for text in (flag, harness._format_value(value))]
+
+
+@st.composite
+def _run_inputs(draw):
+    """(config text, run flags): a small config and flags, each number drawn from
+    its range, up to two of them as edge values."""
+    kind = draw(st.sampled_from(("quadratic", "linear_mse", "mlp")))
+    words = {"problem.kind": kind,
+             "optimizer.kind": draw(st.sampled_from(tuple(harness._OPTIMIZERS))),
+             "run.want_J": draw(st.booleans()), "run.want_L": draw(st.booleans()),
+             "run.w0": draw(st.sampled_from(("zeros", "gaussian", "init")))}
+    numbers = {"problem.seed": st.integers(0, 9), "schedule.eta": st.floats(1e-4, 1.0),
+               "run.T": st.integers(1, 3), "run.cadence": st.integers(1, 3),
+               "run.seeds": st.lists(st.integers(0, 9), min_size=1, max_size=2,
+                                     unique=True).map(tuple),
+               "run.lr_grid": st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=3).map(tuple)}
+    if kind == "quadratic":
+        numbers.update({"problem.m": st.integers(2, 6), "problem.n": _SIZE,
+                        "problem.cond": st.floats(1.5, 1e4),
+                        "problem.wstar_scale": st.floats(0.0, 60.0)})
+    else:
+        numbers.update({"problem.B": _SIZE, "problem.target_ratio": st.floats(1.0, 6.0)})
+    if kind == "linear_mse":
+        words["problem.features"] = draw(st.sampled_from(("gaussian", "lowrank")))
+        numbers.update({"problem.d": _SIZE, "problem.c": _SIZE})
+    if kind == "mlp":
+        words["problem.data"] = draw(st.sampled_from(("lowrank", "gaussian")))
+        numbers.update({"problem.input_dim": _SIZE, "problem.train_layer": st.integers(0, 2),
+                        "problem.dims": st.lists(_SIZE, min_size=1, max_size=3).map(tuple)})
+    for key in harness._OPTIMIZERS[words["optimizer.kind"]][2]:
+        numbers[f"optimizer.{key}"] = _OPTIMIZER_DRAWS[key]
+    flags = {"--iters": st.integers(1, 3), "--lr": st.floats(1e-4, 1.0),
+             "--seed": st.integers(0, 9)}
+    if words["optimizer.kind"] == "muon":  # the one kind that reads what --beta sets
+        flags["--beta"] = _UNIT
+    values = _edged(draw, {**numbers, **flags},
+                    optional=("run.lr_grid", "problem.train_layer", *flags))
+    text = "".join(f"{key} = {harness._format_value(value)}\n"
+                   for key, value in {**words, **values}.items() if not key.startswith("--"))
+    return text, _argv({flag: value for flag, value in values.items() if flag.startswith("--")})
+
+
+def _check_exit(rc: int, err: str, names, workdir: Path, kept) -> None:
+    """No traceback; on exit 2 exactly one error line, naming one of names, and no
+    file in workdir but those of kept."""
+    assert "Traceback" not in err
+    if rc == 2:
+        lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(lines) == 1, err
+        assert any(name in lines[0] for name in names), lines[0]
+        assert sorted(p.name for p in workdir.rglob("*") if p.is_file()) == sorted(kept)
+
+
+# lowrank_features and mlp_new refuse a target_ratio above min(d, B) and a
+# train_layer past the last layer by the bare key: ranges set by other keys
+_CROSS_KEY = ("target_ratio", "train_layer")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_run_inputs())
+def test_cli_run_exit_code_contract_property(capsys, inputs):
+    text, flags = inputs
+    with tempfile.TemporaryDirectory() as scratch:
+        workdir = Path(scratch)
+        (workdir / "cfg.toml").write_text(text)
+        rc = harness.cli_main(["run", "--config", str(workdir / "cfg.toml"),
+                               "--out", str(workdir / "out"), *flags])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), err
+        names = [line.split(" = ")[0] for line in text.splitlines()] + flags[::2]
+        _check_exit(rc, err, names + list(_CROSS_KEY), workdir, ["cfg.toml"])
+
+
+@st.composite
+def _verify_argv(draw):
+    check = draw(st.sampled_from(tuple(harness.VERIFY_CHECKS)))
+    # --iters, --instances and --trials are always given: their defaults are full scale
+    return ["verify", "--check", check, *_argv(_edged(draw, {
+        "--iters": st.integers(1, 3), "--instances": _SIZE, "--trials": st.integers(50, 60),
+        "--seed": st.integers(0, 9), "--sigma": st.floats(0.0, 2.0), "--batch": st.integers(1, 4),
+        "--beta": _UNIT}, optional=("--seed", "--sigma", "--batch", "--beta")))]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_verify_argv())
+def test_cli_verify_exit_code_contract_property(capsys, argv):
+    with tempfile.TemporaryDirectory() as scratch:
+        workdir = Path(scratch)
+        rc = harness.cli_main([*argv, "--out", str(workdir / "report.json")])
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), err
+        _check_exit(rc, err, argv[3::2], workdir, [])
+
+
 @pytest.mark.parametrize("name,changes", [
     ("target_ratio", {"problem": {"kind": "linear_mse", "d": 8, "B": 12,
                                   "features": "lowrank", "target_ratio": float("nan")}}),
     ("target_ratio", {"problem": dict(MLP_SPEC, target_ratio=float("nan"))}),
-    ("'eta'", {"schedule": {"kind": "constant", "eta": float("inf")}}),
+    ("schedule.eta", {"schedule": {"kind": "constant", "eta": float("inf")}}),
 ], ids=["linmse-nan-target_ratio", "mlp-nan-target_ratio", "constant-inf-eta"])
 def test_cli_run_nonfinite_value_exits_2(tmp_path, capsys, name, changes):
     cfg_path = tmp_path / "bad.toml"
@@ -1643,8 +1875,7 @@ def test_cli_verify_zero_instances_exits_2(capsys):
     rc = harness.cli_main(["verify", "--check", "norm-lemmas", "--instances", "0"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: the norm-lemma audit needs at least one instance"]
+    assert captured.err.splitlines() == ["error: --instances must be at least 1, got 0"]
 
 
 def test_verify_smoothness_constants_bit_exact():

@@ -438,6 +438,17 @@ def test_mlp_broken_chain_raises():
         problems.mlp_new([(3, 4), (2, 5)], np.zeros((4, 3)), np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("dims", [(4, 0, 3), (0,), (4, -1, 3)])
+def test_mlp_refuses_a_layer_width_below_one(dims):
+    shapes, prev = [], 5
+    for width in dims:
+        shapes.append((width, prev))
+        prev = width
+    X = np.random.default_rng(0).standard_normal((5, 7))
+    with pytest.raises(ValueError, match="every layer width must be at least 1"):
+        problems.mlp_new(shapes, X, np.zeros((dims[-1], 7)))
+
+
 def test_mlp_kink_margin():
     rng = np.random.default_rng(29)
     prob = _small_mlp(rng)

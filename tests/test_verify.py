@@ -326,6 +326,13 @@ def test_nonconvex_rate_bound_deterministic():
         assert report.passed, which
 
 
+@pytest.mark.parametrize("which", ["rL", "Lstar"])
+def test_nonconvex_rate_bound_refuses_a_nan_margin(which):
+    problem = harness.build_problem({"kind": "quadratic", "m": 3, "n": 4, "cond": 10.0})
+    with pytest.raises(ValueError, match=f"^nonconvex-{which} at 0: margin .* is nan$"):
+        verify.check_nonconvex_rate_bound(problem, which=which, T=3, sigma=float("nan"))
+
+
 def test_nonconvex_rate_bound_stochastic():
     prob_spec = {"kind": "quadratic", "m": 6, "n": 8, "cond": 50.0,
                  "decay": "two_cluster", "seed": 6}

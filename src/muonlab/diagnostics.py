@@ -46,16 +46,17 @@ class StepRecord:
 FLAG_RAYLEIGH = "rayleigh-violated"
 
 
-def validate_record(rec: StepRecord, r: int, rank_t: Optional[int] = None,
+def validate_record(rec: StepRecord, r: int, dir_sq: Optional[float] = None,
                     tol: float = 1e-9, strict: bool = True) -> bool:
     """Check the norm bracket and the Rayleigh bound on a logged row.
 
-    r is min(m, n) of the parameter; rank_t is the rank of the update
-    direction when J_t was computed.  The norm bracket always raises on
-    violation.  The Rayleigh bound |J_t| <= L_t * rank raises only when
-    strict; with strict=False (finite-difference Hessian oracles, where probe
-    steps crossing an activation kink can corrupt either side) a violation is
-    reported through the return value so the caller can flag the row.
+    r is min(m, n) of the parameter; dir_sq is ||O_t||_F^2 for the direction
+    O_t of J_t (its rank for an SVD direction).  The norm bracket always
+    raises on violation.  The Rayleigh bound |J_t| <= L_t * dir_sq, which
+    holds for any direction, raises only when strict; with strict=False
+    (finite-difference Hessian oracles, where probe steps crossing an activation
+    kink can corrupt either side) a violation is reported through the return
+    value so the caller can flag the row.
     """
     if rec.grad_nuc < rec.grad_F - tol * max(1.0, rec.grad_F):
         raise AssertionError(
@@ -63,12 +64,12 @@ def validate_record(rec: StepRecord, r: int, rank_t: Optional[int] = None,
     if rec.grad_nuc > np.sqrt(r) * rec.grad_F + tol * max(1.0, rec.grad_F):
         raise AssertionError(
             f"step {rec.t}: nuclear norm {rec.grad_nuc} exceeds sqrt(r)*Frobenius bound")
-    if rec.J_t is not None and rec.L_t is not None and rank_t is not None:
-        bound = rec.L_t * rank_t + tol * max(1.0, abs(rec.L_t) * max(rank_t, 1))
+    if rec.J_t is not None and rec.L_t is not None and dir_sq is not None:
+        bound = rec.L_t * dir_sq + tol * max(1.0, abs(rec.L_t) * max(dir_sq, 1.0))
         if abs(rec.J_t) > bound:
             if strict:
-                raise AssertionError(
-                    f"step {rec.t}: |J_t|={abs(rec.J_t)} exceeds L_t*rank={rec.L_t * rank_t}")
+                raise AssertionError(f"step {rec.t}: |J_t|={abs(rec.J_t)} exceeds "
+                                     f"L_t*||O_t||_F^2={rec.L_t * dir_sq}")
             return False
     return True
 
@@ -88,11 +89,6 @@ class RunSummary:
 
     def to_dict(self):
         return asdict(self)
-
-
-def direction_rank(O: np.ndarray) -> int:
-    """Rank of a semi-orthogonal direction (its squared Frobenius norm)."""
-    return int(round(float(np.sum(O * O))))
 
 
 def j_t(problem: Problem, W, O) -> float:
@@ -198,4 +194,7 @@ def comparison_ratio(D_F: float, D_op: float, L: float, L_star: float) -> float:
     """The rate-comparison quantity D_F^2 L / (D_op^2 L_star)."""
     if min(D_F, D_op, L, L_star) <= 0:
         raise ValueError("all inputs must be positive")
-    return (D_F ** 2 * L) / (D_op ** 2 * L_star)
+    try:
+        return (D_F ** 2 * L) / (D_op ** 2 * L_star)
+    except OverflowError:  # a float's ** past the largest float raises; its / and * do not
+        return (D_F / D_op) * (D_F / D_op) * (L / L_star)

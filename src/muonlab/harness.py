@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import functools
 import json
 import os
@@ -32,7 +33,7 @@ from . import matcore, optim, problems, verify
 from .diagnostics import (FLAG_DIVERGED, FLAG_FD_KINK, FLAG_POWER_FALLBACK,
                           FLAG_RAYLEIGH, FLAG_ZERO_DIRECTION, RunSummary,
                           StepRecord, average_j, comparison_ratio,
-                          direction_rank, distance_metrics, hat_j_t, j_t, l_t,
+                          distance_metrics, hat_j_t, j_t, l_t,
                           ratio_condition, validate_record, weighted_j_tilde)
 from .problems import Problem, f_star
 
@@ -45,11 +46,8 @@ DIVERGENCE_FACTOR = 1e6
 # rows in _diagnostic_run, samples in ratio_study.
 DISTANCE_BLOCK = 100
 
-# Fewest entries per matrix for which a grid scan splits its polar factors
-# over the cores.  On 2 cores, splitting a 9-slice stack over two threads lost
-# at 4x6 and 8x10, was a toss-up at 15x20, won at 20x30 to 32x64 in two of
-# three runs, and won in all three at 64x128 and 100x196
-# (BENCH_split_polar.json).
+# Fewest entries per matrix for which a grid scan splits its rows over the
+# cores: where splitting its polar factors paid (BENCH_split_polar.json).
 SPLIT_MIN_ENTRIES = 32 * 64
 
 
@@ -122,8 +120,9 @@ RUN_KEYS = tuple(CONFIG_SCHEMA["run"][1]["run"])
 # do), for every number a user types whose type alone lets through values that would
 # fail late or silently.  _typed applies it, before any problem is built.
 _RANGES = {key: rule for keys, rule in (
-    ("problem.seed problem.wstar_scale run.seeds --seed --sigma",
-     (lambda v: v >= 0, "be at least 0")),
+    ("problem.seed run.seeds --seed --sigma", (lambda v: v >= 0, "be at least 0")),
+    # W* draws scale * U(-1, 1) or scale * N(0, 1): both stay finite up to here
+    ("problem.wstar_scale", (lambda v: 0 <= v <= 1e300, "lie in [0, 1e300]")),
     ("problem.n problem.d problem.B problem.c problem.input_dim problem.dims problem.target_ratio"
      " run.T run.cadence --iters --cadence --classes --m --n --samples --d --B --ratio"
      " --instances --batch", (lambda v: v >= 1, "be at least 1")),
@@ -383,12 +382,14 @@ class _OptRun:
         W_next = stepper(*args, out=out, **self.options)
         return W_next, getattr(self.state, "last_direction", None)
 
-    def keep(self, rows) -> None:
-        """Keep only the given runs of a stacked state."""
+    def keep(self, rows) -> "_OptRun":
+        """A run of the given runs of a stacked state, on views of it for a slice."""
+        part = copy.copy(self)
         if self.state is not None:
-            for name, value in vars(self.state).items():
-                if isinstance(value, np.ndarray):
-                    setattr(self.state, name, value[rows])
+            part.state = replace(self.state, **{name: value[rows] for name, value
+                                                in vars(self.state).items()
+                                                if isinstance(value, np.ndarray)})
+        return part
 
 
 def make_schedule(spec: dict, problem: Problem, T: int, W0: np.ndarray):
@@ -499,69 +500,98 @@ def _divergence_guard(f0: float):
     return lambda f: np.isfinite(f) and f <= limit
 
 
+class _GridRows:
+    """Grid points in lockstep: row j of the (k, m, n) stack W is grid point
+    live[j], stepped at eta[j] by opt.  The oracle takes the stack or each row,
+    the optimizer steps the stack at once (one stacked factorization per Muon
+    step), and a row whose loss trips the divergence guard leaves the stack."""
+
+    def __init__(self, opt: _OptRun, W: np.ndarray, eta: np.ndarray, live: list):
+        self.opt, self.W, self.eta, self.live, self.G = opt, W, eta, live, np.empty_like(W)
+
+    def step(self, problem: Problem, in_bounds, probe: bool = False) -> bool:
+        """Evaluate every row, drop those whose loss is not in_bounds, step the rest.
+        With probe, row 1 runs on one BLAS thread, then takes row 0's values, and the
+        result says whether they and the gradient's polar factor matched bit for bit."""
+        if problem.value_grad_stacks:
+            values, self.G = problem.value_grad(self.W)
+        else:
+            values = []
+            for j, W in enumerate(self.W):
+                with matcore.one_blas_thread() if probe and j == 1 else contextlib.nullcontext():
+                    f, self.G[j] = problem.value_grad(W)
+                values.append(f)
+        same = probe and (values[1] == values[0] and np.array_equal(self.G[1], self.G[0])
+                          and matcore.polar_keeps_bits_on_one_thread(self.G[0]))
+        if probe:
+            values[1], self.G[1] = values[0], self.G[0]
+        rows = [j for j, f in enumerate(values) if in_bounds(f)]
+        if len(rows) < len(self.live):
+            self.live = [self.live[j] for j in rows]
+            self.W, self.G, self.eta = self.W[rows], self.G[rows], self.eta[rows]
+            self.opt = self.opt.keep(rows)
+        if rows:
+            self.opt.step(self.W, self.G, self.eta, out=self.W)
+        return same
+
+    def run(self, problem: Problem, in_bounds, steps: int, results: list) -> None:
+        """Take steps steps, then write each row's final loss that is in_bounds to
+        results at its grid index."""
+        for _ in range(steps):
+            if not self.live:
+                return
+            self.step(problem, in_bounds)
+        for W, idx in zip(self.W, self.live):
+            f = problem.value(W)
+            if in_bounds(f):
+                results[idx] = (float(f), False)
+
+    def blocks(self, parts: int) -> list:
+        """The rows cut into up to `parts` contiguous blocks on views of this one's."""
+        parts = min(parts, len(self.live)) or 1
+        edges = [len(self.live) * p // parts for p in range(parts + 1)]
+        return [_GridRows(self.opt.keep(slice(a, b)), self.W[a:b], self.eta[a:b],
+                          self.live[a:b]) for a, b in zip(edges, edges[1:])]
+
+
 def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
                W0: np.ndarray, cores: int = 1) -> list:
     """Final loss of a diagnostics-free run at every stepsize in etas.
 
     Returns [(final_f, diverged), ...] in grid order, with (inf, True) for a
-    diverged point.  The points advance in lockstep on a (k, m, n) stack:
-    the oracle is called once for the stack when it takes stacks and per
-    point otherwise, the optimizer steps the whole stack at once (one stacked
-    factorization per Muon step), and a point that trips the divergence guard
-    leaves the stack.  Each point's result is bit for bit the one a separate
-    run would give.
+    diverged point.  The points advance in lockstep as _GridRows, and each
+    point's result is bit for bit the one a separate run would give.
 
-    With cores >= 2 the steps after the first may run inside
-    matcore.one_blas_thread(cores), every BLAS call on one thread and each
-    stacked polar factor split over the cores.  That needs two or more
-    points, a per-point oracle, a Muon step that factorizes by SVD, matrices
-    of at least SPLIT_MIN_ENTRIES entries, and a probe: at step 0, where
-    every point is W0, point 1 is evaluated on one thread, and its loss and
-    gradient, and the polar factor of the gradient, must match point 0's on
-    the process's thread count bit for bit.  Whether they do depends on the
-    shapes and the BLAS build, not on the kind of problem.  The probe makes
-    no oracle call or factorization of its own beyond one polar factor of
-    W0's gradient on each thread count.
+    With cores >= 2 the steps after the first may run in up to `cores`
+    contiguous row blocks at once inside matcore.one_blas_thread(): the
+    calling thread runs block 0 and helper threads the others.  That needs two
+    or more points, a per-point oracle, a Muon step that factorizes by SVD,
+    matrices of at least SPLIT_MIN_ENTRIES entries, and a probe at step 0,
+    where every point is W0: point 1's loss and gradient, evaluated on one
+    thread, and the gradient's polar factor must match point 0's on the
+    process's thread count bit for bit.  That depends on the shapes and the
+    BLAS build, not on the kind of problem.
     """
     results = [(float("inf"), True)] * len(etas)
-    live = list(range(len(etas)))  # grid index of each stack row
-    opt = _OptRun(opt_spec)
-    W = np.repeat(W0[None], len(etas), axis=0)
-    G = np.empty_like(W)
-    eta = np.array(etas, dtype=np.float64).reshape(-1, 1, 1)
+    blocks = [_GridRows(_OptRun(opt_spec), np.repeat(W0[None], len(etas), axis=0),
+                        np.array(etas, dtype=np.float64).reshape(-1, 1, 1), list(range(len(etas))))]
     in_bounds = _divergence_guard(problem.value(W0))
-    probing = (cores >= 2 and len(etas) >= 2 and not problem.value_grad_stacks
-               and getattr(opt.state, "orthogonalizer", None) == "svd"
-               and W0.size >= SPLIT_MIN_ENTRIES)
-    with contextlib.ExitStack() as scope:
-        for _ in range(T):
-            if problem.value_grad_stacks:
-                values, G = problem.value_grad(W)
-            else:
-                values = []
-                for j in range(len(live)):
-                    probe_row = probing and j == 1
-                    with matcore.one_blas_thread() if probe_row else contextlib.nullcontext():
-                        f, G[j] = problem.value_grad(W[j])
-                    values.append(f)
-            if probing:
-                probing = False
-                if (values[1] == values[0] and np.array_equal(G[1], G[0])
-                        and matcore.polar_keeps_bits_on_one_thread(G[0])):
-                    scope.enter_context(matcore.one_blas_thread(cores))
-                values[1], G[1] = values[0], G[0]  # the process's bits, should they differ
-            rows = [j for j, f in enumerate(values) if in_bounds(f)]
-            if len(rows) < len(live):
-                if not rows:
-                    return results
-                live = [live[j] for j in rows]
-                W, G, eta = W[rows], G[rows], eta[rows]
-                opt.keep(rows)
-            opt.step(W, G, eta, out=W)
-        for j, idx in enumerate(live):
-            f = problem.value(W[j])
-            if in_bounds(f):
-                results[idx] = (float(f), False)
+    if (cores >= 2 and len(etas) >= 2 and not problem.value_grad_stacks
+            and getattr(blocks[0].opt.state, "orthogonalizer", None) == "svd"
+            and W0.size >= SPLIT_MIN_ENTRIES):
+        if blocks[0].step(problem, in_bounds, probe=True):
+            blocks = blocks[0].blocks(cores)
+        T -= 1
+    if len(blocks) == 1:
+        blocks[0].run(problem, in_bounds, T, results)
+        return results
+    # imported here, so a scan that never splits skips the import
+    from concurrent.futures import ThreadPoolExecutor
+    with matcore.one_blas_thread(), ThreadPoolExecutor(
+            len(blocks) - 1, thread_name_prefix="muonlab-rows") as pool:
+        helpers = pool.map(lambda block: block.run(problem, in_bounds, T, results), blocks[1:])
+        blocks[0].run(problem, in_bounds, T, results)
+        list(helpers)  # raises what a helper raised
     return results
 
 
@@ -617,12 +647,12 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
             rec = StepRecord(t=t, f=float(f), grad_F=grad_F, grad_nuc=grad_nuc,
                              eta=float(eta))
             flags = []
-            rank_t = None
+            dir_sq = None
             if config.want_J or config.want_hatJ:
                 O_diag = O if O is not None else optim.orthogonalize(G)
                 # j_t and hat_j_t give 0.0 for a zero direction or difference
                 rec.J_t = j_t(problem, W, O_diag)
-                rank_t = direction_rank(O_diag)
+                dir_sq = float(np.sum(O_diag * O_diag))
                 zero = not np.any(O_diag)
                 if config.want_hatJ:
                     grad_next = problem.grad(W_next)
@@ -645,7 +675,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
                 pending.append((rec, W))
                 if len(pending) == DISTANCE_BLOCK:
                     _fill_distances(pending, W_star)
-            if not validate_record(rec, r, rank_t, strict=problem.hvp_exact):
+            if not validate_record(rec, r, dir_sq, strict=problem.hvp_exact):
                 flags.append(FLAG_RAYLEIGH)
             rec.flags = ";".join(flags)
             records.append(rec)
@@ -716,7 +746,7 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None, *,
                         for eta, (fT, diverged) in zip(config.lr_grid, scan)]
         best = _best_point(config.lr_grid, scan)
         if best[1] is None:
-            raise RuntimeError("every stepsize in the tuning grid diverged")
+            raise RuntimeError(f"every stepsize in run.lr_grid = {_format_value(config.lr_grid)} diverged")
         best_eta = float(best[1])
         schedule = optim.Schedule("constant", eta=best_eta)
         resolved = {"kind": "constant", "eta": best_eta, "source": "lr_grid"}

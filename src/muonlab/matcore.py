@@ -7,8 +7,7 @@ take a (k, m, n) stack and give each slice bit for bit its 2-D result: each
 has one code path over the leading axes, a 2-D matrix runs it as a
 one-matrix stack, and per_matrix returns such a matrix's value as a float.
 Every SVD runs on one BLAS thread (see _lapack_svd), and inside
-one_blas_thread every BLAS call does, with orthogonalize_svd splitting a
-stack over several Python threads.
+one_blas_thread every BLAS call does.
 """
 
 from __future__ import annotations
@@ -90,51 +89,37 @@ def _lapack_svd(M: np.ndarray, compute_uv: bool = True):
     factorization runs here and every product keeps the process's count.
 
     The thread count is process-global: it is set to 1 and the previous count
-    comes back in a finally.  The only Python threads muonlab starts that
-    call BLAS are one_blas_thread's helpers, and they run inside a block that
-    holds the count at 1, so this call leaves the count alone there.  A BLAS
+    comes back in a finally, except inside one_blas_thread, where it is 1
+    already and the block's threads would reset it under each other.  A BLAS
     without the OpenBLAS thread functions (MKL, Accelerate) makes this the
     plain call.
     """
-    previous = None if _lent is not None else _swap_blas_threads(1)
+    previous = None if _held else _swap_blas_threads(1)
     try:
         return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
     finally:
         _swap_blas_threads(previous)
 
 
-# (helper thread pool, parts) that one_blas_thread lends orthogonalize_svd
-# for its block; None outside it.
-_lent = None
+# True inside a one_blas_thread block
+_held = False
 
 
 @contextlib.contextmanager
-def one_blas_thread(cores: int = 1):
-    """Run the block with BLAS on one thread, and on cores >= 2 split polar factors.
+def one_blas_thread():
+    """Run the block with every BLAS call on one thread.
 
     The previous thread count comes back on exit, also when the block raises.
-    With cores >= 2, orthogonalize_svd cuts each stack of two or more matrices
-    into up to `cores` contiguous parts, one in the calling thread and each
-    other on a helper thread of a pool that lives for the block; no helper
-    thread outlives it.  Each part's SVD, product and truncation fixes are
-    those of an unsplit call on one thread, so the bits are too.  Nothing
-    else runs on the helper threads.  The setting is process-wide: a block
-    should hold only the calling thread's muonlab calls.
+    The setting is process-wide: threads the block starts run their BLAS
+    calls on one thread too, and must end before the block does.
     """
-    global _lent
-    previous = _swap_blas_threads(1)
-    lent, pool = _lent, None
+    global _held
+    previous, held = _swap_blas_threads(1), _held
+    _held = True
     try:
-        if cores >= 2:
-            # imported here, so a run that never splits skips the import
-            from concurrent.futures import ThreadPoolExecutor
-            pool = ThreadPoolExecutor(cores - 1, thread_name_prefix="muonlab-polar")
-            _lent = (pool, cores)
         yield
     finally:
-        _lent = lent
-        if pool is not None:
-            pool.shutdown()
+        _held = held
         _swap_blas_threads(previous)
 
 
@@ -212,27 +197,13 @@ def orthogonalize_svd(A) -> np.ndarray:
 
     A may also be a (k, m, n) stack: all slices are factorized by one LAPACK
     call and each slice gets exactly the result it would get on its own.
-    Inside one_blas_thread(cores) with cores >= 2, the stack is cut into
-    contiguous parts that run on helper threads at once.
 
     The product U_r @ V_r.T is invariant to paired sign flips, so the raw
     LAPACK factors are used directly.
     """
     M = as_matrices(A)
     O = np.empty(M.shape)
-    stack, out = M.reshape((-1,) + M.shape[-2:]), O.reshape((-1,) + M.shape[-2:])
-    lent = _lent
-    if lent is None or len(stack) < 2:
-        _polar_into(stack, out)
-        return O
-    pool, cores = lent
-    parts = min(cores, len(stack))
-    edges = [len(stack) * p // parts for p in range(parts + 1)]
-    futures = [pool.submit(_polar_into, stack[a:b], out[a:b])
-               for a, b in zip(edges[1:-1], edges[2:])]
-    _polar_into(stack[:edges[1]], out[:edges[1]])
-    for future in futures:
-        future.result()
+    _polar_into(M.reshape((-1,) + M.shape[-2:]), O.reshape((-1,) + M.shape[-2:]))
     return O
 
 

@@ -113,8 +113,8 @@ def check_quadratic_taylor_identity(records: Sequence[StepRecord], problem: Prob
                                     tol: float = 1e-9) -> CheckReport:
     """Per-step identity f_{t+1} = f_t - eta*||grad||_* + eta^2*J_t/2.
 
-    Exact on quadratics driven by the momentum-free Muon stepper, up to
-    floating-point error; checked in relative terms at every step.
+    Exact on quadratics driven by momentum-free Muon on the SVD route (the
+    exact polar factor), up to rounding; checked in relative terms per step.
     """
     _require_quadratic(problem, "the Taylor identity check")
     _consecutive_steps(records)
@@ -136,8 +136,8 @@ def check_descent_inequalities(records: Sequence[StepRecord], problem: Problem,
     """Per-step upper bound f_{t+1} <= f_t - eta*||grad||_* + C*eta^2/2.
 
     which="rL" uses C = r*L (Frobenius smoothness route); which="Lstar" uses
-    C = L_star (spectral smoothness route).  Requires exact constants in the
-    problem metadata.
+    C = L_star (spectral smoothness route).  Takes SVD-route records (the exact
+    polar factor) and needs exact constants in the problem metadata.
     """
     coef = _smoothness_constant(problem, which)
     _consecutive_steps(records)
@@ -237,7 +237,7 @@ def check_nonconvex_J_bound(records: Sequence[StepRecord], problem: Problem,
                             tol: float = 1e-9) -> CheckReport:
     """Run-averaged nuclear gradient norm against the curvature-average bound.
 
-    For a constant-stepsize momentum-free Muon run,
+    For a constant-stepsize momentum-free Muon run on the SVD route,
     (1/T) sum ||grad f(W_t)||_* <= (f(W_0) - f(W_T)) / (T*eta) + eta*Jbar/2
     plus a third-derivative term that vanishes on quadratics; on quadratics
     the relation is an identity, so the margin should sit at machine epsilon.

@@ -27,6 +27,11 @@ def vec_row(A) -> np.ndarray:
     return matcore.as_matrix(A).reshape(-1).copy()
 
 
+def direction_rank(O) -> int:
+    """Rank of a semi-orthogonal direction: its squared Frobenius norm, rounded."""
+    return int(round(float(np.sum(O * O))))
+
+
 def vonneumann_bound(p_sv, q_sv, r_t: int) -> float:
     """Trace-inequality bound: sum of the r_t largest singular-value products."""
     p = np.asarray(p_sv, dtype=np.float64)

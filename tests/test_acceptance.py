@@ -14,7 +14,7 @@ import numpy as np
 
 from muonlab import diagnostics as dg
 from muonlab import harness, matcore, problems, verify
-from oracles import concentration_ratio, kron, vec_row, vonneumann_bound
+from oracles import concentration_ratio, direction_rank, kron, vec_row, vonneumann_bound
 
 
 def _report(num, desc, ok, elapsed, budget):
@@ -46,7 +46,7 @@ def test_criterion_01_orthogonality_invariants():
         O = matcore.orthogonalize_svd(A)
         s = np.linalg.svd(O, compute_uv=False)
         nonzero = s[s > 0.5]
-        rank = dg.direction_rank(O)
+        rank = direction_rank(O)
         ok &= bool(np.all(np.abs(nonzero - 1.0) <= 1e-10))
         ok &= abs(float(s[0]) - 1.0) <= 1e-10
         ok &= abs(float(np.sum(s)) - rank) <= 1e-9

@@ -6,7 +6,7 @@ import pytest
 from muonlab import diagnostics as dg
 from muonlab import matcore, problems
 from muonlab.problems import Problem
-from oracles import concentration_ratio, kron, vec_row, vonneumann_bound
+from oracles import concentration_ratio, direction_rank, kron, vec_row, vonneumann_bound
 
 
 def kron_problem(P, Q):
@@ -33,7 +33,7 @@ def test_j_t_identity_hessian_gives_rank():
     # Q = I/2 with the unscaled convention makes the Hessian the identity map
     prob = problems.quadratic_new(0.5 * np.eye(4), np.zeros((4, 6)), half=False)
     O = matcore.orthogonalize_svd(np.random.default_rng(0).standard_normal((4, 6)))
-    r_t = dg.direction_rank(O)
+    r_t = direction_rank(O)
     assert dg.j_t(prob, np.zeros((4, 6)), O) == pytest.approx(float(r_t), rel=1e-10)
 
 
@@ -246,7 +246,7 @@ def test_vonneumann_bounds_j_t_on_kron_instances():
                                             seed=int(rng.integers(1 << 30)))
         prob = kron_problem(P, Q)
         O = matcore.orthogonalize_svd(rng.standard_normal((m, n)))
-        r_t = dg.direction_rank(O)
+        r_t = direction_rank(O)
         p_sv = np.linalg.svd(P, compute_uv=False)
         q_sv = np.linalg.svd(Q, compute_uv=False)
         assert dg.j_t(prob, None, O) <= vonneumann_bound(p_sv, q_sv, r_t) + 1e-9
@@ -303,7 +303,7 @@ def test_spectrum_and_concentration():
 
 def test_validate_record_accepts_consistent_row():
     rec = dg.StepRecord(t=0, f=1.0, grad_F=1.0, grad_nuc=1.5, J_t=2.0, L_t=1.0)
-    dg.validate_record(rec, r=4, rank_t=3)
+    dg.validate_record(rec, r=4, dir_sq=3.0)
 
 
 def test_validate_record_rejects_norm_bracket_violation():
@@ -318,7 +318,21 @@ def test_validate_record_rejects_norm_bracket_violation():
 def test_validate_record_rejects_rayleigh_violation():
     rec = dg.StepRecord(t=0, f=1.0, grad_F=1.0, grad_nuc=1.0, J_t=5.0, L_t=1.0)
     with pytest.raises(AssertionError):
-        dg.validate_record(rec, r=4, rank_t=2)
+        dg.validate_record(rec, r=4, dir_sq=2.0)
+
+
+def test_validate_record_bounds_j_by_the_directions_squared_norm():
+    """A Newton-Schulz direction's squared norm exceeds its rank, and |J_t| may
+    reach L_t * ||O_t||_F^2 but not pass it."""
+    O = matcore.orthogonalize_ns(np.diag([1.0, 0.5, 0.25]))
+    dir_sq = float(np.sum(O * O))
+    assert dir_sq > 3.0 + 1e-3
+    rec = dg.StepRecord(t=0, f=1.0, grad_F=1.0, grad_nuc=1.5, J_t=-2.0 * dir_sq, L_t=2.0)
+    assert dg.validate_record(rec, r=4, dir_sq=dir_sq)
+    rec.J_t *= 1.0 + 1e-8
+    assert not dg.validate_record(rec, r=4, dir_sq=dir_sq, strict=False)
+    with pytest.raises(AssertionError, match=r"L_t\*\|\|O_t\|\|_F\^2"):
+        dg.validate_record(rec, r=4, dir_sq=dir_sq)
 
 
 def test_eq_j_entry_sum_decomposition():

@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import re
+import sys
 import tempfile
 import threading
 import warnings
@@ -1187,18 +1188,31 @@ def test_a_passed_problem_gives_the_same_bytes(tmp_path, monkeypatch, problem, o
 SPLIT_MLP = {"kind": "mlp", "input_dim": 30, "dims": (64, 40, 5), "B": 40}
 SPLIT_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
 SIMPLIFIED = {"kind": "simplified_muon"}
+MUON = {"kind": "muon", "beta": 0.9}
 
 
 def spy_scopes(monkeypatch):
-    """The cores of each matcore.one_blas_thread block entered, in order."""
-    entered, scope = [], matcore.one_blas_thread
+    """In order: "scope" for each matcore.one_blas_thread block entered, and the
+    number of helper threads of each thread pool started."""
+    entered, scope, pool = [], matcore.one_blas_thread, concurrent.futures.ThreadPoolExecutor
 
-    def recording(cores=1):
-        entered.append(cores)
-        return scope(cores)
+    def recording():
+        entered.append("scope")
+        return scope()
+
+    class Recording(pool):
+        def __init__(self, workers, **kwargs):
+            entered.append(workers)
+            super().__init__(workers, **kwargs)
 
     monkeypatch.setattr(matcore, "one_blas_thread", recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     return entered
+
+
+def split_or_skip(entered):
+    if not any(isinstance(event, int) for event in entered):
+        pytest.skip("this BLAS gives the MLP other bits on one thread, so the probe refused")
 
 
 def split_mlp():
@@ -1218,10 +1232,9 @@ def test_split_mlp_grid_writes_the_bytes_of_one_core(tmp_path, monkeypatch):
         monkeypatch.chdir(side)
         harness.run_experiment(config, 1)
         outputs.append({p.name: p.read_bytes() for p in (side / "out").iterdir()})
-    if 2 not in entered:
-        pytest.skip("this BLAS gives the MLP other bits on one thread, so the probe refused")
-    # the probe's oracle row, its polar factor, then the scan's steps
-    assert entered == [1, 1, 2]
+    split_or_skip(entered)
+    # the probe's oracle row, its polar factor, then the scan's row blocks on 2 threads
+    assert entered == ["scope", "scope", "scope", 1]
     assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
@@ -1231,8 +1244,7 @@ def test_scan_gives_back_the_blas_threads_and_python_threads(monkeypatch, two_bl
     entered = spy_scopes(monkeypatch)
     split = harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0, cores=2)
     assert two_blas_threads() == 2 and threading.active_count() == threads
-    if 2 not in entered:
-        pytest.skip("this BLAS gives the MLP other bits on one thread, so the probe refused")
+    split_or_skip(entered)
     assert split == harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0)
     # an oracle that fails at step 3, inside the split steps
     seen, value_grad = [], problem.value_grad
@@ -1264,11 +1276,88 @@ def test_probe_refuses_an_oracle_whose_bits_follow_the_thread_count(monkeypatch,
     entered = spy_scopes(monkeypatch)
     split = harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0, cores=2)
     # the probe's one row ran on one thread; no polar probe and no split followed
-    assert entered == [1] and seen.count(1) == 1
+    assert entered == ["scope"] and seen.count(1) == 1
     assert seen.count(2) == len(seen) - 1 and two_blas_threads() == 2
     seen.clear()
     assert split == harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0)
     assert set(seen) == {2}
+
+
+def test_row_blocks_keep_the_bits_when_a_helper_row_diverges_partway(monkeypatch):
+    problem, W0 = split_mlp()
+    value_grad, tripped = problem.value_grad, []
+
+    def diverging(W):
+        # only eta = 1.0, the last row, can move W0 this far in 5 steps of
+        # 40x64 directions (||O||_F = sqrt(40)); 0.3 moves it at most 9.5.
+        # Momentum makes the bits depend on each row's own optimizer state.
+        f, G = value_grad(W)
+        if np.linalg.norm(W - W0) > 15.0:
+            tripped.append(threading.current_thread().name)
+            return float("inf"), G
+        return f, G
+
+    problem.value_grad = diverging
+    entered = spy_scopes(monkeypatch)
+    split = harness._grid_scan(problem, MUON, SPLIT_GRID, 5, W0, cores=2)
+    split_or_skip(entered)
+    # rows 0-1 ran in the caller and rows 2-4 on the helper, whose last row
+    # diverged after the first split step
+    assert tripped and tripped[0].startswith("muonlab-rows")
+    assert [diverged for _, diverged in split] == [False] * 4 + [True]
+    assert split == harness._grid_scan(problem, MUON, SPLIT_GRID, 5, W0)
+    assert split == [harness._grid_scan(problem, MUON, (eta,), 5, W0)[0]
+                     for eta in SPLIT_GRID]
+
+
+def test_row_blocks_with_more_cores_than_rows_run_one_row_each(monkeypatch):
+    problem, W0 = split_mlp()
+    value_grad, threads = problem.value_grad, []
+
+    def recording(W):
+        threads.append(threading.current_thread().name)
+        return value_grad(W)
+
+    problem.value_grad = recording
+    entered = spy_scopes(monkeypatch)
+    grid = SPLIT_GRID[1:4]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches between the blocks' writes
+    try:
+        split = harness._grid_scan(problem, MUON, grid, 4, W0, cores=7)
+    finally:
+        sys.setswitchinterval(interval)
+    split_or_skip(entered)
+    assert entered[-1] == len(grid) - 1
+    # after value(W0) and step 0's calls, all in the caller, each row takes 3
+    # steps and a final value, and the caller's block is one row
+    later = threads[1 + len(grid):]
+    assert len(later) == 4 * len(grid) and later.count("MainThread") == 4
+    assert split == harness._grid_scan(problem, MUON, grid, 4, W0)
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_a_failing_row_block_reaches_the_caller(monkeypatch, two_blas_threads, where):
+    problem, W0 = split_mlp()
+    value_grad, calls = problem.value_grad, []
+
+    def failing(W):
+        name = threading.current_thread().name
+        calls.append(name)
+        # value(W0) and step 0's calls run in the caller; the split steps follow
+        in_helper = name.startswith("muonlab-rows")
+        if len(calls) > 1 + len(SPLIT_GRID) and in_helper == (where == "helper"):
+            raise np.linalg.LinAlgError(f"the oracle failed in the {where}")
+        return value_grad(W)
+
+    problem.value_grad = failing
+    threads = threading.active_count()
+    entered = spy_scopes(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match=f"failed in the {where}"):
+        harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0, cores=2)
+    split_or_skip(entered)
+    assert two_blas_threads() == 2 and threading.active_count() == threads
+    assert not matcore._held
 
 
 @pytest.mark.parametrize("problem_spec,spec,grid,cores", [
@@ -1555,7 +1644,9 @@ def no_work(monkeypatch):
 @pytest.mark.parametrize("base,line,message", [
     ({}, "problem.n = 0", "problem.n must be at least 1, got 0"),
     ({}, "problem.cond = nan", "problem.cond must exceed 1, got nan"),
-    ({}, "problem.wstar_scale = -1.0", "problem.wstar_scale must be at least 0, got -1.0"),
+    ({}, "problem.wstar_scale = -1.0", "problem.wstar_scale must lie in [0, 1e300], got -1.0"),
+    ({}, "problem.wstar_scale = 1e308",
+     "problem.wstar_scale must lie in [0, 1e300], got 1e+308"),
     ({"optimizer": {"kind": "adam"}}, "optimizer.eps = nan",
      "optimizer.eps must be positive, got nan"),
     ({"optimizer": {"kind": "adam"}}, "optimizer.beta1 = nan",
@@ -1576,8 +1667,8 @@ def no_work(monkeypatch):
      "schedule.beta must lie in [0, 1), got 1.0"),
     ({"schedule": {"kind": "adaptive_rL"}}, "schedule.L = -2.0",
      "schedule.L must be positive, got -2.0"),
-], ids=["n", "cond", "wstar_scale", "eps", "beta1", "beta2", "beta1-one", "eps-inf", "seeds",
-        "dims", "input_dim", "c", "schedule-beta", "schedule-L"])
+], ids=["n", "cond", "wstar_scale", "wstar_scale-huge", "eps", "beta1", "beta2", "beta1-one",
+        "eps-inf", "seeds", "dims", "input_dim", "c", "schedule-beta", "schedule-L"])
 def test_cli_run_refuses_an_out_of_range_key_before_any_work(tmp_path, capsys, no_work, base,
                                                              line, message):
     cfg_path = tmp_path / "bad.toml"
@@ -1777,6 +1868,47 @@ def test_cli_run_nonfinite_value_exits_2(tmp_path, capsys, name, changes):
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and name in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["muon", "simplified_muon"])
+def test_cli_run_newton_schulz_directions_pass_the_rayleigh_check(tmp_path, capsys, kind):
+    """NS5 maps a singular value of 1 to about 1.0101, so on a 2x1 quadratic J_t
+    passes L_t times the rank 1, but not L_t * ||O_t||_F^2."""
+    cfg_path = tmp_path / "ns.toml"
+    cfg_path.write_text(quad_config(problem=dict(QUAD_SPEC, m=2, n=1),
+                                    optimizer={"kind": kind, "orthogonalizer": "ns"},
+                                    schedule={"kind": "constant", "eta": 0.01},
+                                    want_J=True, want_L=True, T=5).to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    rows = harness.read_records_csv(str(tmp_path / "out" / "run_seed1.csv"))
+    assert all(rec.J_t > rec.L_t and rec.flags == "" for rec in rows[:-1])
+
+
+def test_cli_run_whose_distances_overflow_on_squaring_exits_0(tmp_path, capsys):
+    """A step of 1e200 diverges at once; the comparison ratio's D_op ** 2 passes
+    the largest float, and the run still ends with its summary."""
+    cfg_path = tmp_path / "big.toml"
+    cfg_path.write_text(quad_config(problem=dict(QUAD_SPEC, m=3, n=4),
+                                    schedule={"kind": "constant", "eta": 1e200}, T=5).to_text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings
+        rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 0 and "Traceback" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "out" / "run_seed1_summary.json").read_text())
+    assert summary["truncated"] and summary["comparison_ratio"] == float("inf")
+
+
+def test_cli_run_whose_whole_grid_diverges_exits_2_naming_the_grid(tmp_path, capsys):
+    """Near W* the divergence guard's floor trips on the first step of every point."""
+    cfg_path = tmp_path / "grid.toml"
+    cfg_path.write_text(quad_config(problem=dict(QUAD_SPEC, wstar_scale=2.19e-36),
+                                    optimizer={"kind": "simplified_muon"}, lr_grid=(1.0,),
+                                    T=3).to_text())
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: every stepsize in run.lr_grid = 1.0 diverged"]
 
 
 @pytest.mark.parametrize("problem,schedule", [

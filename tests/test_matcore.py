@@ -485,62 +485,66 @@ print(before, after, same)
 
 
 # ---------------------------------------------------------------------------
-# one_blas_thread: every BLAS call on one thread, polar factors split
+# one_blas_thread: every BLAS call on one thread
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("cores", [2, 3, 5])
 @pytest.mark.parametrize("shape", [(6, 8), (8, 6), (64, 128)])
 def test_split_polar_factor_keeps_the_bits(cores, shape):
-    """Each part's factorization, product and truncation fixes are those of the
-    unsplit call, for stacks with fewer and more slices than parts."""
+    """Contiguous parts of a stack, factorized at once on `cores` threads inside
+    one_blas_thread as a grid scan's row blocks factorize theirs, get the
+    whole stack's bits, for stacks with fewer and more slices than parts."""
     A = mixed_stack(*shape, seed=cores)
     A = np.concatenate([A, A[::-1], A[:1]])  # 9 slices, truncated ones in every part
-    with matcore.one_blas_thread():
-        whole = [matcore.orthogonalize_svd(A[:k]) for k in (1, 2, 4, 9)]
-        two_d = matcore.orthogonalize_svd(A[2])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more thread switches inside each call
     try:
-        with matcore.one_blas_thread(cores):
-            for k, want in zip((1, 2, 4, 9), whole):
-                assert np.array_equal(matcore.orthogonalize_svd(A[:k]), want), k
-            assert np.array_equal(matcore.orthogonalize_svd(A[2]), two_d)
+        with matcore.one_blas_thread():
+            for k in (1, 2, 4, 9):
+                whole = matcore.orthogonalize_svd(A[:k])
+                parts = min(cores, k)
+                edges = [k * p // parts for p in range(parts + 1)]
+                got = [None] * parts
+
+                def factorize(p):
+                    got[p] = matcore.orthogonalize_svd(A[edges[p]:edges[p + 1]])
+
+                threads = [threading.Thread(target=factorize, args=(p,)) for p in range(parts)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert np.array_equal(np.concatenate(got), whole), k
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_one_blas_thread_restores_the_count_and_starts_no_lasting_thread(two_blas_threads):
+def test_one_blas_thread_restores_the_count_and_starts_no_lasting_thread(monkeypatch,
+                                                                         two_blas_threads):
     threads = threading.active_count()
     A = np.random.default_rng(4).standard_normal((4, 10, 12))
-    with matcore.one_blas_thread(2):
+    swaps, swap = [], matcore._swap_blas_threads
+
+    def recording(count):
+        if count is not None:  # None sets nothing
+            swaps.append(count)
+        return swap(count)
+
+    monkeypatch.setattr(matcore, "_swap_blas_threads", recording)
+    with matcore.one_blas_thread():
         assert two_blas_threads() == 1
         matcore.orthogonalize_svd(A)
-        assert threading.active_count() == threads + 1
+        assert threading.active_count() == threads
+    # the SVD inside left the count alone: one set on entry, one restore on exit
+    assert swaps == [1, 2]
     assert two_blas_threads() == 2 and threading.active_count() == threads
     with pytest.raises(RuntimeError, match="inside the block"):
-        with matcore.one_blas_thread(2):
+        with matcore.one_blas_thread():
             matcore.orthogonalize_svd(A)
             raise RuntimeError("inside the block")
     assert two_blas_threads() == 2 and threading.active_count() == threads
-    assert matcore._lent is None
-
-
-def test_a_failing_part_reaches_the_caller(monkeypatch, two_blas_threads):
-    calls, polar_into = [], matcore._polar_into
-
-    def failing_in_a_helper(M, O):
-        calls.append(threading.current_thread() is threading.main_thread())
-        if not calls[-1]:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        polar_into(M, O)
-
-    monkeypatch.setattr(matcore, "_polar_into", failing_in_a_helper)
-    threads = threading.active_count()
-    with pytest.raises(np.linalg.LinAlgError):
-        with matcore.one_blas_thread(2):
-            matcore.orthogonalize_svd(np.ones((2, 4, 5)))
-    assert sorted(calls) == [False, True]
-    assert two_blas_threads() == 2 and threading.active_count() == threads
+    assert not matcore._held
 
 
 def test_polar_probe_refuses_a_product_whose_bits_follow_the_thread_count(

@@ -47,7 +47,9 @@ DIVERGENCE_FACTOR = 1e6
 DISTANCE_BLOCK = 100
 
 # Fewest entries per matrix for which a grid scan splits its rows over the
-# cores: where splitting its polar factors paid (BENCH_split_polar.json).
+# cores.  9-point stacked quadratic Muon grids (T=300, 2 cores) took 0.75-0.90 s
+# unsplit and 0.48-0.51 s split at 32x64, but gained within the noise at 15x20
+# (README.md, "Grid rows on several threads").
 SPLIT_MIN_ENTRIES = 32 * 64
 
 
@@ -509,22 +511,15 @@ class _GridRows:
     def __init__(self, opt: _OptRun, W: np.ndarray, eta: np.ndarray, live: list):
         self.opt, self.W, self.eta, self.live, self.G = opt, W, eta, live, np.empty_like(W)
 
-    def step(self, problem: Problem, in_bounds, probe: bool = False) -> bool:
-        """Evaluate every row, drop those whose loss is not in_bounds, step the rest.
-        With probe, row 1 runs on one BLAS thread, then takes row 0's values, and the
-        result says whether they and the gradient's polar factor matched bit for bit."""
+    def step(self, problem: Problem, in_bounds) -> None:
+        """Evaluate every row, drop those whose loss is not in_bounds, step the rest."""
         if problem.value_grad_stacks:
             values, self.G = problem.value_grad(self.W)
         else:
             values = []
             for j, W in enumerate(self.W):
-                with matcore.one_blas_thread() if probe and j == 1 else contextlib.nullcontext():
-                    f, self.G[j] = problem.value_grad(W)
+                f, self.G[j] = problem.value_grad(W)
                 values.append(f)
-        same = probe and (values[1] == values[0] and np.array_equal(self.G[1], self.G[0])
-                          and matcore.polar_keeps_bits_on_one_thread(self.G[0]))
-        if probe:
-            values[1], self.G[1] = values[0], self.G[0]
         rows = [j for j, f in enumerate(values) if in_bounds(f)]
         if len(rows) < len(self.live):
             self.live = [self.live[j] for j in rows]
@@ -532,7 +527,6 @@ class _GridRows:
             self.opt = self.opt.keep(rows)
         if rows:
             self.opt.step(self.W, self.G, self.eta, out=self.W)
-        return same
 
     def run(self, problem: Problem, in_bounds, steps: int, results: list) -> None:
         """Take steps steps, then write each row's final loss that is in_bounds to
@@ -548,10 +542,26 @@ class _GridRows:
 
     def blocks(self, parts: int) -> list:
         """The rows cut into up to `parts` contiguous blocks on views of this one's."""
-        parts = min(parts, len(self.live)) or 1
+        parts = min(parts, len(self.live))
         edges = [len(self.live) * p // parts for p in range(parts + 1)]
         return [_GridRows(self.opt.keep(slice(a, b)), self.W[a:b], self.eta[a:b],
                           self.live[a:b]) for a, b in zip(edges, edges[1:])]
+
+
+def _first_step_keeps_bits_on_one_thread(problem: Problem, opt_spec: dict, eta: float,
+                                         W0: np.ndarray) -> bool:
+    """True when the first step from W0 at eta gives the same loss, gradient,
+    new iterate and direction, bit for bit, with every BLAS call on one thread
+    (inside matcore.one_blas_thread) as on the process's thread count.  Each
+    way calls the oracle and then steps a fresh optimizer."""
+    def first_step():
+        f, G = problem.value_grad(W0)
+        return (f, G) + _OptRun(opt_spec).step(W0, G, eta)
+
+    plain = first_step()
+    with matcore.one_blas_thread():
+        one = first_step()
+    return all(np.array_equal(a, b) for a, b in zip(plain, one))
 
 
 def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
@@ -562,29 +572,23 @@ def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
     diverged point.  The points advance in lockstep as _GridRows, and each
     point's result is bit for bit the one a separate run would give.
 
-    With cores >= 2 the steps after the first may run in up to `cores`
-    contiguous row blocks at once inside matcore.one_blas_thread(): the
-    calling thread runs block 0 and helper threads the others.  That needs two
-    or more points, a per-point oracle, a Muon step that factorizes by SVD,
-    matrices of at least SPLIT_MIN_ENTRIES entries, and a probe at step 0,
-    where every point is W0: point 1's loss and gradient, evaluated on one
-    thread, and the gradient's polar factor must match point 0's on the
-    process's thread count bit for bit.  That depends on the shapes and the
-    BLAS build, not on the kind of problem.
+    With cores >= 2 the rows may run in up to `cores` contiguous blocks at
+    once inside matcore.one_blas_thread(): the calling thread runs block 0
+    and helper threads the others.  That needs two or more points, matrices
+    of at least SPLIT_MIN_ENTRIES entries, and a probe before the scan
+    (_first_step_keeps_bits_on_one_thread at etas[0]).  Whether the bits hold
+    on one thread depends on the shapes and the BLAS build, not on the kind
+    of problem or optimizer, so the probe decides.
     """
     results = [(float("inf"), True)] * len(etas)
-    blocks = [_GridRows(_OptRun(opt_spec), np.repeat(W0[None], len(etas), axis=0),
-                        np.array(etas, dtype=np.float64).reshape(-1, 1, 1), list(range(len(etas))))]
+    rows = _GridRows(_OptRun(opt_spec), np.repeat(W0[None], len(etas), axis=0),
+                     np.array(etas, dtype=np.float64).reshape(-1, 1, 1), list(range(len(etas))))
     in_bounds = _divergence_guard(problem.value(W0))
-    if (cores >= 2 and len(etas) >= 2 and not problem.value_grad_stacks
-            and getattr(blocks[0].opt.state, "orthogonalizer", None) == "svd"
-            and W0.size >= SPLIT_MIN_ENTRIES):
-        if blocks[0].step(problem, in_bounds, probe=True):
-            blocks = blocks[0].blocks(cores)
-        T -= 1
-    if len(blocks) == 1:
-        blocks[0].run(problem, in_bounds, T, results)
+    if not (cores >= 2 and len(etas) >= 2 and W0.size >= SPLIT_MIN_ENTRIES
+            and _first_step_keeps_bits_on_one_thread(problem, opt_spec, etas[0], W0)):
+        rows.run(problem, in_bounds, T, results)
         return results
+    blocks = rows.blocks(cores)
     # imported here, so a scan that never splits skips the import
     from concurrent.futures import ThreadPoolExecutor
     with matcore.one_blas_thread(), ThreadPoolExecutor(

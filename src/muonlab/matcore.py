@@ -79,7 +79,7 @@ def _swap_blas_threads(count):
 
 
 def _lapack_svd(M: np.ndarray, compute_uv: bool = True):
-    """np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv) on one BLAS thread.
+    """np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv) inside one_blas_thread.
 
     With numpy 2.4.6 and OpenBLAS 0.3.31 on 2 cores, the thin SVDs of 15x20,
     10x196, 64x128 and 100x196 inputs came out bit for bit the same on 1 and
@@ -88,21 +88,13 @@ def _lapack_svd(M: np.ndarray, compute_uv: bool = True):
     last bits on one thread (the linear-MSE gradient does), so only the
     factorization runs here and every product keeps the process's count.
 
-    The thread count is process-global: it is set to 1 and the previous count
-    comes back in a finally, except inside one_blas_thread, where it is 1
-    already and the block's threads would reset it under each other.  A BLAS
-    without the OpenBLAS thread functions (MKL, Accelerate) makes this the
-    plain call.
+    Inside a grid scan's scope the count is 1 already, so the nested scope
+    sets and restores 1, also when row blocks on several threads nest it at
+    once.  A BLAS without the OpenBLAS thread functions (MKL, Accelerate)
+    makes this the plain call.
     """
-    previous = None if _held else _swap_blas_threads(1)
-    try:
+    with one_blas_thread():
         return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
-    finally:
-        _swap_blas_threads(previous)
-
-
-# True inside a one_blas_thread block
-_held = False
 
 
 @contextlib.contextmanager
@@ -113,13 +105,10 @@ def one_blas_thread():
     The setting is process-wide: threads the block starts run their BLAS
     calls on one thread too, and must end before the block does.
     """
-    global _held
-    previous, held = _swap_blas_threads(1), _held
-    _held = True
+    previous = _swap_blas_threads(1)
     try:
         yield
     finally:
-        _held = held
         _swap_blas_threads(previous)
 
 
@@ -205,18 +194,6 @@ def orthogonalize_svd(A) -> np.ndarray:
     O = np.empty(M.shape)
     _polar_into(M.reshape((-1,) + M.shape[-2:]), O.reshape((-1,) + M.shape[-2:]))
     return O
-
-
-def polar_keeps_bits_on_one_thread(A) -> bool:
-    """True when orthogonalize_svd of the matrix A has the same bits with every
-    BLAS call on one thread (inside one_blas_thread) as with its product on
-    the process's thread count."""
-    M = as_matrix(A)[None]
-    plain, one = np.empty(M.shape), np.empty(M.shape)
-    _polar_into(M, plain)
-    with one_blas_thread():
-        _polar_into(M, one)
-    return np.array_equal(plain, one)
 
 
 def _polar_into(M: np.ndarray, O: np.ndarray) -> None:

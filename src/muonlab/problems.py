@@ -282,30 +282,6 @@ def load_features_csv(path, skip_header: bool = False) -> np.ndarray:
     return matcore.as_matrix(np.array(rows))
 
 
-def load_labels_csv(path, skip_header: bool = False, integer_classes: bool = False,
-                    classes: Optional[int] = None) -> np.ndarray:
-    """Read a label matrix: one-hot rows-by-samples, or a single row/column of
-    integer class ids (integer_classes=True) expanded to one-hot."""
-    raw = load_features_csv(path, skip_header=skip_header)
-    if integer_classes:
-        flat = raw.reshape(-1) if 1 in raw.shape else None
-        if flat is None:
-            raise ValueError("integer class labels must form a single row or column")
-        ids = flat.astype(int)
-        if np.any(ids != flat) or ids.min() < 0:
-            raise ValueError("class ids must be nonnegative integers")
-        c = int(classes) if classes is not None else int(ids.max()) + 1
-        if ids.max() >= c:
-            raise ValueError(f"class id {ids.max()} exceeds the declared {c} classes")
-        Y = np.zeros((c, ids.size))
-        Y[ids, np.arange(ids.size)] = 1.0
-        return Y
-    col_sums = raw.sum(axis=0)
-    if not (np.all((raw == 0) | (raw == 1)) and np.allclose(col_sums, 1.0)):
-        raise ValueError("label matrix is not one-hot encoded; pass integer_classes=True for id columns")
-    return raw
-
-
 def _fd_step(W: np.ndarray, D: np.ndarray) -> Optional[float]:
     """Step of the central-difference probe of hvp(W, D), scaled to the
     parameter and direction sizes: 1e-4 * (1 + ||W||_F) / (1 + ||D||_F);

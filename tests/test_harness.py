@@ -875,9 +875,7 @@ def test_one_function_in_the_package_opens_files_for_writing():
 
 
 # module-level names that nothing in src/muonlab or perfbench/ refers to, and why they stay
-UNREFERENCED_ALLOWED = {
-    "problems.load_labels_csv": "the labels reader that a problem.labels_path key will use",
-}
+UNREFERENCED_ALLOWED = {}
 
 
 def _names(node, bare=True):
@@ -1189,15 +1187,19 @@ SPLIT_MLP = {"kind": "mlp", "input_dim": 30, "dims": (64, 40, 5), "B": 40}
 SPLIT_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
 SIMPLIFIED = {"kind": "simplified_muon"}
 MUON = {"kind": "muon", "beta": 0.9}
+PROBE = "_first_step_keeps_bits_on_one_thread"
 
 
 def spy_scopes(monkeypatch):
-    """In order: "scope" for each matcore.one_blas_thread block entered, and the
-    number of helper threads of each thread pool started."""
+    """In order: the name of the function that entered each matcore.one_blas_thread
+    block, but for every SVD's own, and the number of helper threads of each
+    thread pool started."""
     entered, scope, pool = [], matcore.one_blas_thread, concurrent.futures.ThreadPoolExecutor
 
     def recording():
-        entered.append("scope")
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "_lapack_svd":
+            entered.append(caller)
         return scope()
 
     class Recording(pool):
@@ -1233,8 +1235,8 @@ def test_split_mlp_grid_writes_the_bytes_of_one_core(tmp_path, monkeypatch):
         harness.run_experiment(config, 1)
         outputs.append({p.name: p.read_bytes() for p in (side / "out").iterdir()})
     split_or_skip(entered)
-    # the probe's oracle row, its polar factor, then the scan's row blocks on 2 threads
-    assert entered == ["scope", "scope", "scope", 1]
+    # the probe's one-thread first step, then the scan's row blocks on 2 threads
+    assert entered == [PROBE, "_grid_scan", 1]
     assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
@@ -1251,7 +1253,8 @@ def test_scan_gives_back_the_blas_threads_and_python_threads(monkeypatch, two_bl
 
     def failing(W):
         seen.append(two_blas_threads())
-        if len(seen) > 1 + 3 * len(SPLIT_GRID):
+        # value(W0), the probe's two calls, then three steps of every row
+        if len(seen) > 3 + 3 * len(SPLIT_GRID):
             raise RuntimeError("the oracle failed")
         return value_grad(W)
 
@@ -1275,8 +1278,8 @@ def test_probe_refuses_an_oracle_whose_bits_follow_the_thread_count(monkeypatch,
     problem.value_grad = thread_dependent
     entered = spy_scopes(monkeypatch)
     split = harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0, cores=2)
-    # the probe's one row ran on one thread; no polar probe and no split followed
-    assert entered == ["scope"] and seen.count(1) == 1
+    # the probe's second oracle call ran on one thread; no split followed
+    assert entered == [PROBE] and seen.count(1) == 1
     assert seen.count(2) == len(seen) - 1 and two_blas_threads() == 2
     seen.clear()
     assert split == harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0)
@@ -1302,7 +1305,7 @@ def test_row_blocks_keep_the_bits_when_a_helper_row_diverges_partway(monkeypatch
     split = harness._grid_scan(problem, MUON, SPLIT_GRID, 5, W0, cores=2)
     split_or_skip(entered)
     # rows 0-1 ran in the caller and rows 2-4 on the helper, whose last row
-    # diverged after the first split step
+    # diverged partway
     assert tripped and tripped[0].startswith("muonlab-rows")
     assert [diverged for _, diverged in split] == [False] * 4 + [True]
     assert split == harness._grid_scan(problem, MUON, SPLIT_GRID, 5, W0)
@@ -1329,10 +1332,11 @@ def test_row_blocks_with_more_cores_than_rows_run_one_row_each(monkeypatch):
         sys.setswitchinterval(interval)
     split_or_skip(entered)
     assert entered[-1] == len(grid) - 1
-    # after value(W0) and step 0's calls, all in the caller, each row takes 3
-    # steps and a final value, and the caller's block is one row
-    later = threads[1 + len(grid):]
-    assert len(later) == 4 * len(grid) and later.count("MainThread") == 4
+    # after value(W0) and the probe's two calls, all in the caller, each row
+    # takes 4 steps and a final value, and the caller's block is one row
+    later = threads[3:]
+    assert threads[:3] == ["MainThread"] * 3
+    assert len(later) == 5 * len(grid) and later.count("MainThread") == 5
     assert split == harness._grid_scan(problem, MUON, grid, 4, W0)
 
 
@@ -1344,9 +1348,9 @@ def test_a_failing_row_block_reaches_the_caller(monkeypatch, two_blas_threads, w
     def failing(W):
         name = threading.current_thread().name
         calls.append(name)
-        # value(W0) and step 0's calls run in the caller; the split steps follow
+        # value(W0) and the probe's two calls run in the caller; the blocks follow
         in_helper = name.startswith("muonlab-rows")
-        if len(calls) > 1 + len(SPLIT_GRID) and in_helper == (where == "helper"):
+        if len(calls) > 3 and in_helper == (where == "helper"):
             raise np.linalg.LinAlgError(f"the oracle failed in the {where}")
         return value_grad(W)
 
@@ -1357,17 +1361,13 @@ def test_a_failing_row_block_reaches_the_caller(monkeypatch, two_blas_threads, w
         harness._grid_scan(problem, SIMPLIFIED, SPLIT_GRID, 5, W0, cores=2)
     split_or_skip(entered)
     assert two_blas_threads() == 2 and threading.active_count() == threads
-    assert not matcore._held
 
 
 @pytest.mark.parametrize("problem_spec,spec,grid,cores", [
     (SPLIT_MLP, SIMPLIFIED, SPLIT_GRID, 1),
     (SPLIT_MLP, SIMPLIFIED, SPLIT_GRID[:1], 2),
-    (SPLIT_MLP, {"kind": "gd"}, SPLIT_GRID, 2),
-    (SPLIT_MLP, {"kind": "muon", "orthogonalizer": "ns"}, SPLIT_GRID, 2),
     (MLP_SPEC, SIMPLIFIED, SPLIT_GRID, 2),
-    (dict(QUAD_SPEC, m=40, n=64), SIMPLIFIED, SPLIT_GRID, 2),
-], ids=["one-core", "one-point", "gd", "ns-route", "below-the-floor", "stacked-oracle"])
+], ids=["one-core", "one-point", "below-the-floor"])
 def test_scan_missing_a_split_condition_does_not_probe(monkeypatch, problem_spec, spec, grid,
                                                        cores):
     problem = harness.build_problem(problem_spec, 1)
@@ -1375,6 +1375,24 @@ def test_scan_missing_a_split_condition_does_not_probe(monkeypatch, problem_spec
     entered = spy_scopes(monkeypatch)
     harness._grid_scan(problem, spec, grid, 3, W0, cores=cores)
     assert entered == []
+
+
+@pytest.mark.parametrize("problem_spec,spec", [
+    (SPLIT_MLP, {"kind": "gd"}),
+    (SPLIT_MLP, {"kind": "adam"}),
+    (SPLIT_MLP, {"kind": "muon", "orthogonalizer": "ns"}),
+    (dict(QUAD_SPEC, m=40, n=64), SIMPLIFIED),
+], ids=["gd", "adam", "ns-route", "stacked-oracle"])
+def test_scan_above_the_floor_splits_whatever_the_stepper_or_oracle(monkeypatch, problem_spec,
+                                                                    spec):
+    problem = harness.build_problem(problem_spec, 1)
+    W0 = problem.metadata.get("W_init", np.ones(problem.shape))
+    entered = spy_scopes(monkeypatch)
+    split = harness._grid_scan(problem, spec, SPLIT_GRID, 5, W0, cores=2)
+    split_or_skip(entered)
+    assert entered == [PROBE, "_grid_scan", 1]
+    assert not all(diverged for _, diverged in split)
+    assert split == harness._grid_scan(problem, spec, SPLIT_GRID, 5, W0)
 
 
 def test_figure1_study_never_splits(monkeypatch):

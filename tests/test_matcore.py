@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from muonlab import matcore, problems
+from muonlab import harness, matcore, problems
 from muonlab.diagnostics import distance_metrics
 import oracles
 from oracles import kron, vec_row
@@ -490,12 +490,15 @@ print(before, after, same)
 
 @pytest.mark.parametrize("cores", [2, 3, 5])
 @pytest.mark.parametrize("shape", [(6, 8), (8, 6), (64, 128)])
-def test_split_polar_factor_keeps_the_bits(cores, shape):
+def test_split_polar_factor_keeps_the_bits(cores, shape, two_blas_threads):
     """Contiguous parts of a stack, factorized at once on `cores` threads inside
     one_blas_thread as a grid scan's row blocks factorize theirs, get the
-    whole stack's bits, for stacks with fewer and more slices than parts."""
+    whole stack's bits, for stacks with fewer and more slices than parts.
+    Each SVD's own scope nests in the block's, so every thread sees one BLAS
+    thread before and after its factorization, and the count comes back."""
     A = mixed_stack(*shape, seed=cores)
     A = np.concatenate([A, A[::-1], A[:1]])  # 9 slices, truncated ones in every part
+    seen = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more thread switches inside each call
     try:
@@ -507,7 +510,9 @@ def test_split_polar_factor_keeps_the_bits(cores, shape):
                 got = [None] * parts
 
                 def factorize(p):
+                    seen.append(two_blas_threads())
                     got[p] = matcore.orthogonalize_svd(A[edges[p]:edges[p + 1]])
+                    seen.append(two_blas_threads())
 
                 threads = [threading.Thread(target=factorize, args=(p,)) for p in range(parts)]
                 for thread in threads:
@@ -518,6 +523,8 @@ def test_split_polar_factor_keeps_the_bits(cores, shape):
                 assert np.array_equal(np.concatenate(got), whole), k
     finally:
         sys.setswitchinterval(interval)
+    assert seen and set(seen) == {1}
+    assert two_blas_threads() == 2
 
 
 def test_one_blas_thread_restores_the_count_and_starts_no_lasting_thread(monkeypatch,
@@ -527,29 +534,37 @@ def test_one_blas_thread_restores_the_count_and_starts_no_lasting_thread(monkeyp
     swaps, swap = [], matcore._swap_blas_threads
 
     def recording(count):
+        previous = swap(count)
         if count is not None:  # None sets nothing
-            swaps.append(count)
-        return swap(count)
+            swaps.append((count, previous))
+        return previous
 
     monkeypatch.setattr(matcore, "_swap_blas_threads", recording)
     with matcore.one_blas_thread():
         assert two_blas_threads() == 1
         matcore.orthogonalize_svd(A)
         assert threading.active_count() == threads
-    # the SVD inside left the count alone: one set on entry, one restore on exit
-    assert swaps == [1, 2]
+    # (count set, count it replaced): 1 on entry and 2 back on exit; the SVD's
+    # own scope inside set 1 over 1 and restored 1
+    assert swaps[0] == (1, 2) and swaps[-1] == (2, 1)
+    assert len(swaps) > 2 and set(swaps[1:-1]) == {(1, 1)}
     assert two_blas_threads() == 2 and threading.active_count() == threads
     with pytest.raises(RuntimeError, match="inside the block"):
         with matcore.one_blas_thread():
             matcore.orthogonalize_svd(A)
             raise RuntimeError("inside the block")
     assert two_blas_threads() == 2 and threading.active_count() == threads
-    assert not matcore._held
 
 
 def test_polar_probe_refuses_a_product_whose_bits_follow_the_thread_count(
         monkeypatch, two_blas_threads):
-    A = np.random.default_rng(6).standard_normal((9, 12))
+    """The grid scan's first-step probe covers the polar factor's product too:
+    an oracle that keeps its bits cannot pass it when U @ Vh does not."""
+    problem = harness.build_problem({"kind": "mlp", "input_dim": 30, "dims": (64, 40, 5),
+                                     "B": 40}, 1)
+    W0 = problem.metadata["W_init"]
+    assert harness._first_step_keeps_bits_on_one_thread(
+        problem, {"kind": "simplified_muon"}, 0.1, W0)
     plain_matmul = np.matmul
 
     def thread_dependent(U, Vh, out):
@@ -557,7 +572,23 @@ def test_polar_probe_refuses_a_product_whose_bits_follow_the_thread_count(
         out += 1e-3 * two_blas_threads()
 
     monkeypatch.setattr(np, "matmul", thread_dependent)
-    assert not matcore.polar_keeps_bits_on_one_thread(A)
+    assert not harness._first_step_keeps_bits_on_one_thread(
+        problem, {"kind": "simplified_muon"}, 0.1, W0)
+
+
+def test_only_one_blas_thread_sets_the_thread_count():
+    """One scope sets and restores the BLAS thread count; every other caller,
+    _lapack_svd included, enters it."""
+    package = Path(matcore.__file__).resolve().parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(node, ast.Call) and "_swap_blas_threads" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    for node in ast.walk(fn)):
+                callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"matcore.one_blas_thread"}
 
 
 # ---------------------------------------------------------------------------

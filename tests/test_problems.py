@@ -288,33 +288,6 @@ def test_csv_header_skip(tmp_path):
                                   [[1.0, 2.0]])
 
 
-def test_load_labels_csv_one_hot(tmp_path):
-    Y = problems.onehot_labels(3, 8, seed=40)
-    path = tmp_path / "labels.csv"
-    problems.save_matrix_csv(Y, path)
-    np.testing.assert_array_equal(problems.load_labels_csv(path), Y)
-
-
-def test_load_labels_csv_integer_classes(tmp_path):
-    path = tmp_path / "ids.csv"
-    path.write_text("0,2,1,2\n")
-    Y = problems.load_labels_csv(path, integer_classes=True)
-    assert Y.shape == (3, 4)
-    np.testing.assert_array_equal(Y.argmax(axis=0), [0, 2, 1, 2])
-    Y5 = problems.load_labels_csv(path, integer_classes=True, classes=5)
-    assert Y5.shape == (5, 4)
-
-
-def test_load_labels_csv_rejects_non_onehot(tmp_path):
-    path = tmp_path / "bad_labels.csv"
-    path.write_text("0.5,0.5\n0.5,0.5\n")
-    with pytest.raises(ValueError):
-        problems.load_labels_csv(path)
-    path.write_text("0,1.5,1\n")
-    with pytest.raises(ValueError):
-        problems.load_labels_csv(path, integer_classes=True)
-
-
 # ---------------------------------------------------------------------------
 # hvp contracts
 # ---------------------------------------------------------------------------

@@ -331,7 +331,7 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
         if features == "gaussian":
             X = problems.gaussian_features(d, B, seed=base_seed)
         elif features == "lowrank":
-            X = problems.lowrank_features(d, B, get("target_ratio", 1.41), seed=base_seed)
+            X = _lowrank_features("d", d, B, get("target_ratio", 1.41), base_seed)
         else:
             if "path" not in spec:
                 raise ValueError("problem.features = csv needs problem.path")
@@ -342,8 +342,12 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     input_dim = get("input_dim", 10)
     dims = get("dims", (8, 6, 4))
     B = get("B", 120)
+    train_layer = get("train_layer")
+    if train_layer is not None and not 0 <= train_layer < len(dims):
+        raise ValueError(f"problem.train_layer must lie in [0, len(problem.dims) - 1] = "
+                         f"[0, {len(dims) - 1}], got {train_layer!r}")
     if get("data", "lowrank") == "lowrank":
-        X = problems.lowrank_features(input_dim, B, get("target_ratio", 2.0), seed=base_seed)
+        X = _lowrank_features("input_dim", input_dim, B, get("target_ratio", 2.0), base_seed)
         X = X * (np.sqrt(B) / matcore.frobenius_norm(X))
     else:
         X = problems.gaussian_features(input_dim, B, seed=base_seed) / np.sqrt(input_dim)
@@ -354,7 +358,15 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
         shapes.append((width, prev))
         prev = width
     return problems.mlp_new(shapes, X, Y, loss=get("loss", "softmax_ce"), seed=base_seed + 2,
-                            train_layer=get("train_layer"))
+                            train_layer=train_layer)
+
+
+def _lowrank_features(rows_key: str, rows: int, B: int, ratio: float, seed: int):
+    """lowrank_features(rows, B, ratio) for rows set by problem.<rows_key>."""
+    if ratio > min(rows, B):
+        raise ValueError(f"problem.target_ratio must be at most min(problem.{rows_key}, "
+                         f"problem.B) = {min(rows, B)}, got {ratio!r}")
+    return problems.lowrank_features(rows, B, ratio, seed=seed)
 
 
 class _OptRun:
@@ -504,39 +516,32 @@ def _divergence_guard(f0: float):
 
 class _GridRows:
     """Grid points in lockstep: row j of the (k, m, n) stack W is grid point
-    live[j], stepped at eta[j] by opt.  The oracle takes the stack or each row,
+    live[j], stepped at eta[j] by opt.  One oracle call evaluates the stack,
     the optimizer steps the stack at once (one stacked factorization per Muon
     step), and a row whose loss trips the divergence guard leaves the stack."""
 
     def __init__(self, opt: _OptRun, W: np.ndarray, eta: np.ndarray, live: list):
-        self.opt, self.W, self.eta, self.live, self.G = opt, W, eta, live, np.empty_like(W)
+        self.opt, self.W, self.eta, self.live = opt, W, eta, live
 
     def step(self, problem: Problem, in_bounds) -> None:
         """Evaluate every row, drop those whose loss is not in_bounds, step the rest."""
-        if problem.value_grad_stacks:
-            values, self.G = problem.value_grad(self.W)
-        else:
-            values = []
-            for j, W in enumerate(self.W):
-                f, self.G[j] = problem.value_grad(W)
-                values.append(f)
+        values, G = problem.value_grad(self.W)
         rows = [j for j, f in enumerate(values) if in_bounds(f)]
         if len(rows) < len(self.live):
             self.live = [self.live[j] for j in rows]
-            self.W, self.G, self.eta = self.W[rows], self.G[rows], self.eta[rows]
+            self.W, G, self.eta = self.W[rows], G[rows], self.eta[rows]
             self.opt = self.opt.keep(rows)
         if rows:
-            self.opt.step(self.W, self.G, self.eta, out=self.W)
+            self.opt.step(self.W, G, self.eta, out=self.W)
 
     def run(self, problem: Problem, in_bounds, steps: int, results: list) -> None:
         """Take steps steps, then write each row's final loss that is in_bounds to
         results at its grid index."""
         for _ in range(steps):
+            self.step(problem, in_bounds)
             if not self.live:
                 return
-            self.step(problem, in_bounds)
-        for W, idx in zip(self.W, self.live):
-            f = problem.value(W)
+        for f, idx in zip(problem.value(self.W), self.live):
             if in_bounds(f):
                 results[idx] = (float(f), False)
 

@@ -191,20 +191,14 @@ def orthogonalize_svd(A) -> np.ndarray:
     LAPACK factors are used directly.
     """
     M = as_matrices(A)
-    O = np.empty(M.shape)
-    _polar_into(M.reshape((-1,) + M.shape[-2:]), O.reshape((-1,) + M.shape[-2:]))
-    return O
-
-
-def _polar_into(M: np.ndarray, O: np.ndarray) -> None:
-    """Write the polar factor of each matrix of the (k, m, n) stack M to O."""
-    U, S, Vh = _lapack_svd(M)
-    np.matmul(U, Vh, out=O)
+    U, S, Vh = _lapack_svd(M.reshape((-1,) + M.shape[-2:]))
+    O = U @ Vh
     # S is nonincreasing, so a slice keeps full rank when its last value does;
     # only the truncated ones are redone, and an empty keep gives zeros
     keep = S > RANK_TOL * S[:, :1]
     for i in np.flatnonzero(~keep[:, -1]):
         O[i] = U[i][:, keep[i]] @ Vh[i][keep[i]]
+    return O.reshape(M.shape)
 
 
 def orthogonalize_ns(A, steps: int = DEFAULT_NS_STEPS) -> np.ndarray:

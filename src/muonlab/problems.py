@@ -27,13 +27,11 @@ class Problem:
 
     Attributes:
         shape: (m, n) of the parameter matrix.
-        value_grad: the loss-and-gradient oracle, returning (value, grad);
-            value(W) and grad(W) are its two halves.
+        value_grad: the loss-and-gradient oracle, returning (value, grad), a
+            float value for one matrix and (k,) values for a (k, m, n) stack,
+            each slice bit for bit its own call; value and grad are its halves.
         hvp: Hessian-vector product; hvp(W, D) is linear and symmetric in D.
         hvp_exact: False when hvp is a finite-difference approximation.
-        value_grad_stacks: True when value_grad also takes a (k, m, n) stack
-            of parameters and returns a (k,) array of values with the (k, m, n)
-            gradients, each slice bit for bit its own 2-D call.
         kink_margin: optional callable giving the distance of the nearest
             hidden-layer preactivation to zero (MLPs only).
         probe_clean: optional predicate, true when the hvp(W, D) probe keeps
@@ -42,12 +40,11 @@ class Problem:
     """
 
     def __init__(self, shape, value_grad, hvp, hvp_exact=True, metadata=None,
-                 kink_margin=None, probe_clean=None, value_grad_stacks=False):
+                 kink_margin=None, probe_clean=None):
         self.shape = tuple(shape)
         self.value_grad = value_grad
         self.hvp = hvp
         self.hvp_exact = hvp_exact
-        self.value_grad_stacks = value_grad_stacks
         self.kink_margin = kink_margin
         self.probe_clean = probe_clean
         self.metadata = dict(metadata or {})
@@ -69,7 +66,6 @@ def quadratic_new(Q, W_star, half: bool = True) -> Problem:
 
     half=True uses c = 1/2 (so grad = Q (W - W*)); half=False uses c = 1.
     Exact metadata: L = 2c*||Q||_op, L_star = 2c*||Q||_*, f* = 0, W* known.
-    value_grad also takes a (k, m, n) stack of parameters.
     """
     Q = matcore.as_matrix(Q)
     W_star = matcore.as_matrix(W_star)
@@ -98,8 +94,7 @@ def quadratic_new(Q, W_star, half: bool = True) -> Problem:
     def hvp(W, D):
         return 2.0 * c * (Q @ D)
 
-    return Problem(W_star.shape, value_grad, hvp, hvp_exact=True,
-                   metadata=meta, value_grad_stacks=True)
+    return Problem(W_star.shape, value_grad, hvp, hvp_exact=True, metadata=meta)
 
 
 def make_ill_conditioned_Q(m: int, cond: float, decay: str = "two_cluster",
@@ -140,7 +135,7 @@ def linear_mse_new(X, Y) -> Problem:
     X is d x B (features in columns), Y is c x B, W is c x d.  The Hessian is
     the constant map D -> D (X X^T) / B; metadata carries the induced
     smoothness constants L = ||X||_op^2 / B and L_star = ||X||_F^2 / B, and
-    the least-squares optimal value f_star.
+    the least-squares optimal value f_star.  value_grad works in place.
     """
     X = matcore.as_matrix(X)
     Y = matcore.as_matrix(Y)
@@ -157,8 +152,12 @@ def linear_mse_new(X, Y) -> Problem:
     }
 
     def value_grad(W):
-        R = W @ X - Y
-        return 0.5 * float(np.sum(R * R)) / B, (R @ X.T) / B
+        R = W @ X
+        R -= Y
+        G = R @ X.T
+        G /= B
+        R *= R
+        return matcore.per_matrix(0.5 * np.sum(R, axis=(-2, -1)) / B, R), G
 
     def hvp(W, D):
         return D @ H
@@ -325,14 +324,14 @@ def _mlp_loss_and_delta(out, Y, loss):
     B = Y.shape[1]
     if loss == "mse":
         R = out - Y
-        return 0.5 * float(np.sum(R * R)) / B, R / B
-    # loss is "softmax_ce", as mlp_new checks
-    z = out - out.max(axis=0, keepdims=True)
+        return matcore.per_matrix(0.5 * np.sum(R * R, axis=(-2, -1)) / B, out), R / B
+    # loss is "softmax_ce", as mlp_new checks; classes run down axis -2
+    z = out - out.max(axis=-2, keepdims=True)
     ez = np.exp(z)
-    p = ez / ez.sum(axis=0, keepdims=True)
-    lse = np.log(ez.sum(axis=0)) + out.max(axis=0)
-    f = float(np.sum(lse) - np.sum(Y * out)) / B
-    return f, (p - Y) / B
+    p = ez / ez.sum(axis=-2, keepdims=True)
+    lse = np.log(ez.sum(axis=-2)) + out.max(axis=-2)
+    f = (np.sum(lse, axis=-1) - np.sum(Y * out, axis=(-2, -1))) / B
+    return matcore.per_matrix(f, out), (p - Y) / B
 
 
 def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
@@ -350,7 +349,7 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
     evaluated once here: every oracle starts its forward pass at the trained
     layer from the cached activations.  The problem keeps its own copies of
     those activations and of Y, so changing the caller's X or Y afterwards
-    does not change the problem.
+    does not change the problem.  hvp, kink_margin and probe_clean take one W.
     """
     if loss not in ("mse", "softmax_ce"):
         raise ValueError(f"unknown loss {loss!r}")
@@ -385,7 +384,7 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
 
     def forward(W):
         """(weights, preactivations, activations) from the trained layer up."""
-        ws = [matcore.as_matrix(W)] + frozen[train_layer + 1:]
+        ws = [matcore.as_matrices(W)] + frozen[train_layer + 1:]
         pres, acts = _mlp_forward(ws, H_in)
         return ws, pres, acts
 

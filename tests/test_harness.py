@@ -464,12 +464,13 @@ def test_grid_scan_matches_separate_runs_bitwise(spec):
 def uphill_problem(shape=(7, 5), seed=3):
     """f = ||W - W*||^2 with an oracle that points uphill, so every run drifts
     away from W* and a large stepsize trips the divergence guard after a
-    number of steps that shrinks as the stepsize grows."""
+    number of steps that shrinks as the stepsize grows.  Like every problem
+    kind's, its oracle also takes a (k, m, n) stack."""
     W_star = np.random.default_rng(seed).standard_normal(shape)
 
     def value_grad(W):
         E = W - W_star
-        return float(np.sum(E * E)), -2.0 * E
+        return matcore.per_matrix(np.sum(E * E, axis=(-2, -1)), E), -2.0 * E
 
     return problems.Problem(shape, value_grad, lambda W, D: -2.0 * D)
 
@@ -487,10 +488,8 @@ def test_grid_scan_survivors_match_after_divergence(spec):
 
 
 def test_quadratic_grid_scan_survivors_match_after_divergence():
-    # the quadratic's oracle takes the whole stack at once; GD at eta > 2/L
-    # blows up along the top eigenvector, sooner the larger eta is
+    # GD at eta > 2/L blows up along the top eigenvector, sooner the larger eta is
     problem = harness.build_problem(QUAD_SPEC, 1)
-    assert problem.value_grad_stacks
     W0 = np.random.default_rng(5).standard_normal(problem.shape)
     L = problem.metadata["L"]
     grid, T = tuple(x / L for x in (0.5, 1.0, 2.5, 4.0, 16.0)), 60
@@ -1253,8 +1252,8 @@ def test_scan_gives_back_the_blas_threads_and_python_threads(monkeypatch, two_bl
 
     def failing(W):
         seen.append(two_blas_threads())
-        # value(W0), the probe's two calls, then three steps of every row
-        if len(seen) > 3 + 3 * len(SPLIT_GRID):
+        # value(W0), the probe's two calls, then three steps of both row blocks
+        if len(seen) > 3 + 3 * 2:
             raise RuntimeError("the oracle failed")
         return value_grad(W)
 
@@ -1295,9 +1294,10 @@ def test_row_blocks_keep_the_bits_when_a_helper_row_diverges_partway(monkeypatch
         # 40x64 directions (||O||_F = sqrt(40)); 0.3 moves it at most 9.5.
         # Momentum makes the bits depend on each row's own optimizer state.
         f, G = value_grad(W)
-        if np.linalg.norm(W - W0) > 15.0:
+        far = np.linalg.norm(W - W0, axis=(-2, -1)) > 15.0
+        if far.any():
             tripped.append(threading.current_thread().name)
-            return float("inf"), G
+            f = np.where(far, np.inf, f)
         return f, G
 
     problem.value_grad = diverging
@@ -1332,12 +1332,36 @@ def test_row_blocks_with_more_cores_than_rows_run_one_row_each(monkeypatch):
         sys.setswitchinterval(interval)
     split_or_skip(entered)
     assert entered[-1] == len(grid) - 1
-    # after value(W0) and the probe's two calls, all in the caller, each row
-    # takes 4 steps and a final value, and the caller's block is one row
+    # after value(W0) and the probe's two calls, all in the caller, each
+    # one-row block calls the oracle for 4 steps and a final value
     later = threads[3:]
     assert threads[:3] == ["MainThread"] * 3
     assert len(later) == 5 * len(grid) and later.count("MainThread") == 5
     assert split == harness._grid_scan(problem, MUON, grid, 4, W0)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_grid_scan_calls_the_oracle_once_per_block_and_step(monkeypatch, cores):
+    problem, W0 = split_mlp()
+    value_grad, stacks = problem.value_grad, []
+
+    def counting(W):
+        stacks.append(len(W) if W.ndim == 3 else "one matrix")
+        return value_grad(W)
+
+    problem.value_grad = counting
+    entered = spy_scopes(monkeypatch)
+    grid, T = tuple(np.geomspace(0.001, 1.0, 9)), 4
+    scan = harness._grid_scan(problem, MUON, grid, T, W0, cores=cores)
+    assert not any(diverged for _, diverged in scan)
+    if cores == 1:
+        # value(W0), then T steps and the final values of the one block of 9 rows
+        assert stacks == ["one matrix"] + [9] * (T + 1)
+        return
+    split_or_skip(entered)
+    # value(W0) and the probe's two calls, then the blocks of 5 and 4 rows
+    assert stacks[:3] == ["one matrix"] * 3
+    assert sorted(stacks[3:]) == [4] * (T + 1) + [5] * (T + 1)
 
 
 @pytest.mark.parametrize("where", ["caller", "helper"])
@@ -1828,11 +1852,6 @@ def _check_exit(rc: int, err: str, names, workdir: Path, kept) -> None:
         assert sorted(p.name for p in workdir.rglob("*") if p.is_file()) == sorted(kept)
 
 
-# lowrank_features and mlp_new refuse a target_ratio above min(d, B) and a
-# train_layer past the last layer by the bare key: ranges set by other keys
-_CROSS_KEY = ("target_ratio", "train_layer")
-
-
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(inputs=_run_inputs())
@@ -1846,7 +1865,7 @@ def test_cli_run_exit_code_contract_property(capsys, inputs):
         err = capsys.readouterr().err
         assert rc in (0, 2), err
         names = [line.split(" = ")[0] for line in text.splitlines()] + flags[::2]
-        _check_exit(rc, err, names + list(_CROSS_KEY), workdir, ["cfg.toml"])
+        _check_exit(rc, err, names, workdir, ["cfg.toml"])
 
 
 @st.composite
@@ -1965,11 +1984,17 @@ def test_cli_run_bad_schedule_exits_2(tmp_path, capsys, problem, schedule):
     ("path", {"kind": "linear_mse", "features": "csv"}),
     ("wstar_scale", dict(QUAD_SPEC, wstar_scale=float("inf"))),
     ("wstar_scale", dict(QUAD_SPEC, wstar_scale=float("nan"))),
+    # ranges set by other keys
+    ("train_layer", dict(MLP_SPEC, dims=(8, 6, 4), train_layer=5)),
+    ("target_ratio", {"kind": "linear_mse", "d": 10, "features": "lowrank",
+                      "target_ratio": 50.0}),
+    ("target_ratio", dict(MLP_SPEC, input_dim=10, B=5, target_ratio=9.0)),
 ], ids=["quad-list-m", "quad-word-cond", "quad-list-seed", "mlp-word-dims",
         "mlp-float-dims", "mlp-list-train_layer", "mlp-list-B", "linmse-list-c",
         "quad-fraction-m", "quad-word-half", "mlp-fraction-dims",
         "mlp-fraction-train_layer", "linmse-word-skip_header", "linmse-csv-no-path",
-        "quad-inf-wstar_scale", "quad-nan-wstar_scale"])
+        "quad-inf-wstar_scale", "quad-nan-wstar_scale", "mlp-past-last-train_layer",
+        "linmse-above-min-target_ratio", "mlp-above-min-target_ratio"])
 def test_cli_run_bad_problem_value_exits_2(tmp_path, capsys, key, problem):
     cfg_path = tmp_path / "bad.toml"
     out = tmp_path / "out"

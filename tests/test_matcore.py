@@ -565,13 +565,14 @@ def test_polar_probe_refuses_a_product_whose_bits_follow_the_thread_count(
     W0 = problem.metadata["W_init"]
     assert harness._first_step_keeps_bits_on_one_thread(
         problem, {"kind": "simplified_muon"}, 0.1, W0)
-    plain_matmul = np.matmul
+    lapack_svd = matcore._lapack_svd
 
-    def thread_dependent(U, Vh, out):
-        plain_matmul(U, Vh, out=out)
-        out += 1e-3 * two_blas_threads()
+    def thread_dependent(M):
+        # U scaled by the thread count of the caller, outside the SVD's own scope
+        U, S, Vh = lapack_svd(M)
+        return U * (1.0 + 1e-3 * two_blas_threads()), S, Vh
 
-    monkeypatch.setattr(np, "matmul", thread_dependent)
+    monkeypatch.setattr(matcore, "_lapack_svd", thread_dependent)
     assert not harness._first_step_keeps_bits_on_one_thread(
         problem, {"kind": "simplified_muon"}, 0.1, W0)
 

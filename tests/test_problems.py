@@ -1,7 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from muonlab import matcore, problems
+from muonlab import harness, matcore, problems
 from muonlab.problems import fd_hvp
 from oracles import kron, vec_row
 
@@ -91,6 +93,22 @@ def test_quadratic_star_convexity_equality():
         assert inner >= prob.value(W) - 1e-12  # star convexity proper
 
 
+def assert_stack_matches_slices(prob, W):
+    """The oracle contract of every problem kind: value_grad on the (k, m, n)
+    stack W gives each slice the bits of its own 2-D call, whose value is a
+    float, on the process's BLAS thread count and inside one_blas_thread()."""
+    k = W.shape[0]
+    for scope in (contextlib.nullcontext, matcore.one_blas_thread):
+        with scope():
+            values, G = prob.value_grad(W)
+            assert values.shape == (k,) and G.shape == W.shape
+            for j in range(k):
+                value, grad = prob.value_grad(W[j])
+                assert type(value) is float
+                assert values[j] == value
+                assert np.array_equal(G[j], grad)
+
+
 @pytest.mark.parametrize("half", [True, False])
 @pytest.mark.parametrize("shape", [(15, 20), (6, 8), (1, 7)], ids=lambda s: "x".join(map(str, s)))
 @pytest.mark.parametrize("k", [1, 2, 9])
@@ -99,16 +117,38 @@ def test_quadratic_stacked_value_grad_matches_slices_bitwise(k, shape, half):
     rng = np.random.default_rng([k, m, n, half])
     Q = np.array([[3.0]]) if m == 1 else problems.make_ill_conditioned_Q(m, 1e4, seed=m)
     prob = problems.quadratic_new(Q, rng.uniform(-50.0, 50.0, shape), half=half)
-    assert prob.value_grad_stacks
     # slices from 1e-12 to 1e12 times the optimum's scale, so a mixed-up slice shows
     scales = 10.0 ** rng.integers(-12, 13, size=(k, 1, 1))
-    W = rng.standard_normal((k, m, n)) * scales
-    values, G = prob.value_grad(W)
-    assert values.shape == (k,) and G.shape == (k, m, n)
-    for j in range(k):
-        value, grad = prob.value_grad(W[j])
-        assert values[j] == value
-        assert np.array_equal(G[j], grad)
+    assert_stack_matches_slices(prob, rng.standard_normal((k, m, n)) * scales)
+
+
+DESK_MLP = {"kind": "mlp", "input_dim": 10, "dims": (8, 6, 4)}
+PAPER_MLP = {"kind": "mlp", "input_dim": 784, "dims": (128, 64, 10)}
+# the linear-MSE problems of fig2 (196x400 features) and a CSV of features,
+# and the MLP of fig3 at desk and paper dims with each loss and trained layer
+STACK_CASES = {
+    "linmse-gaussian": {"kind": "linear_mse", "features": "gaussian", "c": 10},
+    "linmse-lowrank": {"kind": "linear_mse", "features": "lowrank", "c": 100},
+    "linmse-csv": {"kind": "linear_mse", "features": "csv", "c": 4},
+    **{f"mlp-{dims}-{loss}-{layer}": dict(spec, loss=loss, train_layer=index)
+       for dims, spec in (("desk", DESK_MLP), ("paper", PAPER_MLP))
+       for loss in ("softmax_ce", "mse")
+       for layer, index in (("first", 0), ("middle", 1), ("last", 2))},
+}
+
+
+@pytest.mark.parametrize("case", STACK_CASES)
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_stacked_value_grad_matches_slices_bitwise(tmp_path, k, case):
+    spec = dict(STACK_CASES[case])
+    if spec.get("features") == "csv":
+        spec["path"] = str(tmp_path / "features.csv")
+        problems.save_matrix_csv(np.random.default_rng(7).standard_normal((12, 30)), spec["path"])
+    prob = harness.build_problem(spec, 1)
+    rng = np.random.default_rng([k, list(STACK_CASES).index(case)])
+    # slices from 1e-6 to 1e6 times the unit scale, so a mixed-up slice shows
+    scales = 10.0 ** rng.integers(-6, 7, size=(k, 1, 1))
+    assert_stack_matches_slices(prob, rng.standard_normal((k,) + prob.shape) * scales)
 
 
 # ---------------------------------------------------------------------------

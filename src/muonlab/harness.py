@@ -331,7 +331,8 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
         if features == "gaussian":
             X = problems.gaussian_features(d, B, seed=base_seed)
         elif features == "lowrank":
-            X = _lowrank_features("d", d, B, get("target_ratio", 1.41), base_seed)
+            X = _lowrank_features(("problem.target_ratio", "problem.d", "problem.B"),
+                                  d, B, get("target_ratio", 1.41), base_seed)
         else:
             if "path" not in spec:
                 raise ValueError("problem.features = csv needs problem.path")
@@ -347,7 +348,8 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
         raise ValueError(f"problem.train_layer must lie in [0, len(problem.dims) - 1] = "
                          f"[0, {len(dims) - 1}], got {train_layer!r}")
     if get("data", "lowrank") == "lowrank":
-        X = _lowrank_features("input_dim", input_dim, B, get("target_ratio", 2.0), base_seed)
+        X = _lowrank_features(("problem.target_ratio", "problem.input_dim", "problem.B"),
+                              input_dim, B, get("target_ratio", 2.0), base_seed)
         X = X * (np.sqrt(B) / matcore.frobenius_norm(X))
     else:
         X = problems.gaussian_features(input_dim, B, seed=base_seed) / np.sqrt(input_dim)
@@ -361,11 +363,12 @@ def build_problem(spec: dict, run_seed: int = 0) -> Problem:
                             train_layer=train_layer)
 
 
-def _lowrank_features(rows_key: str, rows: int, B: int, ratio: float, seed: int):
-    """lowrank_features(rows, B, ratio) for rows set by problem.<rows_key>."""
+def _lowrank_features(names: tuple, rows: int, B: int, ratio: float, seed: int):
+    """lowrank_features(rows, B, ratio), refusing a ratio above min(rows, B)
+    in the words the user typed: names are those of ratio, rows and B."""
     if ratio > min(rows, B):
-        raise ValueError(f"problem.target_ratio must be at most min(problem.{rows_key}, "
-                         f"problem.B) = {min(rows, B)}, got {ratio!r}")
+        raise ValueError("{} must be at most min({}, {}) = {}, got {!r}".format(
+            *names, min(rows, B), ratio))
     return problems.lowrank_features(rows, B, ratio, seed=seed)
 
 
@@ -625,10 +628,12 @@ def _fill_distances(pending: list, W_star: np.ndarray) -> None:
 
 def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
                     W0: np.ndarray, seed: int):
+    """The recorded run from W0, calling the oracle once per iterate."""
     opt = _OptRun(config.optimizer)
     adaptive = schedule.divisor is not None
     W = W0.copy()
-    in_bounds = _divergence_guard(problem.value(W0))
+    f, G = problem.value_grad(W)
+    in_bounds = _divergence_guard(f)
     W_star = problem.metadata.get("W_star")
     r = min(problem.shape)
     records = []
@@ -640,7 +645,6 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
     ckpt_W = None
     t = 0
     while t < config.T:
-        f, G = problem.value_grad(W)
         if not in_bounds(f):
             truncated = True
             break
@@ -651,6 +655,7 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
         if ckpt_t is not None and t == ckpt_t:
             ckpt_W = W.copy()
         W_next, O = opt.step(W, G, eta)
+        f_next, G_next = problem.value_grad(W_next)
         if recording:
             grad_F = matcore.frobenius_norm(G)
             rec = StepRecord(t=t, f=float(f), grad_F=grad_F, grad_nuc=grad_nuc,
@@ -664,9 +669,8 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
                 dir_sq = float(np.sum(O_diag * O_diag))
                 zero = not np.any(O_diag)
                 if config.want_hatJ:
-                    grad_next = problem.grad(W_next)
-                    rec.hatJ_t = hat_j_t(problem, W, O_diag, G, grad_next)
-                    zero = zero or not np.any(G - grad_next)
+                    rec.hatJ_t = hat_j_t(problem, W, O_diag, G, G_next)
+                    zero = zero or not np.any(G - G_next)
                 if zero:
                     flags.append(FLAG_ZERO_DIRECTION)
             if config.want_L:
@@ -688,13 +692,11 @@ def _diagnostic_run(problem: Problem, config: ExperimentConfig, schedule,
                 flags.append(FLAG_RAYLEIGH)
             rec.flags = ";".join(flags)
             records.append(rec)
-        W = W_next
+        W, f, G = W_next, f_next, G_next
         t += 1
     # terminal row: state after the last completed step (or at truncation)
-    f_end, G_end = problem.value_grad(W)
-    rec = StepRecord(t=t, f=float(f_end),
-                     grad_F=matcore.frobenius_norm(G_end),
-                     grad_nuc=float(np.sum(matcore.svd(G_end))))
+    rec = StepRecord(t=t, f=float(f), grad_F=matcore.frobenius_norm(G),
+                     grad_nuc=float(np.sum(matcore.svd(G))))
     if W_star is not None:
         pending.append((rec, W))
         _fill_distances(pending, W_star)
@@ -1292,7 +1294,7 @@ def _cmd_spectra(args) -> int:
     elif args.kind == "gaussian":
         A = problems.gaussian_features(args.d, args.B, seed=args.seed)
     elif args.kind == "lowrank":
-        A = problems.lowrank_features(args.d, args.B, args.ratio, seed=args.seed)
+        A = _lowrank_features(("--ratio", "--d", "--B"), args.d, args.B, args.ratio, args.seed)
     else:
         print("error: pass --csv or --kind", file=sys.stderr)
         return 2

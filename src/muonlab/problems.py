@@ -293,13 +293,16 @@ def _fd_step(W: np.ndarray, D: np.ndarray) -> Optional[float]:
 
 def fd_hvp(grad_fn, W, D) -> np.ndarray:
     """Central-difference Hessian-vector product from a gradient oracle,
-    with the step of _fd_step."""
+    with the step of _fd_step.  grad_fn takes the (2, m, n) stack of
+    W + eps * D and W - eps * D, as every Problem.grad does, and is called
+    once."""
     W = matcore.as_matrix(W)
     D = matcore.as_matrix(D)
     eps = _fd_step(W, D)
     if eps is None:
         return np.zeros_like(D)
-    return (grad_fn(W + eps * D) - grad_fn(W - eps * D)) / (2.0 * eps)
+    G = grad_fn(np.stack((W + eps * D, W - eps * D)))
+    return (G[0] - G[1]) / (2.0 * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +345,8 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
     must be consistent with X (n0 x B) and Y (n_last x B).  All layers other
     than train_layer (default: the middle one) are frozen at their seeded
     random initialization.  Gradients are exact via backpropagation; hvp uses
-    central finite differences on the gradient, with a step scaled to the
-    parameter and direction sizes.
+    central finite differences on the gradient (fd_hvp, one stacked call),
+    with a step scaled to the parameter and direction sizes.
 
     The frozen layers below train_layer never depend on W, so they are
     evaluated once here: every oracle starts its forward pass at the trained
@@ -406,26 +409,18 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
             return float("inf")
         return float(min(margins))
 
-    def _masks(W):
-        # hidden masks from train_layer up; those below it never depend on W
-        _, pres, _ = forward(W)
-        return [Z > 0 for Z in pres[:-1]]
-
     def probe_clean(W, D):
         """True when the central-difference probe for hvp(W, D) keeps every
         hidden ReLU mask unchanged, i.e. the fd value is a genuine Hessian
-        product rather than a kink artifact."""
+        product rather than a kink artifact.  One forward pass runs W and
+        both probe points; the masks below train_layer never depend on W."""
         W = matcore.as_matrix(W)
         D = matcore.as_matrix(D)
         eps = _fd_step(W, D)
         if eps is None:
             return True
-        ref = _masks(W)
-        for signed in (W + eps * D, W - eps * D):
-            for got, want in zip(_masks(signed), ref):
-                if not np.array_equal(got, want):
-                    return False
-        return True
+        _, pres, _ = forward(np.stack((W, W + eps * D, W - eps * D)))
+        return all(bool(np.all((Z[1:] > 0) == (Z[0] > 0))) for Z in pres[:-1])
 
     meta = {"kind": "mlp", "loss": loss, "train_layer": train_layer,
             "layer_shapes": shapes, "W_init": frozen[train_layer].copy()}

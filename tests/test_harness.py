@@ -388,6 +388,107 @@ def test_zero_direction_is_flagged_once_per_row(tmp_path):
     assert all(r.J_t == r.hatJ_t == 0.0 for r in rows[:2])
 
 
+def records_calling_the_oracle_per_use(config, seed):
+    """run_experiment's records and final iterate from a recorded run that calls
+    the oracle once for each use of its results: value(W0) for the divergence
+    guard, value_grad(W) before each step, grad(W_next) for hatJ_t and
+    value_grad(W) again for the terminal row."""
+    problem = harness.build_problem(config.problem, seed)
+    W0 = harness._initial_w(config, problem, seed)
+    schedule, _ = harness.make_schedule(config.schedule, problem, config.T, W0)
+    opt = harness._OptRun(config.optimizer)
+    guard = harness.DIVERGENCE_FACTOR * max(abs(problem.value(W0)), 1e-12)
+    W_star = problem.metadata.get("W_star")
+    records, W, t, end_flags = [], W0.copy(), 0, ""
+    while t < config.T:
+        f, G = problem.value_grad(W)
+        if not (np.isfinite(f) and f <= guard):
+            end_flags = dg.FLAG_DIVERGED
+            break
+        recording = t % config.cadence == 0
+        grad_nuc = (matcore.nuclear_norm(G) if recording or schedule.divisor is not None
+                    else None)
+        eta = optim.next_eta(schedule, grad_nuc=grad_nuc)
+        W_next, O = opt.step(W, G, eta)
+        if recording:
+            grad_F = matcore.frobenius_norm(G)
+            rec = dg.StepRecord(t=t, f=float(f), grad_F=grad_F, grad_nuc=grad_nuc,
+                                eta=float(eta))
+            flags, dir_sq = [], None
+            if config.want_J or config.want_hatJ:
+                O_diag = O if O is not None else optim.orthogonalize(G)
+                rec.J_t = dg.j_t(problem, W, O_diag)
+                dir_sq = float(np.sum(O_diag * O_diag))
+                zero = not np.any(O_diag)
+                if config.want_hatJ:
+                    grad_next = problem.grad(W_next)
+                    rec.hatJ_t = dg.hat_j_t(problem, W, O_diag, G, grad_next)
+                    zero = zero or not np.any(G - grad_next)
+                if zero:
+                    flags.append(dg.FLAG_ZERO_DIRECTION)
+            if config.want_L:
+                val, conv = dg.l_t(problem, W, seed=seed * 1000003 + t)
+                rec.L_t = float(val)
+                if not conv:
+                    flags.append(dg.FLAG_POWER_FALLBACK)
+            if rec.J_t is not None and rec.L_t is not None:
+                rec.ratio_lhs, rec.ratio_rhs = dg.ratio_condition(rec.J_t, rec.L_t,
+                                                                  grad_F, grad_nuc)
+            if problem.kink_margin is not None and (config.want_J or config.want_L):
+                if problem.kink_margin(W) < 1e-7:
+                    flags.append(dg.FLAG_FD_KINK)
+            if W_star is not None:
+                rec.dist_F, rec.dist_op = dg.distance_metrics(W, W_star)
+            if not dg.validate_record(rec, min(problem.shape), dir_sq,
+                                      strict=problem.hvp_exact):
+                flags.append(dg.FLAG_RAYLEIGH)
+            rec.flags = ";".join(flags)
+            records.append(rec)
+        W = W_next
+        t += 1
+    f, G = problem.value_grad(W)
+    rec = dg.StepRecord(t=t, f=float(f), grad_F=matcore.frobenius_norm(G),
+                        grad_nuc=float(np.sum(matcore.svd(G))), flags=end_flags)
+    if W_star is not None:
+        rec.dist_F, rec.dist_op = dg.distance_metrics(W, W_star)
+    records.append(rec)
+    return records, W
+
+
+@pytest.mark.parametrize("config", [
+    quad_config(optimizer={"kind": "muon", "beta": 0.9}, schedule={"kind": "constant",
+                "eta": 0.05}, T=12, cadence=1, want_J=True, want_hatJ=True, want_L=True),
+    quad_config(schedule={"kind": "constant", "eta": 3.0}, T=40, cadence=3, want_J=True,
+                want_hatJ=True),
+    quad_config(problem=dict(MLP_SPEC), optimizer={"kind": "simplified_muon"},
+                schedule={"kind": "constant", "eta": 0.05}, T=12, cadence=2, w0="init",
+                want_J=True, want_L=True),
+], ids=["quadratic-hatJ", "quadratic-truncated", "mlp-J-L"])
+def test_recorded_run_matches_a_run_calling_the_oracle_per_use(config):
+    art = harness.run_experiment(config, 1)
+    want, want_W = records_calling_the_oracle_per_use(config, 1)
+    assert art.truncated == (want[-1].flags == dg.FLAG_DIVERGED)
+    assert art.records == want and np.array_equal(art.final_W, want_W)
+
+
+def test_recorded_run_calls_the_oracle_once_per_iterate():
+    problem = harness.build_problem(QUAD_SPEC, 1)
+    value_grad, calls = problem.value_grad, []
+    problem.value_grad = lambda W: calls.append(W.shape) or value_grad(W)
+    T = 10
+    config = quad_config(optimizer={"kind": "simplified_muon"}, T=T,
+                         schedule={"kind": "constant", "eta": 0.05},
+                         want_J=True, want_hatJ=True)
+    art = harness.run_experiment(config, 1, problem=problem)
+    # W0, then the iterate after each step
+    assert not art.truncated and calls == [problem.shape] * (T + 1)
+    calls.clear()
+    art = harness.run_experiment(quad_config(schedule={"kind": "constant", "eta": 1e4}),
+                                 1, problem=problem)
+    k = art.records[-1].t
+    assert art.truncated and 1 <= k < 50 and len(calls) == k + 1
+
+
 def test_tuning_skips_diverged_points():
     config = quad_config(lr_grid=(1e-3, 1e-2, 1e5), T=100,
                          optimizer={"kind": "simplified_muon"})
@@ -1744,6 +1845,8 @@ def test_cli_run_refuses_an_out_of_range_key_before_any_work(tmp_path, capsys, n
     (["run", "--lr", "-1"], "--lr must be positive, got -1.0"),
     (["run", "--lr", "nan"], "--lr must be positive, got nan"),
     (["run", "--lr", "inf"], "--lr must be finite, got inf"),
+    (["spectra", "--kind", "lowrank", "--d", "5", "--B", "8", "--ratio", "9"],
+     "--ratio must be at most min(--d, --B) = 5, got 9.0"),
 ])
 def test_cli_refuses_an_out_of_range_flag_before_any_work(tmp_path, capsys, no_work, argv,
                                                           message):

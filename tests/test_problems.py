@@ -366,6 +366,24 @@ def test_fd_hvp_cross_validates_exact_hvp():
         assert np.linalg.norm(approx - exact) <= 1e-5 * max(1.0, np.linalg.norm(exact))
 
 
+def test_fd_hvp_calls_the_gradient_once_on_both_probe_points():
+    rng = np.random.default_rng(39)
+    prob = problems.linear_mse_new(rng.standard_normal((4, 9)), rng.standard_normal((3, 9)))
+    W, D = rng.standard_normal(prob.shape), rng.standard_normal(prob.shape)
+    calls = []
+
+    def grad(V):
+        calls.append(V.shape)
+        return prob.grad(V)
+
+    got = fd_hvp(grad, W, D)
+    assert calls == [(2, 3, 4)]
+    eps = problems._fd_step(W, D)
+    assert np.array_equal(got, (prob.grad(W + eps * D) - prob.grad(W - eps * D)) / (2.0 * eps))
+    assert np.array_equal(fd_hvp(grad, W, np.zeros(prob.shape)), np.zeros(prob.shape))
+    assert len(calls) == 1
+
+
 def test_value_and_grad_are_the_halves_of_an_instance_value_grad():
     rng = np.random.default_rng(23)
     Q = problems.make_ill_conditioned_Q(5, 10.0, "geometric", seed=23)
@@ -519,6 +537,13 @@ def _uncached_mlp_oracles(shapes, X, Y, loss, seed, train_layer):
     def grad(W):
         return value_grad(W)[1]
 
+    def hvp(W, D):
+        # central differences at one point at a time: two calls of the 2-D grad
+        eps = problems._fd_step(W, D)
+        if eps is None:
+            return np.zeros_like(D)
+        return (grad(W + eps * D) - grad(W - eps * D)) / (2.0 * eps)
+
     def kink_margin(W):
         hidden = forward(W)[1][:-1]
         return float(min(np.abs(Z).min() for Z in hidden)) if hidden else float("inf")
@@ -537,7 +562,7 @@ def _uncached_mlp_oracles(shapes, X, Y, loss, seed, train_layer):
                    for got, want in zip(masks(signed), ref))
 
     return {"value": lambda W: value_grad(W)[0], "value_grad": value_grad, "grad": grad,
-            "hvp": lambda W, D: fd_hvp(grad, W, D), "kink_margin": kink_margin,
+            "hvp": hvp, "kink_margin": kink_margin,
             "probe_clean": probe_clean}
 
 
@@ -589,6 +614,24 @@ def test_mlp_cached_prefix_matches_full_forward_with_dead_relus():
     for W in (W0, W0 + 0.3 * rng.standard_normal(prob.shape)):
         _assert_oracles_equal(prob, ref, W, rng.standard_normal(prob.shape))
     assert prob.kink_margin(W0) == 0.0
+
+
+def test_mlp_probe_across_a_relu_kink_is_not_clean():
+    rng = np.random.default_rng(38)
+    X = rng.standard_normal((5, 16))
+    Y = problems.onehot_labels(3, 16, seed=20)
+    shapes = [(6, 5), (4, 6), (3, 4)]
+    prob = problems.mlp_new(shapes, X, Y, loss="mse", seed=21, train_layer=0)
+    ref = _uncached_mlp_oracles(shapes, X, Y, "mse", 21, 0)
+    # move unit 0's preactivation on sample 0 onto the kink; the probe's
+    # +-eps*D steps then put it on either side of zero
+    W = prob.metadata["W_init"].copy()
+    x = X[:, 0]
+    W[0] -= (W[0] @ x) / (x @ x) * x
+    D = rng.standard_normal(prob.shape)
+    assert abs((W @ X)[0, 0]) < 1e-12 < abs((D @ X)[0, 0]) * problems._fd_step(W, D)
+    assert not prob.probe_clean(W, D)
+    _assert_oracles_equal(prob, ref, W, D)
 
 
 def test_mlp_copies_its_data():

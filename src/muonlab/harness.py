@@ -24,6 +24,7 @@ import json
 import os
 import re
 import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -118,10 +119,10 @@ CONFIG_SCHEMA = {
 RUN_KEYS = tuple(CONFIG_SCHEMA["run"][1]["run"])
 
 
-# config key (section.key) or subcommand flag (--name) -> (test, what the value must
-# do), for every number a user types whose type alone lets through values that would
-# fail late or silently.  _typed applies it, before any problem is built.
-_RANGES = {key: rule for keys, rule in (
+# config key (section.key) or subcommand flag (--name) -> [(test, what the value must
+# do)], for every number a user types whose type alone lets through values that would
+# fail late or silently.  _typed applies them in turn, before any problem is built.
+_RANGE_RULES = (
     ("problem.seed run.seeds --seed --sigma", (lambda v: v >= 0, "be at least 0")),
     # W* draws scale * U(-1, 1) or scale * N(0, 1): both stay finite up to here
     ("problem.wstar_scale", (lambda v: 0 <= v <= 1e300, "lie in [0, 1e300]")),
@@ -136,7 +137,12 @@ _RANGES = {key: rule for keys, rule in (
      (lambda v: v > 0, "be positive")),
     ("optimizer.beta optimizer.beta1 optimizer.beta2 schedule.beta --beta",
      (lambda v: 0 <= v < 1, "lie in [0, 1)")),
-) for key in keys.split()}
+    # sizes: then no m x m, d x d or B x B matrix a build makes exceeds 2^24 entries
+    ("problem.m problem.n problem.d problem.B problem.c problem.input_dim problem.dims"
+     " --classes --m --n --d --B", (lambda v: v <= 4096, "be at most 4096")),
+)
+_RANGES = {key: [rule for keys, rule in _RANGE_RULES if key in keys.split()]
+           for keys, _ in _RANGE_RULES for key in keys.split()}
 
 _TYPE_NAMES = {int: "a whole number", float: "a number", bool: "true or false", str: "text"}
 
@@ -145,8 +151,8 @@ def _typed(key: str, value, cast):
     """The value of config key (section.key) or flag (--name) as cast: int takes a
     whole number, float a finite number, bool true or false, str text, a tuple of
     words one of them, and [cast] one or more (one value is a list of one), each
-    within the key's _RANGES entry.  Else it raises ValueError naming the key.  The
-    range is tested first, so nan is refused with the range it misses."""
+    within the key's _RANGES rules.  Else it raises ValueError naming the key.  The
+    ranges are tested first, so nan is refused with the range it misses."""
     if isinstance(cast, list):
         return tuple(_typed(key, v, cast[0])
                      for v in (value if isinstance(value, (tuple, list)) else (value,)))
@@ -163,9 +169,9 @@ def _typed(key: str, value, cast):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key} takes {_TYPE_NAMES[cast]}, got {value!r}") from None
-    test, what = _RANGES.get(key, (None, None))
-    if test is not None and not test(typed):
-        raise ValueError(f"{key} must {what}, got {value!r}")
+    for test, what in _RANGES.get(key, ()):
+        if not test(typed):
+            raise ValueError(f"{key} must {what}, got {value!r}")
     if cast is float and not np.isfinite(typed):
         raise ValueError(f"{key} must be finite, got {value!r}")
     return typed
@@ -523,8 +529,10 @@ class _GridRows:
     the optimizer steps the stack at once (one stacked factorization per Muon
     step), and a row whose loss trips the divergence guard leaves the stack."""
 
-    def __init__(self, opt: _OptRun, W: np.ndarray, eta: np.ndarray, live: list):
-        self.opt, self.W, self.eta, self.live = opt, W, eta, live
+    def __init__(self, opt_spec: dict, W0: np.ndarray, etas: Sequence[float], live: range):
+        self.opt, self.W = _OptRun(opt_spec), np.repeat(W0[None], len(live), axis=0)
+        self.eta = np.array([etas[i] for i in live], dtype=np.float64).reshape(-1, 1, 1)
+        self.live = list(live)
 
     def step(self, problem: Problem, in_bounds) -> None:
         """Evaluate every row, drop those whose loss is not in_bounds, step the rest."""
@@ -548,13 +556,6 @@ class _GridRows:
             if in_bounds(f):
                 results[idx] = (float(f), False)
 
-    def blocks(self, parts: int) -> list:
-        """The rows cut into up to `parts` contiguous blocks on views of this one's."""
-        parts = min(parts, len(self.live))
-        edges = [len(self.live) * p // parts for p in range(parts + 1)]
-        return [_GridRows(self.opt.keep(slice(a, b)), self.W[a:b], self.eta[a:b],
-                          self.live[a:b]) for a, b in zip(edges, edges[1:])]
-
 
 def _first_step_keeps_bits_on_one_thread(problem: Problem, opt_spec: dict, eta: float,
                                          W0: np.ndarray) -> bool:
@@ -572,38 +573,76 @@ def _first_step_keeps_bits_on_one_thread(problem: Problem, opt_spec: dict, eta: 
     return all(np.array_equal(a, b) for a, b in zip(plain, one))
 
 
+def _run_jobs(groups: list, cores: int) -> list:
+    """Run each group (jobs, then) of functions of no argument: its jobs, then its
+    then (if not None) once they have all ended; return each then's value.  With
+    one job or one core the caller runs them, else min(cores, jobs) threads with
+    the caller's, in one matcore.one_blas_thread() scope: the jobs queue in group
+    order, a then at the back when its group's last job ends, and each thread
+    takes the next job queued.  An exception in any job reaches the caller and
+    starts no further job; no helper thread outlives the call."""
+    queue = [(job, g) for g, (jobs, _) in enumerate(groups) for job in jobs]
+    left, done = [len(jobs) for jobs, _ in groups], [None] * len(groups)
+    lock, failed = threading.Lock(), []
+
+    def work(item):
+        # a thread queues at most one job, a then, in the locked step that takes
+        # its next: once the queue is empty it stays so, and a thread can stop
+        while item is not None:
+            job, g = item
+            try:
+                value = job()
+            except BaseException:
+                failed.append(True)
+                raise
+            with lock:
+                # a then ends after its group's jobs: its value stays, its count < 0
+                done[g], left[g] = value, left[g] - 1
+                if left[g] == 0 and groups[g][1] is not None:
+                    queue.append((groups[g][1], g))
+                item = queue.pop(0) if queue and not failed else None
+
+    threads = min(cores, len(queue))
+    firsts = [queue.pop(0) for _ in range(threads)]
+    if threads < 2:
+        work(firsts[0])
+        return done
+    from concurrent.futures import ThreadPoolExecutor  # imported only to pool
+    with matcore.one_blas_thread(), ThreadPoolExecutor(
+            threads - 1, thread_name_prefix="muonlab-rows") as pool:
+        helpers = pool.map(work, firsts[1:])
+        work(firsts[0])
+        list(helpers)  # raises what a helper raised
+    return done
+
+
+def _scan_jobs(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
+               W0: np.ndarray, cores: int) -> tuple:
+    """(results, jobs) of a grid scan: each job runs a block of rows from W0 as
+    _GridRows and writes each point's (final_f, diverged) to results by index.
+    There is one job unless cores >= 2, there are two or more points, each
+    matrix has at least SPLIT_MIN_ENTRIES entries and a probe passes
+    (_first_step_keeps_bits_on_one_thread at etas[0]); then up to `cores`
+    contiguous blocks, to run inside matcore.one_blas_thread() as _run_jobs
+    does.  Bit invariance on one thread depends on the shapes and the BLAS
+    build, not on the kind of problem or optimizer, so the probe decides."""
+    results = [(float("inf"), True)] * len(etas)
+    in_bounds = _divergence_guard(problem.value(W0))
+    parts = (min(cores, len(etas)) if cores >= 2 and len(etas) >= 2
+             and W0.size >= SPLIT_MIN_ENTRIES
+             and _first_step_keeps_bits_on_one_thread(problem, opt_spec, etas[0], W0) else 1)
+    edges = [len(etas) * p // parts for p in range(parts + 1)]
+    return results, [lambda live=range(a, b): _GridRows(opt_spec, W0, etas, live).run(
+        problem, in_bounds, T, results) for a, b in zip(edges, edges[1:])]
+
+
 def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
                W0: np.ndarray, cores: int = 1) -> list:
-    """Final loss of a diagnostics-free run at every stepsize in etas.
-
-    Returns [(final_f, diverged), ...] in grid order, with (inf, True) for a
-    diverged point.  The points advance in lockstep as _GridRows, and each
-    point's result is bit for bit the one a separate run would give.
-
-    With cores >= 2 the rows may run in up to `cores` contiguous blocks at
-    once inside matcore.one_blas_thread(): the calling thread runs block 0
-    and helper threads the others.  That needs two or more points, matrices
-    of at least SPLIT_MIN_ENTRIES entries, and a probe before the scan
-    (_first_step_keeps_bits_on_one_thread at etas[0]).  Whether the bits hold
-    on one thread depends on the shapes and the BLAS build, not on the kind
-    of problem or optimizer, so the probe decides.
-    """
-    results = [(float("inf"), True)] * len(etas)
-    rows = _GridRows(_OptRun(opt_spec), np.repeat(W0[None], len(etas), axis=0),
-                     np.array(etas, dtype=np.float64).reshape(-1, 1, 1), list(range(len(etas))))
-    in_bounds = _divergence_guard(problem.value(W0))
-    if not (cores >= 2 and len(etas) >= 2 and W0.size >= SPLIT_MIN_ENTRIES
-            and _first_step_keeps_bits_on_one_thread(problem, opt_spec, etas[0], W0)):
-        rows.run(problem, in_bounds, T, results)
-        return results
-    blocks = rows.blocks(cores)
-    # imported here, so a scan that never splits skips the import
-    from concurrent.futures import ThreadPoolExecutor
-    with matcore.one_blas_thread(), ThreadPoolExecutor(
-            len(blocks) - 1, thread_name_prefix="muonlab-rows") as pool:
-        helpers = pool.map(lambda block: block.run(problem, in_bounds, T, results), blocks[1:])
-        blocks[0].run(problem, in_bounds, T, results)
-        list(helpers)  # raises what a helper raised
+    """Final loss of a diagnostics-free run at every stepsize in etas: [(final_f,
+    diverged), ...] in grid order, (inf, True) for a diverged point, each bit for
+    bit a separate run's.  See _scan_jobs for cores."""
+    results, jobs = _scan_jobs(problem, opt_spec, etas, T, W0, cores)
+    _run_jobs([(jobs, None)], cores)
     return results
 
 
@@ -731,27 +770,12 @@ def _summarize(records, problem: Problem, schedule) -> RunSummary:
     return summary
 
 
-def run_experiment(config: ExperimentConfig, seed: Optional[int] = None, *,
-                   problem: Optional[Problem] = None) -> RunArtifact:
-    """Execute one seeded run: optional stepsize tuning, then the recorded run.
-
-    The tuning loop (when run.lr_grid is set) evaluates every grid point with
-    a lean pass, never selects a diverged point, and keeps all grid results in
-    the artifact so stepsize claims stay auditable.  problem, when given, is
-    build_problem(config.problem, seed) built earlier: runs never write to it.
-    """
-    if seed is None:
-        seed = config.seeds[0]
-    if problem is None:
-        problem = build_problem(config.problem, run_seed=seed)
-    W0 = _initial_w(config, problem, seed)
-    grid_results = None
-    best_eta = None
-    if config.lr_grid:
-        # the grid replaces the schedule, whose keys must still be ones it reads
-        _read_section("schedule", config.schedule)
-        scan = _grid_scan(problem, config.optimizer, config.lr_grid, config.T, W0,
-                          cores=len(os.sched_getaffinity(0)))
+def _record(config: ExperimentConfig, problem: Problem, seed: int, W0: np.ndarray,
+            scan: Optional[list]) -> RunArtifact:
+    """The run from W0 after its grid scan's results (None without run.lr_grid):
+    the best point and schedule, then the recorded run and its summary."""
+    grid_results = best_eta = None
+    if scan is not None:
         grid_results = [{"eta": float(eta), "final_f": None if diverged else fT,
                          "diverged": diverged}
                         for eta, (fT, diverged) in zip(config.lr_grid, scan)]
@@ -765,13 +789,34 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None, *,
         schedule, resolved = make_schedule(config.schedule, problem, config.T, W0)
     records, final_W, truncated, (ckpt_t, ckpt_W) = _diagnostic_run(
         problem, config, schedule, W0, seed)
-    summary = _summarize(records, problem, schedule)
-    artifact = RunArtifact(
+    return RunArtifact(
         config_text=config.to_text(), seed=seed, records=records,
-        summary=summary, final_W=final_W, truncated=truncated,
-        grid_results=grid_results, best_eta=best_eta,
-        checkpoint_t=ckpt_t, checkpoint_W=ckpt_W,
-        schedule_resolved=resolved)
+        summary=_summarize(records, problem, schedule), final_W=final_W,
+        truncated=truncated, grid_results=grid_results, best_eta=best_eta,
+        checkpoint_t=ckpt_t, checkpoint_W=ckpt_W, schedule_resolved=resolved)
+
+
+def run_experiment(config: ExperimentConfig, seed: Optional[int] = None, *,
+                   problem: Optional[Problem] = None) -> RunArtifact:
+    """Execute one seeded run: optional stepsize tuning, then the recorded run.
+
+    The tuning scan (run.lr_grid; _grid_scan may run its row blocks on threads)
+    never selects a diverged point and keeps all grid results in the artifact;
+    the recorded run follows on the calling thread.  problem, when given, is
+    build_problem(config.problem, seed) built earlier: runs never write to it.
+    """
+    if seed is None:
+        seed = config.seeds[0]
+    if problem is None:
+        problem = build_problem(config.problem, run_seed=seed)
+    W0 = _initial_w(config, problem, seed)
+    scan = None
+    if config.lr_grid:
+        # the grid replaces the schedule, whose keys must still be ones it reads
+        _read_section("schedule", config.schedule)
+        scan = _grid_scan(problem, config.optimizer, config.lr_grid, config.T, W0,
+                          cores=len(os.sched_getaffinity(0)))
+    artifact = _record(config, problem, seed, W0, scan)
     if config.out_dir:
         _write_artifact(config, artifact)
     return artifact
@@ -1002,8 +1047,8 @@ def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
     The work is spread over the usable cores (see _fan_out); with fewer seeds
     than cores, each seed's grid is cut into row blocks, the last also running
     GD, and joined in grid order, so the summary is byte for byte a serial
-    run's.  fig2 and fig3 stay in one process: their BLAS-threaded oracles
-    would compete for the cores (README, "Seeds on several cores").
+    run's.  fig2 and fig3 run in one process, on threads (see _tuned_runs):
+    processes would compete for the cores (README, "Seeds on several cores").
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -1027,15 +1072,30 @@ def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
 
 def _tuned_runs(prob_spec: dict, seed: int, opt_specs: dict, prefix: str, **run):
     """(problem, {name: artifact}): build the problem once, then tune and record each
-    optimizer of opt_specs on it as run <prefix>_<name> with the other run.* settings."""
+    optimizer of opt_specs on it as run <prefix>_<name> with the other run.* settings.
+    When every grid splits (see _scan_jobs), one _run_jobs call runs the grids'
+    row blocks and each recorded run once its grid ends; else the optimizers run
+    in turn, as in run_experiment.  The caller writes the artifacts in order."""
     problem = build_problem(prob_spec, run_seed=seed)
-    artifacts = {}
+    cores = len(os.sched_getaffinity(0))
+    runs = {}
     for name, spec in opt_specs.items():
         config = ExperimentConfig(
             problem=prob_spec, optimizer=spec, schedule={"kind": "constant", "eta": 1.0},
             seeds=(seed,), lr_grid=default_grid(name, problem), name=f"{prefix}_{name}",
             **run)
-        artifacts[name] = run_experiment(config, seed, problem=problem)
+        W0 = _initial_w(config, problem, seed)
+        scan, jobs = _scan_jobs(problem, spec, config.lr_grid, config.T, W0, cores)
+        runs[name] = (config, jobs, functools.partial(_record, config, problem, seed, W0, scan))
+    pooled = all(len(jobs) > 1 for _, jobs, _ in runs.values())
+    done = _run_jobs([(jobs, record) for _, jobs, record in runs.values()], cores) if pooled else ()
+    artifacts = dict(zip(runs, done))
+    for name, (config, jobs, record) in runs.items():
+        if not pooled:
+            _run_jobs([(jobs, None)], cores)
+            artifacts[name] = record()
+        if config.out_dir:
+            _write_artifact(config, artifacts[name])
     return problem, artifacts
 
 

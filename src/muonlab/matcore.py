@@ -88,8 +88,8 @@ def _lapack_svd(M: np.ndarray, compute_uv: bool = True):
     last bits on one thread (the linear-MSE gradient does), so only the
     factorization runs here and every product keeps the process's count.
 
-    Inside a grid scan's scope the count is 1 already, so the nested scope
-    sets and restores 1, also when row blocks on several threads nest it at
+    Inside a thread pool's scope the count is 1 already, so the nested scope
+    sets and restores 1, also when jobs on several threads nest it at
     once.  A BLAS without the OpenBLAS thread functions (MKL, Accelerate)
     makes this the plain call.
     """

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import concurrent.futures
+import copy
 import dataclasses
 import json
 import multiprocessing
@@ -69,6 +70,7 @@ _TEXT = _WORD | _PATHLIKE | _NUMBERLIKE
 _STEPSIZE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _WHOLE = st.integers(-10 ** 9, 10 ** 9)
 _COUNT = st.integers(1, 10 ** 9)
+_WIDTH = st.integers(1, 4096)  # a size key's range
 _RATIO = st.floats(min_value=1.0, allow_infinity=False)
 _SEED_MODE = st.sampled_from(("fixed", "per_run"))
 
@@ -77,14 +79,14 @@ _SEED_MODE = st.sampled_from(("fixed", "per_run"))
 @given(problem=st.one_of(
            st.fixed_dictionaries({"kind": st.just("linear_mse"), "seed_mode": _SEED_MODE,
                                   "features": st.sampled_from(("gaussian", "lowrank", "csv")),
-                                  "path": _TEXT, "c": _COUNT,
+                                  "path": _TEXT, "c": _WIDTH,
                                   "skip_header": st.booleans()}),
            st.fixed_dictionaries({"kind": st.just("mlp"), "loss": _TEXT,
                                   "seed_mode": _SEED_MODE,
                                   "data": st.sampled_from(("lowrank", "gaussian")),
-                                  "dims": st.lists(_COUNT, min_size=1, max_size=4).map(tuple),
+                                  "dims": st.lists(_WIDTH, min_size=1, max_size=4).map(tuple),
                                   "target_ratio": _RATIO}),
-           st.fixed_dictionaries({"kind": st.just("quadratic"), "m": st.integers(2, 10 ** 9),
+           st.fixed_dictionaries({"kind": st.just("quadratic"), "m": st.integers(2, 4096),
                                   "seed_mode": _SEED_MODE,
                                   "wstar": st.sampled_from(("uniform", "gaussian")),
                                   "cond": _RATIO.filter(lambda c: c > 1),
@@ -1336,7 +1338,7 @@ def test_split_mlp_grid_writes_the_bytes_of_one_core(tmp_path, monkeypatch):
         outputs.append({p.name: p.read_bytes() for p in (side / "out").iterdir()})
     split_or_skip(entered)
     # the probe's one-thread first step, then the scan's row blocks on 2 threads
-    assert entered == [PROBE, "_grid_scan", 1]
+    assert entered == [PROBE, "_run_jobs", 1]
     assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
@@ -1515,7 +1517,7 @@ def test_scan_above_the_floor_splits_whatever_the_stepper_or_oracle(monkeypatch,
     entered = spy_scopes(monkeypatch)
     split = harness._grid_scan(problem, spec, SPLIT_GRID, 5, W0, cores=2)
     split_or_skip(entered)
-    assert entered == [PROBE, "_grid_scan", 1]
+    assert entered == [PROBE, "_run_jobs", 1]
     assert not all(diverged for _, diverged in split)
     assert split == harness._grid_scan(problem, spec, SPLIT_GRID, 5, W0)
 
@@ -1533,6 +1535,161 @@ def test_figure1_study_never_splits(monkeypatch):
     harness.figure1_study(seeds=[3], T=20, m=40, n=64, cond=100.0)
     assert cores and set(cores) == {1}
     assert entered == []
+
+
+# fig3 on the MLP above: its trained 40x64 layer lets both grids split
+FIG3_SPLIT = dict(input_dim=30, dims=(64, 40, 5), B=40, T=6, cadence=2, seed=1)
+
+
+def test_figure3_pools_both_grids_and_recorded_runs_byte_for_byte(tmp_path, monkeypatch,
+                                                                  two_blas_threads):
+    """On two cores one pool runs both grids' row blocks and both recorded runs,
+    every BLAS call on one thread, and fig3 writes the bytes of one core."""
+    counts, diagnostic_run = [], harness._diagnostic_run
+
+    def recorded(*args):
+        counts.append(two_blas_threads())
+        return diagnostic_run(*args)
+
+    monkeypatch.setattr(harness, "_diagnostic_run", recorded)
+    entered, outputs = spy_scopes(monkeypatch), []
+    for cores in (1, 2):
+        usable_cores(monkeypatch, cores)
+        side = tmp_path / str(cores)
+        side.mkdir()
+        monkeypatch.chdir(side)
+        harness.figure3_suite(**FIG3_SPLIT, out_dir="out")
+        outputs.append({p.name: p.read_bytes() for p in (side / "out").iterdir()})
+    split_or_skip(entered)
+    # both optimizers' probes, then one scope and one helper thread for the study
+    assert entered == [PROBE, PROBE, "_run_jobs", 1]
+    assert counts == [2, 2, 1, 1]
+    # csv, summary, config, grid and checkpoint per optimizer, and the study summary
+    assert len(outputs[0]) == 11 and outputs[0] == outputs[1]
+
+
+def test_a_failing_recorded_run_in_the_study_pool_reaches_the_caller(monkeypatch,
+                                                                     two_blas_threads):
+    usable_cores(monkeypatch, 2)
+    events, run_rows, diagnostic_run = [], harness._GridRows.run, harness._diagnostic_run
+
+    def rows(self, *args):
+        events.append("start")
+        return run_rows(self, *args)
+
+    def recorded(problem, *args):
+        events.append("start")
+
+        def failing(W):
+            events.append("raise")
+            raise RuntimeError("the oracle failed in a recorded run")
+
+        problem = copy.copy(problem)
+        problem.value_grad = failing
+        return diagnostic_run(problem, *args)
+
+    monkeypatch.setattr(harness._GridRows, "run", rows)
+    monkeypatch.setattr(harness, "_diagnostic_run", recorded)
+    entered = spy_scopes(monkeypatch)
+    with pytest.raises(RuntimeError, match="failed in a recorded run"):
+        harness.figure3_suite(**FIG3_SPLIT)
+    split_or_skip(entered)
+    assert entered[-2:] == ["_run_jobs", 1]
+    # the first recorded run to start raised; no job started after it
+    assert "raise" in events and "start" not in events[events.index("raise"):]
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("muonlab-")]
+    assert two_blas_threads() == 2
+
+
+def test_a_study_with_a_grid_that_fails_the_probe_runs_each_optimizer_in_turn(
+        tmp_path, monkeypatch, two_blas_threads):
+    usable_cores(monkeypatch, 2)
+    events, probe = [], harness._first_step_keeps_bits_on_one_thread
+    run_rows, diagnostic_run, write = (harness._GridRows.run, harness._diagnostic_run,
+                                       harness._write_artifact)
+
+    def probing(problem, spec, eta, W0):
+        events.append(("probe", spec["kind"]))
+        return spec["kind"] != "gd" and probe(problem, spec, eta, W0)
+
+    def rows(self, *args):
+        events.append(("rows", self.opt.kind))
+        return run_rows(self, *args)
+
+    def recorded(problem, config, *args):
+        events.append(("record", config.optimizer["kind"], threading.current_thread().name,
+                       two_blas_threads()))
+        return diagnostic_run(problem, config, *args)
+
+    def writing(config, artifact):
+        events.append(("write", config.name))
+        return write(config, artifact)
+
+    monkeypatch.setattr(harness, PROBE, probing)
+    monkeypatch.setattr(harness._GridRows, "run", rows)
+    monkeypatch.setattr(harness, "_diagnostic_run", recorded)
+    monkeypatch.setattr(harness, "_write_artifact", writing)
+    entered = spy_scopes(monkeypatch)
+    harness.figure3_suite(**FIG3_SPLIT, out_dir=str(tmp_path))
+    split_or_skip(entered)
+    # no study pool: Muon's grid alone splits, as run_experiment's would
+    assert entered == [PROBE, "_run_jobs", 1]
+    muon = "simplified_muon"
+    # both probes before any scan, then each optimizer's scan, recorded run on the
+    # calling thread at the process's thread count, and artifact, in turn
+    assert events == [("probe", "gd"), ("probe", muon),
+                      ("rows", "gd"), ("record", "gd", "MainThread", 2), ("write", "fig3_gd"),
+                      ("rows", muon), ("rows", muon), ("record", muon, "MainThread", 2),
+                      ("write", "fig3_muon")]
+
+
+def test_run_jobs_runs_every_job_once_and_each_then_after_its_group():
+    """Seven threads on tiny jobs with frequent thread switches: every job runs
+    once, each then once after its group's last job, and the thens' values
+    come back in group order."""
+    log = []
+
+    def job(g, k):
+        return lambda: log.append(("job", g, k))
+
+    def then(g):
+        return lambda: log.append(("then", g)) or 10 * g
+
+    sizes = [g % 4 + 1 for g in range(40)]
+    groups = [([job(g, k) for k in range(size)], then(g) if g % 3 else None)
+              for g, size in enumerate(sizes)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        done = harness._run_jobs(groups, 7)
+    finally:
+        sys.setswitchinterval(interval)
+    assert done == [10 * g if g % 3 else None for g in range(40)]
+    assert sorted(event for event in log if event[0] == "job") == sorted(
+        ("job", g, k) for g, size in enumerate(sizes) for k in range(size))
+    for g in range(40):
+        ends = [i for i, event in enumerate(log) if event == ("then", g)]
+        assert len(ends) == (1 if g % 3 else 0)
+        assert all(i > j for i in ends for j, event in enumerate(log) if event[:2] == ("job", g))
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("muonlab-")]
+
+
+def test_only_two_functions_start_pools():
+    """_run_jobs constructs the package's one thread pool and _fan_out its one
+    process pool; nothing constructs a bare thread or process."""
+    package = Path(harness.__file__).resolve().parent
+    makers = {}
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    name = (getattr(getattr(node, "func", None), "id", None)
+                            or getattr(getattr(node, "func", None), "attr", None))
+                    if isinstance(node, ast.Call) and name in (
+                            "ThreadPoolExecutor", "ProcessPoolExecutor", "Thread", "Process"):
+                        makers.setdefault(name, set()).add(f"{path.stem}.{fn.name}")
+    assert makers == {"ThreadPoolExecutor": {"harness._run_jobs"},
+                      "ProcessPoolExecutor": {"harness._fan_out"}}
 
 
 # ---------------------------------------------------------------------------
@@ -1810,8 +1967,13 @@ def no_work(monkeypatch):
      "schedule.beta must lie in [0, 1), got 1.0"),
     ({"schedule": {"kind": "adaptive_rL"}}, "schedule.L = -2.0",
      "schedule.L must be positive, got -2.0"),
+    # a 10^6 x 10^6 curvature matrix would need 8 TB
+    ({}, "problem.m = 1000000", "problem.m must be at most 4096, got 1000000"),
+    ({"problem": MLP_SPEC}, "problem.dims = 4,5000,3",
+     "problem.dims must be at most 4096, got 5000"),
 ], ids=["n", "cond", "wstar_scale", "wstar_scale-huge", "eps", "beta1", "beta2", "beta1-one",
-        "eps-inf", "seeds", "dims", "input_dim", "c", "schedule-beta", "schedule-L"])
+        "eps-inf", "seeds", "dims", "input_dim", "c", "schedule-beta", "schedule-L", "m-huge",
+        "dims-huge"])
 def test_cli_run_refuses_an_out_of_range_key_before_any_work(tmp_path, capsys, no_work, base,
                                                              line, message):
     cfg_path = tmp_path / "bad.toml"
@@ -1847,6 +2009,8 @@ def test_cli_run_refuses_an_out_of_range_key_before_any_work(tmp_path, capsys, n
     (["run", "--lr", "inf"], "--lr must be finite, got inf"),
     (["spectra", "--kind", "lowrank", "--d", "5", "--B", "8", "--ratio", "9"],
      "--ratio must be at most min(--d, --B) = 5, got 9.0"),
+    (["ratio-study", "--m", "5000"], "--m must be at most 4096, got 5000"),
+    (["spectra", "--kind", "gaussian", "--B", "100000"], "--B must be at most 4096, got 100000"),
 ])
 def test_cli_refuses_an_out_of_range_flag_before_any_work(tmp_path, capsys, no_work, argv,
                                                           message):

@@ -24,7 +24,6 @@ import json
 import os
 import re
 import sys
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -573,47 +572,38 @@ def _first_step_keeps_bits_on_one_thread(problem: Problem, opt_spec: dict, eta: 
     return all(np.array_equal(a, b) for a, b in zip(plain, one))
 
 
-def _run_jobs(groups: list, cores: int) -> list:
-    """Run each group (jobs, then) of functions of no argument: its jobs, then its
-    then (if not None) once they have all ended; return each then's value.  With
-    one job or one core the caller runs them, else min(cores, jobs) threads with
-    the caller's, in one matcore.one_blas_thread() scope: the jobs queue in group
-    order, a then at the back when its group's last job ends, and each thread
-    takes the next job queued.  An exception in any job reaches the caller and
-    starts no further job; no helper thread outlives the call."""
-    queue = [(job, g) for g, (jobs, _) in enumerate(groups) for job in jobs]
-    left, done = [len(jobs) for jobs, _ in groups], [None] * len(groups)
-    lock, failed = threading.Lock(), []
+def _run_jobs(jobs: list, cores: int) -> None:
+    """Run each function of no argument in jobs.  With one job or one core the
+    caller runs them in turn; else min(cores, len(jobs)) threads, the caller's
+    among them, run them inside one matcore.one_blas_thread() scope: thread i
+    starts job i (the caller job 0), and each thread that ends a job takes the
+    next one left in list order.  An exception in any job reaches the caller; a
+    thread takes no job once one has failed, and no helper thread outlives the
+    call."""
+    threads = min(cores, len(jobs))
+    if threads < 2:
+        for job in jobs:
+            job()
+        return
+    pending, failed = iter(jobs), []
+    firsts = [next(pending) for _ in range(threads)]
 
-    def work(item):
-        # a thread queues at most one job, a then, in the locked step that takes
-        # its next: once the queue is empty it stays so, and a thread can stop
-        while item is not None:
-            job, g = item
+    def work(job):
+        while job is not None and not failed:
             try:
-                value = job()
+                job()
             except BaseException:
                 failed.append(True)
                 raise
-            with lock:
-                # a then ends after its group's jobs: its value stays, its count < 0
-                done[g], left[g] = value, left[g] - 1
-                if left[g] == 0 and groups[g][1] is not None:
-                    queue.append((groups[g][1], g))
-                item = queue.pop(0) if queue and not failed else None
+            job = next(pending, None)  # next() on a list iterator is atomic
 
-    threads = min(cores, len(queue))
-    firsts = [queue.pop(0) for _ in range(threads)]
-    if threads < 2:
-        work(firsts[0])
-        return done
     from concurrent.futures import ThreadPoolExecutor  # imported only to pool
     with matcore.one_blas_thread(), ThreadPoolExecutor(
             threads - 1, thread_name_prefix="muonlab-rows") as pool:
-        helpers = pool.map(work, firsts[1:])
+        helpers = [pool.submit(work, job) for job in firsts[1:]]
         work(firsts[0])
-        list(helpers)  # raises what a helper raised
-    return done
+        for helper in helpers:
+            helper.result()  # raises what a helper raised
 
 
 def _scan_jobs(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
@@ -642,7 +632,7 @@ def _grid_scan(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
     diverged), ...] in grid order, (inf, True) for a diverged point, each bit for
     bit a separate run's.  See _scan_jobs for cores."""
     results, jobs = _scan_jobs(problem, opt_spec, etas, T, W0, cores)
-    _run_jobs([(jobs, None)], cores)
+    _run_jobs(jobs, cores)
     return results
 
 
@@ -770,16 +760,34 @@ def _summarize(records, problem: Problem, schedule) -> RunSummary:
     return summary
 
 
-def _record(config: ExperimentConfig, problem: Problem, seed: int, W0: np.ndarray,
-            scan: Optional[list]) -> RunArtifact:
-    """The run from W0 after its grid scan's results (None without run.lr_grid):
-    the best point and schedule, then the recorded run and its summary."""
-    grid_results = best_eta = None
-    if scan is not None:
+def run_experiment(config: ExperimentConfig, seed: Optional[int] = None, *,
+                   problem: Optional[Problem] = None, scan=None) -> RunArtifact:
+    """Execute one seeded run: optional stepsize tuning, then the recorded run.
+
+    The tuning scan (run.lr_grid; _grid_scan may run its row blocks on threads)
+    never selects a diverged point and keeps all grid results in the artifact;
+    the recorded run follows on the calling thread.  problem, when given, is
+    build_problem(config.problem, seed) built earlier: runs never write to it.
+    scan, when given, is a function of no argument that gives the grid's
+    results in _grid_scan's place (a study's shared scan, see _tuned_runs).
+    """
+    if seed is None:
+        seed = config.seeds[0]
+    if problem is None:
+        problem = build_problem(config.problem, run_seed=seed)
+    W0 = _initial_w(config, problem, seed)
+    grid_results = None
+    best_eta = None
+    if config.lr_grid:
+        # the grid replaces the schedule, whose keys must still be ones it reads
+        _read_section("schedule", config.schedule)
+        results = scan() if scan else _grid_scan(
+            problem, config.optimizer, config.lr_grid, config.T, W0,
+            cores=len(os.sched_getaffinity(0)))
         grid_results = [{"eta": float(eta), "final_f": None if diverged else fT,
                          "diverged": diverged}
-                        for eta, (fT, diverged) in zip(config.lr_grid, scan)]
-        best = _best_point(config.lr_grid, scan)
+                        for eta, (fT, diverged) in zip(config.lr_grid, results)]
+        best = _best_point(config.lr_grid, results)
         if best[1] is None:
             raise RuntimeError(f"every stepsize in run.lr_grid = {_format_value(config.lr_grid)} diverged")
         best_eta = float(best[1])
@@ -789,34 +797,13 @@ def _record(config: ExperimentConfig, problem: Problem, seed: int, W0: np.ndarra
         schedule, resolved = make_schedule(config.schedule, problem, config.T, W0)
     records, final_W, truncated, (ckpt_t, ckpt_W) = _diagnostic_run(
         problem, config, schedule, W0, seed)
-    return RunArtifact(
+    summary = _summarize(records, problem, schedule)
+    artifact = RunArtifact(
         config_text=config.to_text(), seed=seed, records=records,
-        summary=_summarize(records, problem, schedule), final_W=final_W,
-        truncated=truncated, grid_results=grid_results, best_eta=best_eta,
-        checkpoint_t=ckpt_t, checkpoint_W=ckpt_W, schedule_resolved=resolved)
-
-
-def run_experiment(config: ExperimentConfig, seed: Optional[int] = None, *,
-                   problem: Optional[Problem] = None) -> RunArtifact:
-    """Execute one seeded run: optional stepsize tuning, then the recorded run.
-
-    The tuning scan (run.lr_grid; _grid_scan may run its row blocks on threads)
-    never selects a diverged point and keeps all grid results in the artifact;
-    the recorded run follows on the calling thread.  problem, when given, is
-    build_problem(config.problem, seed) built earlier: runs never write to it.
-    """
-    if seed is None:
-        seed = config.seeds[0]
-    if problem is None:
-        problem = build_problem(config.problem, run_seed=seed)
-    W0 = _initial_w(config, problem, seed)
-    scan = None
-    if config.lr_grid:
-        # the grid replaces the schedule, whose keys must still be ones it reads
-        _read_section("schedule", config.schedule)
-        scan = _grid_scan(problem, config.optimizer, config.lr_grid, config.T, W0,
-                          cores=len(os.sched_getaffinity(0)))
-    artifact = _record(config, problem, seed, W0, scan)
+        summary=summary, final_W=final_W, truncated=truncated,
+        grid_results=grid_results, best_eta=best_eta,
+        checkpoint_t=ckpt_t, checkpoint_W=ckpt_W,
+        schedule_resolved=resolved)
     if config.out_dir:
         _write_artifact(config, artifact)
     return artifact
@@ -1072,31 +1059,39 @@ def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
 
 def _tuned_runs(prob_spec: dict, seed: int, opt_specs: dict, prefix: str, **run):
     """(problem, {name: artifact}): build the problem once, then tune and record each
-    optimizer of opt_specs on it as run <prefix>_<name> with the other run.* settings.
-    When every grid splits (see _scan_jobs), one _run_jobs call runs the grids'
-    row blocks and each recorded run once its grid ends; else the optimizers run
-    in turn, as in run_experiment.  The caller writes the artifacts in order."""
+    optimizer of opt_specs on it in turn, as run <prefix>_<name> with the other run.*
+    settings, through run_experiment.  The first run's scan builds every grid's row
+    blocks (_scan_jobs, probe included); when each grid splits, one _run_jobs call
+    runs all their blocks, the last optimizer's first, and the later runs read their
+    results, else each run runs its own grid's blocks, as _grid_scan does."""
     problem = build_problem(prob_spec, run_seed=seed)
     cores = len(os.sched_getaffinity(0))
-    runs = {}
-    for name, spec in opt_specs.items():
-        config = ExperimentConfig(
-            problem=prob_spec, optimizer=spec, schedule={"kind": "constant", "eta": 1.0},
-            seeds=(seed,), lr_grid=default_grid(name, problem), name=f"{prefix}_{name}",
-            **run)
-        W0 = _initial_w(config, problem, seed)
-        scan, jobs = _scan_jobs(problem, spec, config.lr_grid, config.T, W0, cores)
-        runs[name] = (config, jobs, functools.partial(_record, config, problem, seed, W0, scan))
-    pooled = all(len(jobs) > 1 for _, jobs, _ in runs.values())
-    done = _run_jobs([(jobs, record) for _, jobs, record in runs.values()], cores) if pooled else ()
-    artifacts = dict(zip(runs, done))
-    for name, (config, jobs, record) in runs.items():
-        if not pooled:
-            _run_jobs([(jobs, None)], cores)
-            artifacts[name] = record()
-        if config.out_dir:
-            _write_artifact(config, artifacts[name])
-    return problem, artifacts
+    configs = {name: ExperimentConfig(
+        problem=prob_spec, optimizer=spec, schedule={"kind": "constant", "eta": 1.0},
+        seeds=(seed,), lr_grid=default_grid(name, problem), name=f"{prefix}_{name}", **run)
+        for name, spec in opt_specs.items()}
+    scans = {}
+
+    def scan(name):
+        # runs inside the first run_experiment call, so each grid's work still
+        # falls inside a run, as when each run scanned its own grid
+        if not scans:
+            for key, c in configs.items():
+                scans[key] = _scan_jobs(problem, c.optimizer, c.lr_grid, c.T,
+                                        _initial_w(c, problem, seed), cores)
+            if all(len(jobs) > 1 for _, jobs in scans.values()):
+                # the studies list the Muon family last, and its blocks cost the
+                # most: queued first, they leave the cheap blocks to fill the end
+                _run_jobs([job for _, jobs in reversed(scans.values()) for job in jobs], cores)
+                for _, jobs in scans.values():
+                    jobs.clear()
+        results, jobs = scans[name]
+        _run_jobs(jobs, cores)
+        return results
+
+    return problem, {name: run_experiment(config, seed, problem=problem,
+                                          scan=functools.partial(scan, name))
+                     for name, config in configs.items()}
 
 
 def figure2_suite(kind: str = "lowrank", c: int = 100, seed: int = 0,

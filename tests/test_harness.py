@@ -1,7 +1,6 @@
 import argparse
 import ast
 import concurrent.futures
-import copy
 import dataclasses
 import json
 import multiprocessing
@@ -1541,19 +1540,26 @@ def test_figure1_study_never_splits(monkeypatch):
 FIG3_SPLIT = dict(input_dim=30, dims=(64, 40, 5), B=40, T=6, cadence=2, seed=1)
 
 
-def test_figure3_pools_both_grids_and_recorded_runs_byte_for_byte(tmp_path, monkeypatch,
-                                                                  two_blas_threads):
-    """On two cores one pool runs both grids' row blocks and both recorded runs,
-    every BLAS call on one thread, and fig3 writes the bytes of one core."""
-    counts, diagnostic_run = [], harness._diagnostic_run
+def test_figure3_pools_both_grids_byte_for_byte(tmp_path, monkeypatch, two_blas_threads):
+    """On two cores one pool runs both grids' row blocks, Muon's first, inside
+    the first run; each recorded run follows on the calling thread at the
+    process's thread count, and fig3 writes the bytes of one core."""
+    events, run_rows, diagnostic_run = [], harness._GridRows.run, harness._diagnostic_run
 
-    def recorded(*args):
-        counts.append(two_blas_threads())
-        return diagnostic_run(*args)
+    def rows(self, *args):
+        events.append(("rows", self.opt.kind))
+        return run_rows(self, *args)
 
+    def recorded(problem, config, *args):
+        events.append(("record", config.optimizer["kind"], threading.current_thread().name,
+                       two_blas_threads()))
+        return diagnostic_run(problem, config, *args)
+
+    monkeypatch.setattr(harness._GridRows, "run", rows)
     monkeypatch.setattr(harness, "_diagnostic_run", recorded)
     entered, outputs = spy_scopes(monkeypatch), []
     for cores in (1, 2):
+        events.clear()
         usable_cores(monkeypatch, cores)
         side = tmp_path / str(cores)
         side.mkdir()
@@ -1563,40 +1569,53 @@ def test_figure3_pools_both_grids_and_recorded_runs_byte_for_byte(tmp_path, monk
     split_or_skip(entered)
     # both optimizers' probes, then one scope and one helper thread for the study
     assert entered == [PROBE, PROBE, "_run_jobs", 1]
-    assert counts == [2, 2, 1, 1]
+    muon = "simplified_muon"
+    # Muon's two blocks are queued first: a thread's first block is one of them
+    assert events[0] == ("rows", muon)
+    assert sorted(event[1] for event in events[:4]) == ["gd", "gd", muon, muon]
+    assert events[4:] == [("record", "gd", "MainThread", 2), ("record", muon, "MainThread", 2)]
     # csv, summary, config, grid and checkpoint per optimizer, and the study summary
     assert len(outputs[0]) == 11 and outputs[0] == outputs[1]
 
 
-def test_a_failing_recorded_run_in_the_study_pool_reaches_the_caller(monkeypatch,
-                                                                     two_blas_threads):
+def test_a_failing_grid_block_in_the_study_pool_reaches_the_caller(monkeypatch,
+                                                                   two_blas_threads):
     usable_cores(monkeypatch, 2)
-    events, run_rows, diagnostic_run = [], harness._GridRows.run, harness._diagnostic_run
+    events, run_rows, build = [], harness._GridRows.run, harness.build_problem
 
     def rows(self, *args):
-        events.append("start")
+        events.append(("start", threading.current_thread().name))
         return run_rows(self, *args)
 
-    def recorded(problem, *args):
-        events.append("start")
+    def building(*args, **kwargs):
+        problem = build(*args, **kwargs)
+        value_grad, stacks = problem.value_grad, []
 
         def failing(W):
-            events.append("raise")
-            raise RuntimeError("the oracle failed in a recorded run")
+            # the second step of the first block to get there
+            stacks.append(W.ndim)
+            if stacks.count(3) == 2:
+                events.append(("raise", threading.current_thread().name))
+                raise RuntimeError("the oracle failed in a row block")
+            return value_grad(W)
 
-        problem = copy.copy(problem)
         problem.value_grad = failing
-        return diagnostic_run(problem, *args)
+        return problem
 
     monkeypatch.setattr(harness._GridRows, "run", rows)
-    monkeypatch.setattr(harness, "_diagnostic_run", recorded)
+    monkeypatch.setattr(harness, "build_problem", building)
     entered = spy_scopes(monkeypatch)
-    with pytest.raises(RuntimeError, match="failed in a recorded run"):
+    with pytest.raises(RuntimeError, match="failed in a row block"):
         harness.figure3_suite(**FIG3_SPLIT)
     split_or_skip(entered)
     assert entered[-2:] == ["_run_jobs", 1]
-    # the first recorded run to start raised; no job started after it
-    assert "raise" in events and "start" not in events[events.index("raise"):]
+    # a thread takes no block once one has failed: the failing thread none, the
+    # other at most the one it took while the exception left the block
+    after = events[events.index(next(e for e in events if e[0] == "raise")) + 1:]
+    raiser = next(name for kind, name in events if kind == "raise")
+    assert not [name for kind, name in after if kind == "start" and name == raiser]
+    assert len([name for kind, name in after if kind == "start"]) <= 1
+    assert len([kind for kind, _ in events if kind == "start"]) < 4
     assert not [t.name for t in threading.enumerate() if t.name.startswith("muonlab-")]
     assert two_blas_threads() == 2
 
@@ -1643,34 +1662,18 @@ def test_a_study_with_a_grid_that_fails_the_probe_runs_each_optimizer_in_turn(
                       ("write", "fig3_muon")]
 
 
-def test_run_jobs_runs_every_job_once_and_each_then_after_its_group():
+def test_run_jobs_runs_every_job_once():
     """Seven threads on tiny jobs with frequent thread switches: every job runs
-    once, each then once after its group's last job, and the thens' values
-    come back in group order."""
+    once, and no helper thread outlives the call."""
     log = []
-
-    def job(g, k):
-        return lambda: log.append(("job", g, k))
-
-    def then(g):
-        return lambda: log.append(("then", g)) or 10 * g
-
-    sizes = [g % 4 + 1 for g in range(40)]
-    groups = [([job(g, k) for k in range(size)], then(g) if g % 3 else None)
-              for g, size in enumerate(sizes)]
+    jobs = [lambda k=k: log.append(k) for k in range(200)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        done = harness._run_jobs(groups, 7)
+        harness._run_jobs(jobs, 7)
     finally:
         sys.setswitchinterval(interval)
-    assert done == [10 * g if g % 3 else None for g in range(40)]
-    assert sorted(event for event in log if event[0] == "job") == sorted(
-        ("job", g, k) for g, size in enumerate(sizes) for k in range(size))
-    for g in range(40):
-        ends = [i for i, event in enumerate(log) if event == ("then", g)]
-        assert len(ends) == (1 if g % 3 else 0)
-        assert all(i > j for i in ends for j, event in enumerate(log) if event[:2] == ("job", g))
+    assert sorted(log) == list(range(200))
     assert not [t.name for t in threading.enumerate() if t.name.startswith("muonlab-")]
 
 

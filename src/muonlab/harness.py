@@ -913,9 +913,7 @@ def ratio_study(m: int = 15, n: int = 20, samples: int = 1000, cond: float = 1e4
     # scalar curvature has no conditioning to speak of; the ratio is exactly 1
     Q = (np.array([[1.0]]) if m == 1
          else problems.make_ill_conditioned_Q(m, cond, decay, seed=seed))
-    S = matcore.svd(Q)
-    L = float(S[0])
-    L_star = float(np.sum(S))
+    meta = problems.quadratic_new(Q, np.zeros((m, n))).metadata
     rows = []
     for start in range(0, samples, DISTANCE_BLOCK):
         block = range(start, min(start + DISTANCE_BLOCK, samples))
@@ -925,11 +923,11 @@ def ratio_study(m: int = 15, n: int = 20, samples: int = 1000, cond: float = 1e4
         # keeps every bit of them
         d_fs, d_ops = distance_metrics(0.0 - W_stars, np.zeros((m, n)))
         for k, d_f, d_op in zip(block, d_fs.tolist(), d_ops.tolist()):
-            rows.append((k, d_f, d_op, comparison_ratio(d_f, d_op, L, L_star)))
+            rows.append((k, d_f, d_op, comparison_ratio(d_f, d_op, meta["L"], meta["L_star"])))
     ratios = np.array([r[3] for r in rows])
     summary = {
         "m": m, "n": n, "samples": samples, "cond": cond, "decay": decay,
-        "seed": seed, "L": L, "L_star": L_star,
+        "seed": seed, "L": meta["L"], "L_star": meta["L_star"],
         "ratio_q10": float(np.quantile(ratios, 0.10)),
         "ratio_q25": float(np.quantile(ratios, 0.25)),
         "ratio_median": float(np.median(ratios)),

@@ -66,23 +66,22 @@ def quadratic_new(Q, W_star, half: bool = True) -> Problem:
 
     half=True uses c = 1/2 (so grad = Q (W - W*)); half=False uses c = 1.
     Exact metadata: L = 2c*||Q||_op, L_star = 2c*||Q||_*, f* = 0, W* known.
+    L_star is the trace bound 2c*tr(Q); the least constant with |<D, 2c Q D>|
+    <= L_star*||D||_op^2 sums 2c*Q's top min(m, n) eigenvalues, so they agree
+    when m <= n.  Q may be a (k, m, m) stack with a (k, m, n) stack W_star:
+    k quadratics, L and L_star (k,) arrays, each slice bit for bit its 2-D build.
     """
-    Q = matcore.as_matrix(Q)
-    W_star = matcore.as_matrix(W_star)
+    Q = matcore.as_matrices(Q)
+    W_star = matcore.as_matrices(W_star)
     matcore.require_spd(Q, "Q")
-    if Q.shape[0] != W_star.shape[0]:
-        raise ValueError("Q and W_star row dimensions must agree")
+    if Q.shape[:-1] != W_star.shape[:-1]:
+        raise ValueError("Q and W_star must agree in stack size and row count")
     c = 0.5 if half else 1.0
     S = matcore.svd(Q)
-    meta = {
-        "kind": "quadratic",
-        "L": 2.0 * c * float(S[0]),
-        "L_star": 2.0 * c * float(np.sum(S)),
-        "W_star": W_star,
-        "f_star": 0.0,
-        "Q": Q,
-        "c_scale": c,
-    }
+    meta = {"kind": "quadratic",
+            "L": matcore.per_matrix(2.0 * c * S[..., 0], Q),
+            "L_star": matcore.per_matrix(2.0 * c * np.sum(S, axis=-1), Q),
+            "W_star": W_star, "f_star": 0.0, "Q": Q, "c_scale": c}
 
     def value_grad(W):
         # Q @ E multiplies each slice of a stack on its own, and the sum over
@@ -94,7 +93,7 @@ def quadratic_new(Q, W_star, half: bool = True) -> Problem:
     def hvp(W, D):
         return 2.0 * c * (Q @ D)
 
-    return Problem(W_star.shape, value_grad, hvp, hvp_exact=True, metadata=meta)
+    return Problem(W_star.shape[-2:], value_grad, hvp, hvp_exact=True, metadata=meta)
 
 
 def make_ill_conditioned_Q(m: int, cond: float, decay: str = "two_cluster",
@@ -133,9 +132,10 @@ def linear_mse_new(X, Y) -> Problem:
     """Mean-square loss of a linear model: f(W) = ||W X - Y||_F^2 / (2B).
 
     X is d x B (features in columns), Y is c x B, W is c x d.  The Hessian is
-    the constant map D -> D (X X^T) / B; metadata carries the induced
-    smoothness constants L = ||X||_op^2 / B and L_star = ||X||_F^2 / B, and
-    the least-squares optimal value f_star.  value_grad works in place.
+    the constant map D -> D H with H = X X^T / B.  metadata carries L = ||H||_op,
+    L_star = tr(H), the trace bound (the least constant sums H's top min(c, d)
+    eigenvalues, so they agree when rank(X) <= c), and the least-squares
+    optimal value f_star.  value_grad works in place.
     """
     X = matcore.as_matrix(X)
     Y = matcore.as_matrix(Y)

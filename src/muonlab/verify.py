@@ -278,17 +278,6 @@ def _spd_inverse(M: np.ndarray) -> np.ndarray:
     return (V / w[..., None, :]) @ V.swapaxes(-1, -2)
 
 
-def _quadratic_block(Q: np.ndarray, W1: np.ndarray, W2: np.ndarray) -> tuple:
-    """(L, L_star, grad(W1) - grad(W2)) of quadratic_new(Q[i], 0) for every
-    slice i of a (k, m, m) stack, each bit for bit that problem's metadata
-    and gradients, with the same check that every Q[i] is SPD."""
-    matcore.require_spd(Q, "Q")
-    c = 0.5
-    S = matcore.svd(Q)
-    return (2.0 * c * S[:, 0], 2.0 * c * np.sum(S, axis=1),
-            2.0 * c * (Q @ W1) - 2.0 * c * (Q @ W2))
-
-
 def check_norm_lemmas(n_instances: int = 1000, dims: tuple = (6, 9),
                       seed: int = 0, slack: float = 1e-9) -> CheckReport:
     """Randomized audit of the norm inequalities used throughout the analysis.
@@ -334,9 +323,10 @@ def check_norm_lemmas(n_instances: int = 1000, dims: tuple = (6, 9),
         a_op = matcore.svd(A)[:, 0]
         a_w = matcore.lambda_norm(A, M)
         a_winv = matcore.lambda_norm(A, _spd_inverse(M))
-        # smoothness transfer on quadratics built from random SPD curvatures
-        L, L_star, Gdiff = _quadratic_block(spd_from_eigs(GQ, eQ), W1, W2)
-        Wdiff = W1 - W2
+        # smoothness transfer on k quadratics built from random SPD curvatures
+        quad = quadratic_new(spd_from_eigs(GQ, eQ), np.zeros((k, m, n)))
+        L, L_star = quad.metadata["L"], quad.metadata["L_star"]
+        Gdiff, Wdiff = quad.grad(W1) - quad.grad(W2), W1 - W2
         checks = (
             (a_f, a_nuc, "frob<=nuc"),
             (a_nuc, np.sqrt(r) * a_f, "nuc<=sqrt(r)frob"),

@@ -51,6 +51,22 @@ def concentration_ratio(A) -> float:
     return float(np.sum(S * S) / (S[0] * S[0]))
 
 
+def ky_fan_constant(curvature, shape) -> float:
+    """The least L_* with |<D, A(D)>| <= L_* ||D||_op^2 for every direction D
+    of the given (rows, cols) shape, where A multiplies D on one side by the
+    symmetric PSD curvature matrix: 2c Q on the left for a quadratic, H = X X^T / B
+    on the right for the linear MSE.
+
+    It is the sum of the curvature's top min(rows, cols) eigenvalues (Ky Fan's
+    maximum principle; Horn and Johnson, Topics in Matrix Analysis, 1991): D D^T
+    (or D^T D) has at most that many nonzero eigenvalues, none above
+    ||D||_op^2, and D built from the top eigenvectors attains the sum.  The
+    trace of the curvature is the looser bound that drops the rank limit.
+    """
+    eigs = np.linalg.eigvalsh(matcore.as_matrix(curvature))
+    return float(np.sum(eigs[::-1][:min(shape)]))
+
+
 # Plain 2-D formulas for what matcore, diagnostics.distance_metrics and the
 # quadratic value_grad compute over the leading axes of a stack.  A 2-D call,
 # a one-matrix stack, must give exactly these bits.

@@ -137,23 +137,42 @@ def test_momentum_error_matches_per_trial_reference(sigma, batch, beta, T, trial
 
 @pytest.mark.parametrize("m, n, k", [(6, 9, 5), (9, 6, 3), (1, 7, 2), (15, 20, 4)])
 def test_quadratic_block_matches_quadratic_new(m, n, k):
+    """Each slice of a block of k quadratics, as the norm-lemma audit builds
+    it, is bit for bit the quadratic_new of its own 2-D curvature and optimum."""
     rng = np.random.default_rng(m * n + k)
     Q = np.stack([_reference_random_spd(m, rng) for _ in range(k)])
-    W1 = rng.standard_normal((k, m, n))
-    W2 = rng.standard_normal((k, m, n))
-    L, L_star, Gdiff = verify._quadratic_block(Q, W1, W2)
-    for i in range(k):
-        prob = problems.quadratic_new(Q[i], np.zeros((m, n)))
-        assert L[i] == prob.metadata["L"]
-        assert L_star[i] == prob.metadata["L_star"]
-        assert np.array_equal(Gdiff[i], prob.grad(W1[i]) - prob.grad(W2[i]))
+    W_star, W, D = (rng.standard_normal((k, m, n)) for _ in range(3))
+    for half in (True, False):
+        block = problems.quadratic_new(Q, W_star, half=half)
+        assert block.shape == (m, n)
+        values, G = block.value_grad(W)
+        HD = block.hvp(W, D)
+        for i in range(k):
+            prob = problems.quadratic_new(Q[i], W_star[i], half=half)
+            assert block.metadata["L"][i] == prob.metadata["L"]
+            assert block.metadata["L_star"][i] == prob.metadata["L_star"]
+            value, grad = prob.value_grad(W[i])
+            assert values[i] == value
+            assert np.array_equal(G[i], grad)
+            assert np.array_equal(HD[i], prob.hvp(W[i], D[i]))
 
 
 def test_quadratic_block_keeps_the_spd_check():
     Q = np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0])])
-    W = np.zeros((2, 3, 4))
     with pytest.raises(ValueError, match="^Q must be positive definite$"):
-        verify._quadratic_block(Q, W, W)
+        problems.quadratic_new(Q, np.zeros((2, 3, 4)))
+
+
+@pytest.mark.parametrize("Q_shape, W_star_shape", [
+    ((2, 3, 3), (3, 3, 4)),     # two curvatures, three optima
+    ((2, 3, 3), (3, 4)),        # a stack of curvatures with one optimum
+    ((3, 3), (2, 3, 4)),        # one curvature with a stack of optima
+    ((2, 3, 3), (2, 4, 4)),     # row counts differ
+])
+def test_quadratic_block_needs_matching_leading_shapes(Q_shape, W_star_shape):
+    Q = np.broadcast_to(np.eye(3), Q_shape)
+    with pytest.raises(ValueError, match="^Q and W_star"):
+        problems.quadratic_new(Q, np.zeros(W_star_shape))
 
 
 def _reference_nonconvex_runs(problem, T, beta, sigma, batch, runs, seed, eta):

@@ -97,6 +97,19 @@ def test_l_t_constant_over_quadratic_iterates():
     assert (max(vals) - min(vals)) / max(vals) <= 1e-6
 
 
+def test_l_t_hvp_count_pins_the_default_tolerance():
+    """Eigenvalues 1, 0.9 and 0.5 on the left of a 3x2 direction: the Rayleigh
+    quotient's steps shrink by about 0.81 per hvp, so a tenfold tolerance
+    changes the count by about 11 (61 at tol 1e-6, 50 at 1e-5, 72 at 1e-7)."""
+    prob = problems.quadratic_new(np.diag([1.0, 0.9, 0.5]), np.zeros((3, 2)))
+    calls = []
+    hvp = prob.hvp
+    prob.hvp = lambda W, D: calls.append(D) or hvp(W, D)
+    val, converged = dg.l_t(prob, np.zeros((3, 2)))
+    assert converged and len(calls) == 61
+    assert 1e-6 < 1.0 - val < 1e-5
+
+
 def test_l_t_negative_dominant_eigenvalue():
     # indefinite map D -> -2 D has operator norm 2
     prob = Problem((3, 3), value_grad=lambda W: (0.0, np.zeros((3, 3))),

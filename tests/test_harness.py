@@ -2055,11 +2055,12 @@ _OPTIMIZER_DRAWS = {"beta": _UNIT, "beta1": _UNIT, "beta2": _UNIT, "mu": _UNIT,
                     "orthogonalizer": st.sampled_from(("svd", "ns"))}
 
 
-def _edged(draw, values: dict, optional=()) -> dict:
+def _edged(draw, values: dict, optional=(), counts=(0, 0, 1, 2)) -> dict:
     """values (name -> strategy of its valid values) drawn, with up to two of them
-    drawn as edge values instead and each name of optional perhaps left out."""
+    (a count drawn from counts) drawn as edge values instead and each name of
+    optional perhaps left out."""
     # half the inputs keep every value in range, so runs and checks go through too
-    count = draw(st.sampled_from((0, 0, 1, 2)))
+    count = draw(st.sampled_from(counts))
     edged = draw(st.lists(st.sampled_from(sorted(values)), min_size=count, max_size=count,
                           unique=True))
     drawn = {name: draw(_EDGE if name in edged else valid) for name, valid in values.items()}
@@ -2073,8 +2074,10 @@ def _argv(flags: dict) -> list:
 
 @st.composite
 def _run_inputs(draw):
-    """(config text, run flags): a small config and flags, each number drawn from
-    its range, up to two of them as edge values."""
+    """(config text, run flags, oversized key or None): a small config and flags,
+    each number drawn from its range, up to two of them as edge values; or, in a
+    fifth of the inputs, every value in range but one size key of the problem
+    kind above the cap of 4096, up to 1e9 (one entry of a dims list)."""
     kind = draw(st.sampled_from(("quadratic", "linear_mse", "mlp")))
     words = {"problem.kind": kind,
              "optimizer.kind": draw(st.sampled_from(tuple(harness._OPTIMIZERS))),
@@ -2104,11 +2107,20 @@ def _run_inputs(draw):
              "--seed": st.integers(0, 9)}
     if words["optimizer.kind"] == "muon":  # the one kind that reads what --beta sets
         flags["--beta"] = _UNIT
+    sizes = [key for key in numbers
+             if any(what == "be at most 4096" for _, what in harness._RANGES.get(key, ()))]
+    oversized = draw(st.sampled_from(sizes)) if draw(st.integers(0, 4)) == 0 else None
     values = _edged(draw, {**numbers, **flags},
-                    optional=("run.lr_grid", "problem.train_layer", *flags))
+                    optional=("run.lr_grid", "problem.train_layer", *flags),
+                    counts=(0,) if oversized else (0, 0, 1, 2))
+    if oversized:
+        big = draw(st.integers(4097, 10 ** 9))
+        values[oversized] = (values[oversized][:-1] + (big,) if oversized == "problem.dims"
+                             else big)
     text = "".join(f"{key} = {harness._format_value(value)}\n"
                    for key, value in {**words, **values}.items() if not key.startswith("--"))
-    return text, _argv({flag: value for flag, value in values.items() if flag.startswith("--")})
+    return text, _argv({flag: value for flag, value in values.items()
+                        if flag.startswith("--")}), oversized
 
 
 def _check_exit(rc: int, err: str, names, workdir: Path, kept) -> None:
@@ -2126,7 +2138,7 @@ def _check_exit(rc: int, err: str, names, workdir: Path, kept) -> None:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(inputs=_run_inputs())
 def test_cli_run_exit_code_contract_property(capsys, inputs):
-    text, flags = inputs
+    text, flags, oversized = inputs
     with tempfile.TemporaryDirectory() as scratch:
         workdir = Path(scratch)
         (workdir / "cfg.toml").write_text(text)
@@ -2135,6 +2147,9 @@ def test_cli_run_exit_code_contract_property(capsys, inputs):
         err = capsys.readouterr().err
         assert rc in (0, 2), err
         names = [line.split(" = ")[0] for line in text.splitlines()] + flags[::2]
+        if oversized:
+            assert rc == 2, err
+            names = [f"{oversized} must be at most 4096"]
         _check_exit(rc, err, names, workdir, ["cfg.toml"])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from muonlab import harness, matcore, problems
 from muonlab.problems import fd_hvp
-from oracles import kron, vec_row
+from oracles import kron, ky_fan_constant, vec_row
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +149,57 @@ def test_stacked_value_grad_matches_slices_bitwise(tmp_path, k, case):
     # slices from 1e-6 to 1e6 times the unit scale, so a mixed-up slice shows
     scales = 10.0 ** rng.integers(-6, 7, size=(k, 1, 1))
     assert_stack_matches_slices(prob, rng.standard_normal((k,) + prob.shape) * scales)
+
+
+# L_star against the least constant (Ky Fan), for both problem kinds with a
+# constant Hessian: fig2's two feature kinds, and quadratics with m > n and m < n
+KY_FAN_CASES = {
+    "fig2-gaussian-c10": {"kind": "linear_mse", "features": "gaussian", "c": 10},
+    "fig2-gaussian-c100": {"kind": "linear_mse", "features": "gaussian", "c": 100},
+    "fig2-lowrank-c10": {"kind": "linear_mse", "features": "lowrank", "c": 10,
+                         "target_ratio": 1.41},
+    "fig2-lowrank-c100": {"kind": "linear_mse", "features": "lowrank", "c": 100,
+                          "target_ratio": 1.41},
+    "quadratic-20x15": {"kind": "quadratic", "m": 20, "n": 15},
+    "quadratic-15x20": {"kind": "quadratic", "m": 15, "n": 20},
+    "quadratic-9x6-half-false": {"kind": "quadratic", "m": 9, "n": 6, "half": False},
+    "quadratic-6x9": {"kind": "quadratic", "m": 6, "n": 9},
+}
+
+
+def _l_star_and_ky_fan(case):
+    """(L_star, the Ky Fan constant) of a KY_FAN_CASES problem at study seed 0."""
+    prob = harness.build_problem(KY_FAN_CASES[case], 0)
+    meta = prob.metadata
+    if meta["kind"] == "quadratic":
+        curvature = 2.0 * meta["c_scale"] * meta["Q"]
+    else:
+        X = meta["X"]
+        curvature = X @ X.T / X.shape[1]
+    return meta["L_star"], ky_fan_constant(curvature, prob.shape)
+
+
+@pytest.mark.parametrize("case", KY_FAN_CASES)
+def test_l_star_is_at_least_the_ky_fan_constant(case):
+    L_star, least = _l_star_and_ky_fan(case)
+    # where the two agree they differ by rounding only
+    assert L_star >= least * (1.0 - 1e-12)
+
+
+def test_l_star_is_the_loose_trace_bound_on_fig2_gaussian_c10_and_a_tall_quadratic():
+    L_star, least = _l_star_and_ky_fan("fig2-gaussian-c10")
+    assert round(L_star, 1) == 196.0 and round(least, 2) == 25.74
+    L_star, least = _l_star_and_ky_fan("quadratic-20x15")
+    # Q's eigenvalues are 1 and 19 times 1e-4: the trace 1.0019, the top-15 sum 1.0014
+    assert L_star == pytest.approx(1.0019, rel=1e-12)
+    assert least == pytest.approx(1.0014, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["fig2-lowrank-c100", "quadratic-15x20"])
+def test_l_star_is_the_ky_fan_constant_when_the_rank_fits(case):
+    """rank(H) <= c for the lowrank features, m <= n for the quadratic."""
+    L_star, least = _l_star_and_ky_fan(case)
+    assert L_star == pytest.approx(least, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,46 @@ def test_descent_inequalities_missing_constant(taylor_run):
         verify.check_descent_inequalities(records, bare, which="Lstar")
 
 
+# diag(2, 1) at c = 1/2: L_star = 3, a constant every hand-made row below uses
+EDGE_PROBLEM = problems.quadratic_new(np.diag([2.0, 1.0]), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("f", [100.0, 0.25])
+def test_descent_inequalities_slack_edge(f):
+    """A next f above the bound by 1e-7 of max(1, |f|) is a violation, and one
+    above it by 1e-9 of it is not: the slack is 1e-8 of it."""
+    eta, gnuc = 0.5, 0.5
+    bound = f - eta * gnuc + 0.5 * 3.0 * eta ** 2
+
+    def passed(excess):
+        recs = [dg.StepRecord(t=0, f=f, grad_F=gnuc, grad_nuc=gnuc, eta=eta),
+                dg.StepRecord(t=1, f=bound + excess * max(1.0, abs(bound)),
+                              grad_F=1.0, grad_nuc=1.0)]
+        return verify.check_descent_inequalities(recs, EDGE_PROBLEM, which="Lstar").passed
+
+    assert not passed(1e-7)
+    assert passed(1e-9)
+
+
 # ---------------------------------------------------------------------------
 # adaptive rate bound
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("expect", [2.0, 0.25])
+def test_adaptive_rate_bound_eta_rule_edge(expect):
+    """An eta off the rule grad_nuc / L_star by 1e-7 of max(1, rule) is refused,
+    and one off it by 1e-11 of it is taken: the tolerance is 1e-9 of it."""
+    def records(off):
+        eta = expect + off * max(1.0, expect)
+        return [dg.StepRecord(t=0, f=10.0, grad_F=1.0, grad_nuc=3.0 * expect, eta=eta,
+                              dist_F=1.0, dist_op=1.0),
+                dg.StepRecord(t=1, f=1.0, grad_F=1.0, grad_nuc=1.0, dist_F=1.0, dist_op=1.0)]
+
+    for off in (1e-7, -1e-7):
+        with pytest.raises(ValueError, match="does not follow the adaptive Lstar rule"):
+            verify.check_adaptive_rate_bound(records(off), EDGE_PROBLEM, which="Lstar")
+    assert verify.check_adaptive_rate_bound(records(1e-11), EDGE_PROBLEM, which="Lstar").passed
+
 
 def test_adaptive_rate_bound_holds(adaptive_Lstar_run, adaptive_rL_run):
     records, problem = adaptive_Lstar_run

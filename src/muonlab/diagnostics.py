@@ -154,14 +154,6 @@ def ratio_condition(J_t_val: float, L_t_val: float, grad_F: float, grad_nuc: flo
     return J_t_val / L_t_val, (grad_nuc / grad_F) ** 2
 
 
-def average_j(j_values: Sequence[float]) -> float:
-    """Arithmetic mean of the logged J_t values."""
-    vals = [v for v in j_values]
-    if not vals:
-        raise ValueError("no J_t values to average")
-    return float(np.mean(np.asarray(vals, dtype=np.float64)))
-
-
 def weighted_j_tilde(j_values: Sequence[float], eta: float, D_op: float) -> float:
     """Geometrically weighted mean (1/T) sum_t (1 - eta/D_op)^(T-1-t) J_t."""
     vals = np.asarray(list(j_values), dtype=np.float64)

@@ -32,9 +32,8 @@ import numpy as np
 from . import matcore, optim, problems, verify
 from .diagnostics import (FLAG_DIVERGED, FLAG_FD_KINK, FLAG_POWER_FALLBACK,
                           FLAG_RAYLEIGH, FLAG_ZERO_DIRECTION, RunSummary,
-                          StepRecord, average_j, comparison_ratio,
-                          distance_metrics, hat_j_t, j_t, l_t,
-                          ratio_condition, validate_record, weighted_j_tilde)
+                          StepRecord, comparison_ratio, distance_metrics, hat_j_t,
+                          j_t, l_t, ratio_condition, validate_record, weighted_j_tilde)
 from .problems import Problem, f_star
 
 CSV_COLUMNS = ("t", "f", "grad_F", "grad_nuc", "eta", "J_t", "L_t", "hatJ_t",
@@ -744,7 +743,7 @@ def _summarize(records, problem: Problem, schedule) -> RunSummary:
         summary.final_gap = final.f - fs
     j_vals = [rec.J_t for rec in records if rec.J_t is not None]
     if j_vals:
-        summary.J_mean = average_j(j_vals)
+        summary.J_mean = float(np.mean(j_vals))
     d_fs = [rec.dist_F for rec in records if rec.dist_F is not None]
     d_ops = [rec.dist_op for rec in records if rec.dist_op is not None]
     if d_fs:

@@ -427,32 +427,3 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
     return Problem(shapes[train_layer], value_grad, hvp, hvp_exact=False,
                    metadata=meta, kink_margin=kink_margin, probe_clean=probe_clean)
 
-
-class StochasticGradOracle:
-    """Additive-Gaussian stochastic gradient model with controlled variance.
-
-    A sample at W is problem.grad(W) + noise(), where noise() is N/sqrt(batch)
-    and N has i.i.d. Gaussian entries scaled so that E||N||_F^2 = sigma^2.
-    Samples are unbiased and their squared deviation has expectation
-    sigma^2 / batch.
-    """
-
-    def __init__(self, problem: Problem, sigma: float, batch: int = 1, seed: int = 0):
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if batch < 1:
-            raise ValueError("batch must be at least 1")
-        self.problem = problem
-        self.sigma = float(sigma)
-        self.batch = int(batch)
-        self.rng = np.random.default_rng(seed)
-        m, n = problem.shape
-        self._entry_std = sigma / np.sqrt(m * n)
-        self._batch_root = np.sqrt(self.batch)
-
-    def noise(self) -> np.ndarray:
-        """One draw of the additive noise N/sqrt(batch); zeros, drawing
-        nothing, when sigma is 0."""
-        if self.sigma == 0.0:
-            return np.zeros(self.problem.shape)
-        return self.rng.standard_normal(self.problem.shape) * self._entry_std / self._batch_root

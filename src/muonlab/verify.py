@@ -8,6 +8,11 @@ checked).  A check passes exactly when no violation exceeds its tolerance.
 
 Margins are signed as lhs - rhs, so positive means the inequality failed by
 that amount before slack was applied.
+
+Checks that read records take them through one contract, _steps: cadence 1,
+and each step row (all but the terminal row) carrying the columns the check
+reads, else a ValueError naming the check.  The stochastic checks add noise
+to exact gradients, drawn from one seeded generator per trial or run.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import matcore, optim
 from .diagnostics import StepRecord, weighted_j_tilde
-from .problems import Problem, StochasticGradOracle, quadratic_new, f_star, spd_from_eigs
+from .problems import Problem, quadratic_new, f_star, spd_from_eigs
 
 
 @dataclass
@@ -66,10 +71,16 @@ class _Margins:
             tolerance=self.tolerance, passed=not self.violations)
 
 
-def _consecutive_steps(records: Sequence[StepRecord]) -> None:
+def _steps(records: Sequence[StepRecord], check: str, *columns: str) -> Sequence[StepRecord]:
+    """The step rows (all but the terminal one) of cadence-1 records carrying columns."""
     ts = [r.t for r in records]
     if any(b != a + 1 for a, b in zip(ts, ts[1:])):
-        raise ValueError("records must be logged at every step (cadence 1)")
+        raise ValueError(f"{check} needs records logged at every step (cadence 1)")
+    for rec in records[:-1]:
+        for column in columns:
+            if getattr(rec, column) is None:
+                raise ValueError(f"{check} needs {column} at every step; step {rec.t} has none")
+    return records[:-1]
 
 
 def _empirical_d_op(records: Sequence[StepRecord]) -> float:
@@ -93,15 +104,14 @@ def _smoothness_constant(problem: Problem, which: str) -> float:
     raise ValueError(f"unknown variant {which!r}")
 
 
-def _constant_eta(records: Sequence[StepRecord], check: str) -> tuple:
-    """(eta, T) of a run that took T steps at the one stepsize eta."""
-    etas = [r.eta for r in records if r.eta is not None]
-    if not etas:
+def _constant_eta(steps: Sequence[StepRecord], check: str) -> tuple:
+    """(eta, T) of a run whose T step rows all took the one stepsize eta."""
+    if not steps:
         raise ValueError("no steps recorded")
-    eta = etas[0]
-    if any(abs(e - eta) > 1e-12 * max(1.0, eta) for e in etas):
+    eta = steps[0].eta
+    if any(abs(r.eta - eta) > 1e-12 * max(1.0, eta) for r in steps):
         raise ValueError(f"{check} needs a constant stepsize run")
-    return eta, len(etas)
+    return eta, len(steps)
 
 
 def _require_quadratic(problem: Problem, check: str) -> None:
@@ -117,18 +127,14 @@ def check_quadratic_taylor_identity(records: Sequence[StepRecord], problem: Prob
     exact polar factor), up to rounding; checked in relative terms per step.
     """
     _require_quadratic(problem, "the Taylor identity check")
-    _consecutive_steps(records)
+    steps = _steps(records, "the Taylor identity check", "eta", "J_t")
     margins = _Margins(tol)
-    steps = 0
-    for cur, nxt in zip(records, records[1:]):
-        if cur.eta is None or cur.J_t is None:
-            raise ValueError("records need eta and J_t at every step")
+    for cur, nxt in zip(steps, records[1:]):
         pred = cur.f - cur.eta * cur.grad_nuc + 0.5 * cur.eta ** 2 * cur.J_t
         scale = max(abs(cur.f), abs(nxt.f), 1e-300)
         rel = abs(nxt.f - pred) / scale
         margins.check(rel, 0.0, tol, where=cur.t, label="taylor-residual")
-        steps += 1
-    return margins.report("quadratic_taylor_identity", {"tol": tol}, steps)
+    return margins.report("quadratic_taylor_identity", {"tol": tol}, len(steps))
 
 
 def check_descent_inequalities(records: Sequence[StepRecord], problem: Problem,
@@ -140,17 +146,14 @@ def check_descent_inequalities(records: Sequence[StepRecord], problem: Problem,
     polar factor) and needs exact constants in the problem metadata.
     """
     coef = _smoothness_constant(problem, which)
-    _consecutive_steps(records)
+    steps = _steps(records, "the descent check", "eta")
     margins = _Margins(1e-8)
-    steps = 0
-    for cur, nxt in zip(records, records[1:]):
-        if cur.eta is None:
-            raise ValueError("records need eta at every step")
+    for cur, nxt in zip(steps, records[1:]):
         bound = cur.f - cur.eta * cur.grad_nuc + 0.5 * coef * cur.eta ** 2
         slack = 1e-8 * max(1.0, abs(nxt.f))
         margins.check(nxt.f, bound, slack, where=cur.t, label=f"descent-{which}")
-        steps += 1
-    return margins.report("descent_inequalities", {"which": which, "coef": coef}, steps)
+    return margins.report("descent_inequalities", {"which": which, "coef": coef},
+                          len(steps))
 
 
 def check_adaptive_rate_bound(records: Sequence[StepRecord], problem: Problem,
@@ -166,10 +169,7 @@ def check_adaptive_rate_bound(records: Sequence[StepRecord], problem: Problem,
     if fs is None:
         raise ValueError("the adaptive bound check needs a known optimal value")
     C = _smoothness_constant(problem, which)
-    _consecutive_steps(records)
-    for rec in records[:-1]:
-        if rec.eta is None:
-            raise ValueError("records need eta at every step")
+    for rec in _steps(records, "the adaptive bound check", "eta"):
         expect = rec.grad_nuc / C
         if abs(rec.eta - expect) > 1e-9 * max(1.0, expect):
             raise ValueError(
@@ -205,22 +205,19 @@ def check_constant_step_linear_bound(records: Sequence[StepRecord], problem: Pro
     fs = f_star(problem)
     if fs is None:
         raise ValueError("the constant-step bound check needs a known optimal value")
-    _consecutive_steps(records)
-    eta, T = _constant_eta(records, "the constant-step check")
+    columns = ("eta", "J_t") if which == "J" else ("eta",)
+    steps = _steps(records, "the constant-step check", *columns)
+    eta, T = _constant_eta(steps, "the constant-step check")
     D = _empirical_d_op(records)
     delta = records[0].f - fs
     params = {"which": which, "eta": eta, "D_op": D, "T": T, "delta": float(delta)}
     if eta > D:
-        report = CheckReport("constant_step_linear_bound", params | {"vacuous": True},
-                             instances=1, tolerance=tol, passed=True)
-        return report
+        return CheckReport("constant_step_linear_bound", params | {"vacuous": True},
+                           instances=1, tolerance=tol, passed=True)
     base = (1.0 - eta / D) ** T * delta
     if which == "J":
         _require_quadratic(problem, "the curvature-average bound")
-        j_vals = [r.J_t for r in records[:-1]]
-        if any(v is None for v in j_vals):
-            raise ValueError("the J variant needs J_t at every step")
-        jt = weighted_j_tilde(j_vals, eta, D)
+        jt = weighted_j_tilde([r.J_t for r in steps], eta, D)
         bound = base + 0.5 * eta ** 2 * jt * T
         params["J_tilde"] = jt
     else:
@@ -244,13 +241,10 @@ def check_nonconvex_J_bound(records: Sequence[StepRecord], problem: Problem,
     Needs J_t logged at every step.
     """
     _require_quadratic(problem, "the curvature-average rate check")
-    _consecutive_steps(records)
-    eta, T = _constant_eta(records, "the curvature-average rate check")
-    j_vals = [r.J_t for r in records[:-1]]
-    if any(v is None for v in j_vals):
-        raise ValueError("J_t must be logged at every step")
-    lhs = float(np.mean([r.grad_nuc for r in records[:-1]]))
-    j_bar = float(np.mean(j_vals))
+    steps = _steps(records, "the curvature-average rate check", "eta", "J_t")
+    eta, T = _constant_eta(steps, "the curvature-average rate check")
+    lhs = float(np.mean([r.grad_nuc for r in steps]))
+    j_bar = float(np.mean([r.J_t for r in steps]))
     rhs = (records[0].f - records[-1].f) / (T * eta) + 0.5 * eta * j_bar
     margins = _Margins(tol)
     slack = tol * max(1.0, abs(rhs))
@@ -347,6 +341,21 @@ def check_norm_lemmas(n_instances: int = 1000, dims: tuple = (6, 9),
                           n_instances)
 
 
+def _gradient_noise(sigma: float, batch: int, shape: tuple):
+    """draw, the noise of a stochastic gradient sample g + draw(rng): N/sqrt(batch)
+    with N Gaussian and E||N||_F^2 = sigma^2, so samples are unbiased with expected
+    squared deviation sigma^2 / batch.  At sigma = 0 a draw is zeros and takes
+    nothing from rng."""
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
+    if sigma == 0.0:
+        return lambda rng: np.zeros(shape)
+    entry_std, batch_root = sigma / np.sqrt(shape[0] * shape[1]), np.sqrt(batch)
+    return lambda rng: rng.standard_normal(shape) * entry_std / batch_root
+
+
 def momentum_error_bound(sigma: float, batch: int, beta: float, t: int) -> float:
     """Expected deviation bound between noisy and noise-free momentum buffers."""
     root = np.sqrt((1.0 - beta) / (1.0 + beta))
@@ -370,6 +379,7 @@ def check_momentum_error_lemma(sigma: float = 1.0, batch: int = 1, beta: float =
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
     if trials < 50:
         raise ValueError("at least 50 trials are needed for stable statistics")
+    noise = _gradient_noise(sigma, batch, shape)
     rng = np.random.default_rng(seed)
     m, n = shape
     Q = spd_from_eigs(*_spd_draw(m, rng))
@@ -378,12 +388,12 @@ def check_momentum_error_lemma(sigma: float = 1.0, batch: int = 1, beta: float =
     g = problem.grad(W)
     err_sum = np.zeros(T + 1)
     for start in range(0, trials, _MOMENTUM_BLOCK):
-        # every trial's noise comes from its own oracle; a sample is g + noise
-        oracles = [StochasticGradOracle(problem, sigma, batch, seed=seed * 100003 + k + 1)
-                   for k in range(start, min(trials, start + _MOMENTUM_BLOCK))]
-        errs = np.empty((T + 1, len(oracles)))
+        # every trial draws its noise from its own generator
+        rngs = [np.random.default_rng(seed * 100003 + k + 1)
+                for k in range(start, min(trials, start + _MOMENTUM_BLOCK))]
+        errs = np.empty((T + 1, len(rngs)))
         for t in range(T + 1):
-            G = g + np.stack([oracle.noise() for oracle in oracles])
+            G = g + np.stack([noise(trial_rng) for trial_rng in rngs])
             if t == 0:
                 M, C = G, g
             else:
@@ -423,6 +433,7 @@ def check_nonconvex_rate_bound(problem: Problem, which: str = "Lstar",
     fs = f_star(problem)
     if fs is None:
         raise ValueError("the rate bound check needs a known optimal value")
+    noise = _gradient_noise(sigma, batch, problem.shape)
     C = _smoothness_constant(problem, which)
     r = min(problem.shape)
     W0 = np.zeros(problem.shape)
@@ -435,14 +446,14 @@ def check_nonconvex_rate_bound(problem: Problem, which: str = "Lstar",
            + 2.0 * eta * beta * C / (1.0 - beta))
     total = 0.0
     for k in range(runs):
-        oracle = StochasticGradOracle(problem, sigma, batch, seed=seed * 7919 + k)
+        rng = np.random.default_rng(seed * 7919 + k)
         state = optim.MuonState(beta=beta)
         W = W0.copy()
         acc = 0.0
         for _ in range(T):
             g = problem.grad(W)
             acc += matcore.nuclear_norm(g)
-            W = optim.muon_step(state, W, g + oracle.noise() if sigma > 0 else g, eta)
+            W = optim.muon_step(state, W, g + noise(rng) if sigma > 0 else g, eta)
         total += acc / T
     lhs = total / runs
     margins = _Margins(0.0)

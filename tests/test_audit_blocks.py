@@ -19,13 +19,15 @@ def _reference_random_spd(n, rng):
     return 0.5 * (M + M.T)
 
 
-def _reference_sample(oracle, W):
-    """One stochastic gradient sample as one expression: gradient, then noise."""
-    G = oracle.problem.grad(W)
-    if oracle.sigma == 0.0:
+def _reference_sample(problem, W, sigma, batch, rng):
+    """One stochastic gradient sample as one expression: the gradient, then
+    Gaussian noise with E||noise||_F^2 = sigma^2 averaged over a batch."""
+    G = problem.grad(W)
+    if sigma == 0.0:
         return G
-    noise = oracle.rng.standard_normal(G.shape) * oracle._entry_std
-    return G + noise / np.sqrt(oracle.batch)
+    m, n = G.shape
+    noise = rng.standard_normal(G.shape) * (sigma / np.sqrt(m * n))
+    return G + noise / np.sqrt(batch)
 
 
 def _reference_norm_lemmas(n_instances, dims, seed, slack):
@@ -78,10 +80,9 @@ def _reference_momentum_error(sigma, batch, beta, T, trials, seed, shape, slack_
     g = problem.grad(W)
     err_sum = np.zeros(T + 1)
     for k in range(trials):
-        oracle = problems.StochasticGradOracle(problem, sigma, batch,
-                                               seed=seed * 100003 + k + 1)
+        trial_rng = np.random.default_rng(seed * 100003 + k + 1)
         for t in range(T + 1):
-            G = _reference_sample(oracle, W)
+            G = _reference_sample(problem, W, sigma, batch, trial_rng)
             if t == 0:
                 M, C = G, g
             else:
@@ -179,13 +180,14 @@ def _reference_nonconvex_runs(problem, T, beta, sigma, batch, runs, seed, eta):
     """The run-averaged nuclear gradient norm with one gradient per oracle call."""
     total = 0.0
     for k in range(runs):
-        oracle = problems.StochasticGradOracle(problem, sigma, batch, seed=seed * 7919 + k)
+        rng = np.random.default_rng(seed * 7919 + k)
         state = optim.MuonState(beta=beta)
         W = np.zeros(problem.shape)
         acc = 0.0
         for _ in range(T):
             acc += matcore.nuclear_norm(problem.grad(W))
-            W = optim.muon_step(state, W, _reference_sample(oracle, W), eta)
+            W = optim.muon_step(state, W, _reference_sample(problem, W, sigma, batch, rng),
+                                eta)
         total += acc / T
     return total / runs
 
@@ -205,15 +207,15 @@ def test_nonconvex_rate_bound_matches_sampling_loop(sigma, batch, runs):
 def test_oracle_sample_is_grad_plus_noise():
     problem = problems.quadratic_new(np.eye(3), np.ones((3, 4)))
     W = np.arange(12.0).reshape(3, 4)
-    a = problems.StochasticGradOracle(problem, 1.5, batch=2, seed=9)
-    c = problems.StochasticGradOracle(problem, 1.5, batch=2, seed=9)
+    noise = verify._gradient_noise(1.5, 2, (3, 4))
+    a, c = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(3):
         # the sample the verify audits take
-        G = problem.grad(W) + a.noise()
-        assert np.array_equal(G, _reference_sample(c, W))
-    quiet = problems.StochasticGradOracle(problem, 0.0, seed=9)
-    assert np.array_equal(quiet.noise(), np.zeros((3, 4)))
-    assert np.array_equal(problem.grad(W) + quiet.noise(), problem.grad(W))
+        G = problem.grad(W) + noise(a)
+        assert np.array_equal(G, _reference_sample(problem, W, 1.5, 2, c))
+    quiet = verify._gradient_noise(0.0, 1, (3, 4))
+    assert np.array_equal(quiet(a), np.zeros((3, 4)))
+    assert np.array_equal(problem.grad(W) + quiet(a), problem.grad(W))
 
 
 def _reference_fill_distances(pending, W_star):

@@ -190,10 +190,6 @@ def test_ratio_condition_degenerate():
 # averages
 # ---------------------------------------------------------------------------
 
-def test_average_j_constant_sequence():
-    assert dg.average_j([3.0] * 17) == pytest.approx(3.0, rel=1e-12)
-
-
 def test_weighted_j_tilde_constant_sequence():
     T, eta, D = 9, 0.2, 1.0
     jt = dg.weighted_j_tilde([3.0] * T, eta, D)
@@ -210,7 +206,6 @@ def test_weighted_j_tilde_degenerate_weight():
 def test_averages_against_fsum_oracle():
     rng = np.random.default_rng(7)
     vals = list(rng.standard_normal(500))
-    assert dg.average_j(vals) == pytest.approx(math.fsum(vals) / len(vals), rel=1e-12)
     eta, D = 0.3, 2.0
     T = len(vals)
     oracle = math.fsum((1 - eta / D) ** (T - 1 - t) * v for t, v in enumerate(vals)) / T
@@ -228,7 +223,7 @@ def test_weighted_j_tilde_bounded_by_abs_mean():
 
 def test_average_validation():
     with pytest.raises(ValueError):
-        dg.average_j([])
+        dg.weighted_j_tilde([], eta=0.5, D_op=1.0)
     with pytest.raises(ValueError):
         dg.weighted_j_tilde([1.0], eta=2.0, D_op=1.0)
 

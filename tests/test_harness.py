@@ -3,6 +3,7 @@ import ast
 import concurrent.futures
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -812,7 +813,7 @@ def test_summary_recomputable_from_csv(tmp_path):
     assert summary["final_f"] == records[-1].f
     assert summary["T"] == records[-1].t
     j_vals = [rec.J_t for rec in records if rec.J_t is not None]
-    assert summary["J_mean"] == pytest.approx(dg.average_j(j_vals), rel=1e-12)
+    assert summary["J_mean"] == pytest.approx(math.fsum(j_vals) / len(j_vals), rel=1e-12)
     assert summary["D_op"] == max(rec.dist_op for rec in records)
     assert summary["J_tilde"] == pytest.approx(
         dg.weighted_j_tilde(j_vals, 0.3, summary["D_op"]), rel=1e-12)

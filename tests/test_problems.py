@@ -3,7 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from muonlab import harness, matcore, problems
+from muonlab import harness, matcore, problems, verify
 from muonlab.problems import fd_hvp
 from oracles import kron, ky_fan_constant, vec_row
 
@@ -709,29 +709,33 @@ def test_mlp_copies_its_data():
 
 
 # ---------------------------------------------------------------------------
-# stochastic oracle
+# stochastic oracle: a sample is the exact gradient plus verify's noise draw
 # ---------------------------------------------------------------------------
 
 def test_stochastic_grad_oracle_deterministic_limit():
     rng = np.random.default_rng(30)
     prob = problems.quadratic_new(np.eye(3), rng.standard_normal((3, 4)))
-    oracle = problems.StochasticGradOracle(prob, sigma=0.0, batch=1, seed=31)
     W = rng.standard_normal((3, 4))
-    np.testing.assert_array_equal(prob.grad(W) + oracle.noise(), prob.grad(W))
+    noise_rng = np.random.default_rng(31)
+    state = noise_rng.bit_generator.state
+    draw = verify._gradient_noise(0.0, 1, (3, 4))
+    np.testing.assert_array_equal(prob.grad(W) + draw(noise_rng), prob.grad(W))
+    assert noise_rng.bit_generator.state == state  # sigma = 0 draws nothing
 
 
 def test_stochastic_grad_oracle_variance():
     rng = np.random.default_rng(32)
     prob = problems.quadratic_new(np.eye(3), rng.standard_normal((3, 4)))
     sigma, batch = 1.0, 4
-    oracle = problems.StochasticGradOracle(prob, sigma, batch, seed=33)
+    draw = verify._gradient_noise(sigma, batch, (3, 4))
+    noise_rng = np.random.default_rng(33)
     W = rng.standard_normal((3, 4))
     g = prob.grad(W)
     draws = 10_000
     sq = 0.0
     acc = np.zeros_like(g)
     for _ in range(draws):
-        s = g + oracle.noise()
+        s = g + draw(noise_rng)
         sq += np.sum((s - g) ** 2)
         acc += s
     emp_var = sq / draws
@@ -743,8 +747,11 @@ def test_stochastic_grad_oracle_variance():
 
 
 def test_stochastic_grad_oracle_validation():
+    """Both stochastic checks refuse a bad noise model before drawing."""
     prob = problems.quadratic_new(np.eye(2), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        problems.StochasticGradOracle(prob, sigma=-1.0)
-    with pytest.raises(ValueError):
-        problems.StochasticGradOracle(prob, sigma=1.0, batch=0)
+    for sigma, batch, message in ((-1.0, 1, "sigma must be nonnegative"),
+                                  (1.0, 0, "batch must be at least 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify.check_momentum_error_lemma(sigma=sigma, batch=batch)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify.check_nonconvex_rate_bound(prob, sigma=sigma, batch=batch)

@@ -261,6 +261,59 @@ def test_constant_step_bound_requires_constant_eta(adaptive_Lstar_run):
 
 
 # ---------------------------------------------------------------------------
+# the record contract: cadence 1, and every column a check reads on each step row
+# ---------------------------------------------------------------------------
+
+# (check, its variant, the name its messages give, the columns each step row needs)
+RECORD_CHECKS = [
+    (verify.check_quadratic_taylor_identity, {}, "the Taylor identity check", ("eta", "J_t")),
+    (verify.check_descent_inequalities, {"which": "rL"}, "the descent check", ("eta",)),
+    (verify.check_adaptive_rate_bound, {"which": "Lstar"}, "the adaptive bound check",
+     ("eta",)),
+    (verify.check_constant_step_linear_bound, {"which": "Lstar"}, "the constant-step check",
+     ("eta",)),
+    (verify.check_constant_step_linear_bound, {"which": "J"}, "the constant-step check",
+     ("eta", "J_t")),
+    (verify.check_nonconvex_J_bound, {}, "the curvature-average rate check", ("eta", "J_t")),
+]
+RECORD_CHECK_IDS = ["taylor", "descent", "adaptive", "constant", "constant-J", "rate-J"]
+
+
+@pytest.mark.parametrize("check, kwargs, name, columns", RECORD_CHECKS, ids=RECORD_CHECK_IDS)
+def test_record_checks_refuse_cadence_2(constant_run, check, kwargs, name, columns):
+    records, problem = constant_run
+    every_other = records[::2]  # t = 0, 2, ..., 200: what a cadence-2 run logs
+    assert every_other[-1] is records[-1]
+    with pytest.raises(ValueError, match=f"^{name} needs records .*\\(cadence 1\\)$"):
+        check(every_other, problem, **kwargs)
+
+
+@pytest.mark.parametrize("check, kwargs, name, columns", RECORD_CHECKS, ids=RECORD_CHECK_IDS)
+def test_record_checks_refuse_a_step_row_without_a_column(constant_run, check, kwargs,
+                                                          name, columns):
+    records, problem = constant_run
+    for column in columns:
+        tampered = copy.deepcopy(records)
+        setattr(tampered[57], column, None)
+        with pytest.raises(ValueError,
+                           match=f"^{name} needs {column} at every step; step 57 has none$"):
+            check(tampered, problem, **kwargs)
+
+
+@pytest.mark.parametrize("check", [verify.check_constant_step_linear_bound,
+                                   verify.check_nonconvex_J_bound])
+def test_constant_step_checks_take_T_from_the_step_rows(constant_run, check):
+    """T counts every step row, and a step row without eta is refused, not
+    dropped from a shorter run of T - 1 steps."""
+    records, problem = constant_run
+    assert check(records, problem).params["T"] == len(records) - 1 == 200
+    tampered = copy.deepcopy(records)
+    tampered[120].eta = None
+    with pytest.raises(ValueError, match="needs eta at every step; step 120 has none$"):
+        check(tampered, problem)
+
+
+# ---------------------------------------------------------------------------
 # norm lemmas
 # ---------------------------------------------------------------------------
 

@@ -69,6 +69,16 @@ MUTANTS = {
         "bound = rec.L_t * dir_sq + tol",
         "bound = 2.0 * rec.L_t * dir_sq + tol",
         "validate_record's Rayleigh bound x2"),
+    "steps-accept-gap": (
+        "src/muonlab/verify.py",
+        "if any(b != a + 1 for a, b in zip(ts, ts[1:])):",
+        "if any(b <= a for a, b in zip(ts, ts[1:])):",
+        "_steps accepts records with a gap in t"),
+    "steps-accept-missing-column": (
+        "src/muonlab/verify.py",
+        "if getattr(rec, column) is None:",
+        "if False:",
+        "_steps accepts a step row without a column its check reads"),
 }
 
 # Tier-1 without the two long acceptance studies

@@ -760,15 +760,17 @@ def _summarize(records, problem: Problem, schedule) -> RunSummary:
 
 
 def run_experiment(config: ExperimentConfig, seed: Optional[int] = None, *,
-                   problem: Optional[Problem] = None, scan=None) -> RunArtifact:
+                   problem: Optional[Problem] = None,
+                   scanned: Optional[list] = None) -> RunArtifact:
     """Execute one seeded run: optional stepsize tuning, then the recorded run.
 
     The tuning scan (run.lr_grid; _grid_scan may run its row blocks on threads)
     never selects a diverged point and keeps all grid results in the artifact;
     the recorded run follows on the calling thread.  problem, when given, is
     build_problem(config.problem, seed) built earlier: runs never write to it.
-    scan, when given, is a function of no argument that gives the grid's
-    results in _grid_scan's place (a study's shared scan, see _tuned_runs).
+    scanned, when given, is the grid's [(final_f, diverged), ...] from a scan
+    made earlier (a study scans every grid before its first run, see
+    _tuned_runs), taken in place of the scan.
     """
     if seed is None:
         seed = config.seeds[0]
@@ -780,7 +782,7 @@ def run_experiment(config: ExperimentConfig, seed: Optional[int] = None, *,
     if config.lr_grid:
         # the grid replaces the schedule, whose keys must still be ones it reads
         _read_section("schedule", config.schedule)
-        results = scan() if scan else _grid_scan(
+        results = scanned if scanned is not None else _grid_scan(
             problem, config.optimizer, config.lr_grid, config.T, W0,
             cores=len(os.sched_getaffinity(0)))
         grid_results = [{"eta": float(eta), "final_f": None if diverged else fT,
@@ -1055,39 +1057,30 @@ def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
 
 
 def _tuned_runs(prob_spec: dict, seed: int, opt_specs: dict, prefix: str, **run):
-    """(problem, {name: artifact}): build the problem once, then tune and record each
-    optimizer of opt_specs on it in turn, as run <prefix>_<name> with the other run.*
-    settings, through run_experiment.  The first run's scan builds every grid's row
-    blocks (_scan_jobs, probe included); when each grid splits, one _run_jobs call
-    runs all their blocks, the last optimizer's first, and the later runs read their
-    results, else each run runs its own grid's blocks, as _grid_scan does."""
+    """(problem, {name: artifact}): build the problem once, scan every optimizer's
+    grid, then record each optimizer of opt_specs in turn, as run <prefix>_<name>
+    with the other run.* settings, through run_experiment given its grid's results.
+    The scan builds every grid's row blocks first (_scan_jobs, probe included); when
+    each grid splits, one _run_jobs call runs all their blocks, the last optimizer's
+    first, else each grid's blocks run alone, as _grid_scan does."""
     problem = build_problem(prob_spec, run_seed=seed)
     cores = len(os.sched_getaffinity(0))
     configs = {name: ExperimentConfig(
         problem=prob_spec, optimizer=spec, schedule={"kind": "constant", "eta": 1.0},
         seeds=(seed,), lr_grid=default_grid(name, problem), name=f"{prefix}_{name}", **run)
         for name, spec in opt_specs.items()}
-    scans = {}
-
-    def scan(name):
-        # runs inside the first run_experiment call, so each grid's work still
-        # falls inside a run, as when each run scanned its own grid
-        if not scans:
-            for key, c in configs.items():
-                scans[key] = _scan_jobs(problem, c.optimizer, c.lr_grid, c.T,
-                                        _initial_w(c, problem, seed), cores)
-            if all(len(jobs) > 1 for _, jobs in scans.values()):
-                # the studies list the Muon family last, and its blocks cost the
-                # most: queued first, they leave the cheap blocks to fill the end
-                _run_jobs([job for _, jobs in reversed(scans.values()) for job in jobs], cores)
-                for _, jobs in scans.values():
-                    jobs.clear()
-        results, jobs = scans[name]
+    scans = {name: _scan_jobs(problem, c.optimizer, c.lr_grid, c.T,
+                              _initial_w(c, problem, seed), cores)
+             for name, c in configs.items()}
+    grids = [jobs for _, jobs in scans.values()]
+    if all(len(jobs) > 1 for jobs in grids):
+        # the studies list the Muon family last, and its blocks cost the most:
+        # queued first, they leave the cheap blocks to fill the end
+        grids = [[job for jobs in reversed(grids) for job in jobs]]
+    for jobs in grids:
         _run_jobs(jobs, cores)
-        return results
-
     return problem, {name: run_experiment(config, seed, problem=problem,
-                                          scan=functools.partial(scan, name))
+                                          scanned=scans[name][0])
                      for name, config in configs.items()}
 
 

@@ -202,6 +202,8 @@ def check_constant_step_linear_bound(records: Sequence[StepRecord], problem: Pro
                    at every step)
     A stepsize above the empirical D is flagged vacuous, not failed.
     """
+    if which == "J":
+        _require_quadratic(problem, "the curvature-average bound")
     fs = f_star(problem)
     if fs is None:
         raise ValueError("the constant-step bound check needs a known optimal value")
@@ -216,7 +218,6 @@ def check_constant_step_linear_bound(records: Sequence[StepRecord], problem: Pro
                            instances=1, tolerance=tol, passed=True)
     base = (1.0 - eta / D) ** T * delta
     if which == "J":
-        _require_quadratic(problem, "the curvature-average bound")
         jt = weighted_j_tilde([r.J_t for r in steps], eta, D)
         bound = base + 0.5 * eta ** 2 * jt * T
         params["J_tilde"] = jt
@@ -430,6 +431,9 @@ def check_nonconvex_rate_bound(problem: Problem, which: str = "Lstar",
     """
     if not 0.0 <= beta < 1.0:  # the range the momentum bounds are stated for
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
+    for name, value in (("runs", runs), ("T", T), ("eta", eta)):
+        if value is not None and not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
     fs = f_star(problem)
     if fs is None:
         raise ValueError("the rate bound check needs a known optimal value")

@@ -1542,10 +1542,12 @@ FIG3_SPLIT = dict(input_dim=30, dims=(64, 40, 5), B=40, T=6, cadence=2, seed=1)
 
 
 def test_figure3_pools_both_grids_byte_for_byte(tmp_path, monkeypatch, two_blas_threads):
-    """On two cores one pool runs both grids' row blocks, Muon's first, inside
+    """On two cores one pool runs both grids' row blocks, Muon's first, before
     the first run; each recorded run follows on the calling thread at the
-    process's thread count, and fig3 writes the bytes of one core."""
+    process's thread count, given its grid's results as a list, and fig3 writes
+    the bytes of one core."""
     events, run_rows, diagnostic_run = [], harness._GridRows.run, harness._diagnostic_run
+    run_experiment = harness.run_experiment
 
     def rows(self, *args):
         events.append(("rows", self.opt.kind))
@@ -1556,8 +1558,13 @@ def test_figure3_pools_both_grids_byte_for_byte(tmp_path, monkeypatch, two_blas_
                        two_blas_threads()))
         return diagnostic_run(problem, config, *args)
 
+    def running(config, seed, *, problem, scanned):
+        events.append(("run", type(scanned).__name__, len(scanned) == len(config.lr_grid)))
+        return run_experiment(config, seed, problem=problem, scanned=scanned)
+
     monkeypatch.setattr(harness._GridRows, "run", rows)
     monkeypatch.setattr(harness, "_diagnostic_run", recorded)
+    monkeypatch.setattr(harness, "run_experiment", running)
     entered, outputs = spy_scopes(monkeypatch), []
     for cores in (1, 2):
         events.clear()
@@ -1574,7 +1581,8 @@ def test_figure3_pools_both_grids_byte_for_byte(tmp_path, monkeypatch, two_blas_
     # Muon's two blocks are queued first: a thread's first block is one of them
     assert events[0] == ("rows", muon)
     assert sorted(event[1] for event in events[:4]) == ["gd", "gd", muon, muon]
-    assert events[4:] == [("record", "gd", "MainThread", 2), ("record", muon, "MainThread", 2)]
+    assert events[4:] == [("run", "list", True), ("record", "gd", "MainThread", 2),
+                          ("run", "list", True), ("record", muon, "MainThread", 2)]
     # csv, summary, config, grid and checkpoint per optimizer, and the study summary
     assert len(outputs[0]) == 11 and outputs[0] == outputs[1]
 
@@ -1621,7 +1629,7 @@ def test_a_failing_grid_block_in_the_study_pool_reaches_the_caller(monkeypatch,
     assert two_blas_threads() == 2
 
 
-def test_a_study_with_a_grid_that_fails_the_probe_runs_each_optimizer_in_turn(
+def test_a_study_with_a_grid_that_fails_the_probe_scans_each_grid_alone_then_records(
         tmp_path, monkeypatch, two_blas_threads):
     usable_cores(monkeypatch, 2)
     events, probe = [], harness._first_step_keeps_bits_on_one_thread
@@ -1655,12 +1663,12 @@ def test_a_study_with_a_grid_that_fails_the_probe_runs_each_optimizer_in_turn(
     # no study pool: Muon's grid alone splits, as run_experiment's would
     assert entered == [PROBE, "_run_jobs", 1]
     muon = "simplified_muon"
-    # both probes before any scan, then each optimizer's scan, recorded run on the
-    # calling thread at the process's thread count, and artifact, in turn
+    # both probes, then each grid's rows in optimizer order, then each recorded
+    # run on the calling thread at the process's thread count and its artifact
     assert events == [("probe", "gd"), ("probe", muon),
-                      ("rows", "gd"), ("record", "gd", "MainThread", 2), ("write", "fig3_gd"),
-                      ("rows", muon), ("rows", muon), ("record", muon, "MainThread", 2),
-                      ("write", "fig3_muon")]
+                      ("rows", "gd"), ("rows", muon), ("rows", muon),
+                      ("record", "gd", "MainThread", 2), ("write", "fig3_gd"),
+                      ("record", muon, "MainThread", 2), ("write", "fig3_muon")]
 
 
 def test_run_jobs_runs_every_job_once():

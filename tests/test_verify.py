@@ -246,6 +246,18 @@ def test_constant_step_bound_vacuous_eta():
     assert report.params.get("vacuous")
 
 
+@pytest.mark.parametrize("eta", [5.0, 0.5], ids=["vacuous", "in-range"])
+def test_constant_step_J_bound_refuses_a_non_quadratic_at_any_eta(eta):
+    # D_op = 1: eta = 5 would take the vacuous return, eta = 0.5 the bound
+    rng = np.random.default_rng(0)
+    mse = problems.linear_mse_new(rng.standard_normal((3, 8)), rng.standard_normal((2, 8)))
+    recs = [dg.StepRecord(t=0, f=1.0, grad_F=1.0, grad_nuc=1.0, eta=eta,
+                          dist_F=1.0, dist_op=1.0, J_t=1.0),
+            dg.StepRecord(t=1, f=0.9, grad_F=1.0, grad_nuc=1.0, dist_F=1.0, dist_op=1.0)]
+    with pytest.raises(ValueError, match="applies to quadratic problems only"):
+        verify.check_constant_step_linear_bound(recs, mse, which="J")
+
+
 def test_constant_step_bound_detects_tampering(constant_run):
     records, problem = constant_run
     tampered = copy.deepcopy(records)
@@ -421,6 +433,20 @@ def test_nonconvex_rate_bound_refuses_a_nan_margin(which):
     problem = harness.build_problem({"kind": "quadratic", "m": 3, "n": 4, "cond": 10.0})
     with pytest.raises(ValueError, match=f"^nonconvex-{which} at 0: margin .* is nan$"):
         verify.check_nonconvex_rate_bound(problem, which=which, T=3, sigma=float("nan"))
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"runs": 0}, "runs"), ({"T": 0}, "T"), ({"eta": 0.0}, "eta"), ({"eta": -0.1}, "eta"),
+], ids=["runs-0", "T-0", "eta-0", "eta-negative"])
+def test_nonconvex_rate_bound_names_a_bad_argument_before_any_oracle_call(kwargs, name):
+    problem = harness.build_problem({"kind": "quadratic", "m": 3, "n": 4, "cond": 10.0})
+
+    def unreachable(W):
+        raise AssertionError("the oracle was called")
+
+    problem.value_grad = unreachable
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        verify.check_nonconvex_rate_bound(problem, **kwargs)
 
 
 def test_nonconvex_rate_bound_stochastic():

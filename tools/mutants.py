@@ -79,6 +79,16 @@ MUTANTS = {
         "if getattr(rec, column) is None:",
         "if False:",
         "_steps accepts a step row without a column its check reads"),
+    "constant-J-skips-kind": (
+        "src/muonlab/verify.py",
+        '    if which == "J":\n        _require_quadratic(problem, "the curvature-average bound")\n',
+        "",
+        "check_constant_step_linear_bound's J variant runs on a problem of any kind"),
+    "nonconvex-accepts-zero": (
+        "src/muonlab/verify.py",
+        "if value is not None and not value > 0:",
+        "if value is not None and value < 0:",
+        "check_nonconvex_rate_bound accepts runs = 0, T = 0 and a given eta = 0"),
 }
 
 # Tier-1 without the two long acceptance studies

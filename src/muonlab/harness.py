@@ -571,38 +571,40 @@ def _first_step_keeps_bits_on_one_thread(problem: Problem, opt_spec: dict, eta: 
     return all(np.array_equal(a, b) for a, b in zip(plain, one))
 
 
-def _run_jobs(jobs: list, cores: int) -> None:
-    """Run each function of no argument in jobs.  With one job or one core the
-    caller runs them in turn; else min(cores, len(jobs)) threads, the caller's
-    among them, run them inside one matcore.one_blas_thread() scope: thread i
-    starts job i (the caller job 0), and each thread that ends a job takes the
-    next one left in list order.  An exception in any job reaches the caller; a
-    thread takes no job once one has failed, and no helper thread outlives the
-    call."""
-    threads = min(cores, len(jobs))
-    if threads < 2:
-        for job in jobs:
-            job()
-        return
-    pending, failed = iter(jobs), []
-    firsts = [next(pending) for _ in range(threads)]
+def _run_jobs(jobs: list, cores: int, submit=None) -> list:
+    """[job() for job in jobs], in job order.  With one job or one core the caller
+    runs them in turn; else min(cores, len(jobs)) workers, the calling thread and
+    helper threads, take jobs from one queue: worker i starts job i (the caller
+    job 0), and each worker that ends a job takes the next one left in list
+    order.  The caller runs its jobs itself; the helpers run theirs inside one
+    matcore.one_blas_thread() scope or, given submit (a process pool's), each as
+    submit(job).result() with no scope, since a spawned process keeps its own
+    thread count.  An exception in any job reaches the caller; no worker takes a
+    job once one has failed, and no helper thread outlives the call."""
+    workers = min(cores, len(jobs))
+    if workers < 2:
+        return [job() for job in jobs]
+    results, failed = [None] * len(jobs), []
+    pending = iter(enumerate(jobs))
+    firsts = [next(pending) for _ in range(workers)]
 
-    def work(job):
-        while job is not None and not failed:
+    def work(item, via=None):
+        while item is not None and not failed:
             try:
-                job()
+                results[item[0]] = via(item[1]).result() if via else item[1]()
             except BaseException:
                 failed.append(True)
                 raise
-            job = next(pending, None)  # next() on a list iterator is atomic
+            item = next(pending, None)  # next() on a list iterator is atomic
 
     from concurrent.futures import ThreadPoolExecutor  # imported only to pool
-    with matcore.one_blas_thread(), ThreadPoolExecutor(
-            threads - 1, thread_name_prefix="muonlab-rows") as pool:
-        helpers = [pool.submit(work, job) for job in firsts[1:]]
+    with (contextlib.nullcontext() if submit else matcore.one_blas_thread()), \
+            ThreadPoolExecutor(workers - 1, thread_name_prefix="muonlab-rows") as pool:
+        helpers = [pool.submit(work, item, submit) for item in firsts[1:]]
         work(firsts[0])
-        for helper in helpers:
-            helper.result()  # raises what a helper raised
+        for future in helpers:
+            future.result()  # raises what a helper raised
+    return results
 
 
 def _scan_jobs(problem: Problem, opt_spec: dict, etas: Sequence[float], T: int,
@@ -943,59 +945,27 @@ def ratio_study(m: int = 15, n: int = 20, samples: int = 1000, cond: float = 1e4
     return rows, summary
 
 
-# in a spawned fan-out process, the job counter it shares with its caller
-_claims = None
-
-
-def _keep_claims(counter) -> None:
-    global _claims
-    _claims = counter
-
-
-def _run_claimed(fn, jobs: list, first: int, claims=None) -> list:
-    """[(i, fn(jobs[i])), ...] for job `first`, then for each job this process
-    claims from the counter the fan-out's processes share; a failure ends all claims."""
-    claims = _claims if claims is None else claims
-    done, i = [], first
-    try:
-        while i < len(jobs):
-            done.append((i, fn(jobs[i])))
-            with claims.get_lock():
-                i, claims.value = claims.value, claims.value + 1
-    except BaseException:
-        claims.value = len(jobs)
-        raise
-    return done
-
-
 def _fan_out(fn, jobs: list) -> list:
     """[fn(job) for job in jobs] on min(usable cores, len(jobs)) processes, the caller's included.
 
-    The caller runs job 0 while the other workers - 1, from the spawn context,
-    start with jobs 1 .. workers - 1; then each process claims the next job no
-    one has started, so a slower core runs fewer.  fn must be importable by
+    The caller runs job 0 while each other process, from the spawn context,
+    runs the job a dispatch thread of _run_jobs hands it; a process that ends a
+    job takes the next one no one has started from the one queue, held in the
+    calling process, so a slower core runs fewer.  fn must be importable by
     name, and a calling script needs an ``if __name__ == "__main__":`` guard.
     Results come back in job order, an exception in any job reaches the caller,
     and no process outlives the call.  With one core to use, nothing is started.
     """
+    calls = [functools.partial(fn, job) for job in jobs]
     workers = min(len(os.sched_getaffinity(0)), len(jobs))
     if workers < 2:
-        return [fn(job) for job in jobs]
+        return [call() for call in calls]
     # imported here, so a call that starts no process skips its ~15 ms import
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    context = multiprocessing.get_context("spawn")
-    claims = context.Value("q", workers)
-    pool = ProcessPoolExecutor(workers - 1, mp_context=context, initializer=_keep_claims,
-                               initargs=(claims,))
-    try:
-        futures = [pool.submit(_run_claimed, fn, jobs, k) for k in range(1, workers)]
-        done = _run_claimed(fn, jobs, 0, claims)
-        for future in futures:
-            done += future.result()
-        return [result for _, result in sorted(done, key=lambda pair: pair[0])]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ProcessPoolExecutor(workers - 1,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return _run_jobs(calls, workers, pool.submit)
 
 
 def _figure1_block(job: tuple, T: int, m: int, n: int, cond: float) -> tuple:
@@ -1030,11 +1000,12 @@ def figure1_study(seeds: Sequence[int], T: int = 4000, m: int = 15, n: int = 20,
     0.9) picks its stepsize from the default grid by final loss, GD uses the
     prescribed 1/L.  Returns per-seed final losses.
 
-    The work is spread over the usable cores (see _fan_out); with fewer seeds
-    than cores, each seed's grid is cut into row blocks, the last also running
-    GD, and joined in grid order, so the summary is byte for byte a serial
-    run's.  fig2 and fig3 run in one process, on threads (see _tuned_runs):
-    processes would compete for the cores (README, "Seeds on several cores").
+    The work is spread over the usable cores, the caller's and spawned
+    processes', from one job queue (see _fan_out); with fewer seeds than cores,
+    each seed's grid is cut into row blocks, the last also running GD, and
+    joined in grid order, so the summary is byte for byte a serial run's.  fig2
+    and fig3 run in one process, on threads (see _tuned_runs): processes would
+    compete for the cores (README, "Seeds on several cores").
     """
     seeds = [int(s) for s in seeds]
     if not seeds:

@@ -9,8 +9,9 @@ checked).  A check passes exactly when no violation exceeds its tolerance.
 Margins are signed as lhs - rhs, so positive means the inequality failed by
 that amount before slack was applied.
 
-Checks that read records take them through one contract, _steps: cadence 1,
-and each step row (all but the terminal row) carrying the columns the check
+Checks that read records take them through one contract, _steps: a whole
+run from t = 0 (a step row and the terminal row at least) at cadence 1,
+each step row (all but the terminal row) carrying the columns the check
 reads, else a ValueError naming the check.  The stochastic checks add noise
 to exact gradients, drawn from one seeded generator per trial or run.
 """
@@ -72,7 +73,9 @@ class _Margins:
 
 
 def _steps(records: Sequence[StepRecord], check: str, *columns: str) -> Sequence[StepRecord]:
-    """The step rows (all but the terminal one) of cadence-1 records carrying columns."""
+    """The step rows (all but the terminal one) of a whole cadence-1 run carrying columns."""
+    if len(records) < 2 or records[0].t != 0:
+        raise ValueError(f"{check} needs a whole run: a step row from t = 0 and the terminal row")
     ts = [r.t for r in records]
     if any(b != a + 1 for a, b in zip(ts, ts[1:])):
         raise ValueError(f"{check} needs records logged at every step (cadence 1)")
@@ -106,8 +109,6 @@ def _smoothness_constant(problem: Problem, which: str) -> float:
 
 def _constant_eta(steps: Sequence[StepRecord], check: str) -> tuple:
     """(eta, T) of a run whose T step rows all took the one stepsize eta."""
-    if not steps:
-        raise ValueError("no steps recorded")
     eta = steps[0].eta
     if any(abs(r.eta - eta) > 1e-12 * max(1.0, eta) for r in steps):
         raise ValueError(f"{check} needs a constant stepsize run")

@@ -2,6 +2,7 @@ import argparse
 import ast
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -10,6 +11,7 @@ import re
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -1136,8 +1138,9 @@ def test_figure1_caller_runs_a_share_of_the_work(monkeypatch):
 @pytest.mark.parametrize("seeds", [(0,), (0, 1), tuple(range(6))],
                          ids=["one-seed", "two-seeds", "six-seeds"])
 def test_figure1_on_any_core_count_matches_a_serial_run(tmp_path, monkeypatch, seeds):
-    """One seed is cut into row blocks; with more seeds than cores, every
-    process claims the seeds no one has started."""
+    """One seed is cut into row blocks; with more seeds than cores, each
+    process that ends a seed is handed the next one no one has started, from
+    the one queue in the calling process."""
     runs, summaries = [], set()
     for cores in (1, 2, 3):
         usable_cores(monkeypatch, cores)
@@ -1534,7 +1537,9 @@ def test_figure1_study_never_splits(monkeypatch):
     # slices above SPLIT_MIN_ENTRIES; the caller runs the first block of rows
     harness.figure1_study(seeds=[3], T=20, m=40, n=64, cond=100.0)
     assert cores and set(cores) == {1}
-    assert entered == []
+    # one dispatch thread hands the spawned process its block, and no scope is
+    # entered: each process keeps its own BLAS thread count
+    assert entered == [1]
 
 
 # fig3 on the MLP above: its trained 40x64 layer lets both grids split
@@ -1683,6 +1688,50 @@ def test_run_jobs_runs_every_job_once():
     finally:
         sys.setswitchinterval(interval)
     assert sorted(log) == list(range(200))
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("muonlab-")]
+
+
+def test_run_jobs_hands_only_helper_jobs_to_submit(monkeypatch):
+    """Given submit (a one-thread executor's, logging each job), the caller runs
+    its own jobs and each helper thread hands its jobs to submit, with no thread
+    scope entered; results come back in job order, and no job is handed out
+    once one has failed."""
+    executor = concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="submitted")
+    submitted, ran, raised = [], [], threading.Event()
+
+    def submit(call):
+        submitted.append(call.args[0])
+        return executor.submit(call)
+
+    def job(k, fail=False, wait=False):
+        ran.append((k, threading.current_thread().name.split("_")[0]))
+        if fail:
+            raised.set()
+            raise RuntimeError(f"job {k} failed")
+        if wait:
+            # past the failure: its helper marks it as the exception leaves the job
+            raised.wait(10)
+            time.sleep(0.05)
+        return k * k
+
+    entered = spy_scopes(monkeypatch)
+    with executor:
+        jobs = [functools.partial(job, k) for k in range(7)]
+        assert harness._run_jobs(jobs, 3, submit) == [k * k for k in range(7)]
+        # two dispatch threads, each starting with its own first job, and no scope
+        assert entered == [2] and 0 not in submitted and {1, 2} <= set(submitted)
+        assert sorted(ran) == [(k, "submitted" if k in submitted else "MainThread")
+                               for k in range(7)]
+        submitted.clear()
+        ran.clear()
+        entered.clear()
+        # the caller's job ends after the helper's has failed: no job is handed out
+        jobs = ([functools.partial(job, 0, wait=True), functools.partial(job, 1, fail=True)]
+                + [functools.partial(job, k) for k in range(2, 5)])
+        with pytest.raises(RuntimeError, match="job 1 failed"):
+            harness._run_jobs(jobs, 2, submit)
+        assert sorted(ran) == [(0, "MainThread"), (1, "submitted")]
+        assert submitted == [1] and entered == [1]
     assert not [t.name for t in threading.enumerate() if t.name.startswith("muonlab-")]
 
 

@@ -273,7 +273,8 @@ def test_constant_step_bound_requires_constant_eta(adaptive_Lstar_run):
 
 
 # ---------------------------------------------------------------------------
-# the record contract: cadence 1, and every column a check reads on each step row
+# the record contract: a whole run from t = 0, cadence 1, and every column a
+# check reads on each step row
 # ---------------------------------------------------------------------------
 
 # (check, its variant, the name its messages give, the columns each step row needs)
@@ -310,6 +311,20 @@ def test_record_checks_refuse_a_step_row_without_a_column(constant_run, check, k
         with pytest.raises(ValueError,
                            match=f"^{name} needs {column} at every step; step 57 has none$"):
             check(tampered, problem, **kwargs)
+
+
+@pytest.mark.parametrize("check, kwargs, name, columns", RECORD_CHECKS, ids=RECORD_CHECK_IDS)
+@pytest.mark.parametrize("part", ["none", "terminal-row", "tail"])
+def test_record_checks_refuse_all_but_a_whole_run(constant_run, check, kwargs, name, columns,
+                                                  part):
+    """No records, the terminal row alone, and a run's tail from t = 10 are each
+    refused: a check would pass the first two on no instance, and take the
+    tail's first row for W_0 at its absolute t."""
+    records, problem = constant_run
+    given = {"none": [], "terminal-row": records[-1:], "tail": records[10:]}[part]
+    with pytest.raises(ValueError, match=f"^{name} needs a whole run: a step row from "
+                                         f"t = 0 and the terminal row$"):
+        check(given, problem, **kwargs)
 
 
 @pytest.mark.parametrize("check", [verify.check_constant_step_linear_bound,
@@ -519,14 +534,14 @@ def test_reports_that_check_no_margin_are_strict_json():
         seed=0, T=30, schedule_kind="constant", eta=1e6)
     vacuous = verify.check_constant_step_linear_bound(vacuous_records, vacuous_problem)
     assert vacuous.params["vacuous"]
+    assert vacuous.passed
+    assert strict_json(vacuous.to_json())["worst_margin"] is None
+    assert verify.CheckReport(**json.loads(vacuous.to_json())) == vacuous
+    # a check of no step row is refused, not passed on no instance
     taylor_records, taylor_problem = harness.quadratic_check_run(
         seed=3, T=5, schedule_kind="constant", eta=0.2)
-    one_record = verify.check_quadratic_taylor_identity(taylor_records[:1], taylor_problem)
-    assert one_record.instances == 0
-    for report in (vacuous, one_record):
-        assert report.passed
-        assert strict_json(report.to_json())["worst_margin"] is None
-        assert verify.CheckReport(**json.loads(report.to_json())) == report
+    with pytest.raises(ValueError, match="needs a whole run"):
+        verify.check_quadratic_taylor_identity(taylor_records[:1], taylor_problem)
 
 
 def test_norm_lemmas_refuse_zero_instances():

@@ -89,6 +89,21 @@ MUTANTS = {
         "if value is not None and not value > 0:",
         "if value is not None and value < 0:",
         "check_nonconvex_rate_bound accepts runs = 0, T = 0 and a given eta = 0"),
+    "steps-accept-tail": (
+        "src/muonlab/verify.py",
+        "if len(records) < 2 or records[0].t != 0:",
+        "if len(records) < 2:",
+        "_steps accepts records that do not start at t = 0"),
+    "blas-scope-wraps-processes": (
+        "src/muonlab/harness.py",
+        "with (contextlib.nullcontext() if submit else matcore.one_blas_thread()),",
+        "with matcore.one_blas_thread(),",
+        "_run_jobs enters the one-thread BLAS scope for pooled processes too"),
+    "run-jobs-after-failure": (
+        "src/muonlab/harness.py",
+        "while item is not None and not failed:",
+        "while item is not None:",
+        "a _run_jobs worker keeps taking jobs after one failed"),
 }
 
 # Tier-1 without the two long acceptance studies

@@ -91,13 +91,13 @@ _OPTIMIZERS = {
 # or [int] or [float] for a list, the only values whose text splits on commas.
 # The run section has one kind and no kind key.
 CONFIG_SCHEMA = {
-    "problem": ("quadratic", {kind: {"seed": int, "seed_mode": ("fixed", "per_run"), **keys}
-                              for kind, keys in (
-        ("quadratic", {"m": int, "n": int, "cond": float, "decay": str, "half": bool,
+    "problem": ("quadratic", {kind: {"seed": int, **keys} for kind, keys in (
+        ("quadratic", {"seed_mode": ("fixed", "per_run"), "m": int, "n": int, "cond": float,
+                       "decay": ("two_cluster", "geometric"), "half": bool,
                        "wstar_scale": float, "wstar": ("uniform", "gaussian")}),
         ("linear_mse", {"d": int, "B": int, "c": int, "features": ("gaussian", "lowrank", "csv"),
                         "target_ratio": float, "path": str, "skip_header": bool}),
-        ("mlp", {"input_dim": int, "dims": [int], "B": int, "loss": str,
+        ("mlp", {"input_dim": int, "dims": [int], "B": int, "loss": ("softmax_ce", "mse"),
                  "data": ("lowrank", "gaussian"), "target_ratio": float, "train_layer": int}),
     )}),
     "optimizer": ("gd", {kind: types for kind, (_, _, types) in _OPTIMIZERS.items()}),
@@ -307,16 +307,16 @@ class ExperimentConfig:
 def build_problem(spec: dict, run_seed: int = 0) -> Problem:
     """Construct a Problem from a config section.
 
-    problem.seed is the data seed; with seed_mode = per_run the run seed is
-    mixed in so every run draws its own instance (used for the quadratic
+    problem.seed is the data seed; a quadratic with seed_mode = per_run mixes
+    in the run seed, so every run draws its own instance (used for the
     optimum resampling studies).
     """
     kind, spec = _read_section("problem", spec)
     get = spec.get
     base_seed = get("seed", 0)
-    per_run = get("seed_mode", "fixed") == "per_run"
-    eff = np.random.default_rng([base_seed, run_seed] if per_run else [base_seed])
     if kind == "quadratic":
+        per_run = get("seed_mode", "fixed") == "per_run"
+        eff = np.random.default_rng([base_seed, run_seed] if per_run else [base_seed])
         m = get("m", 15)
         n = get("n", 20)
         scale = get("wstar_scale", 50.0)
@@ -1057,7 +1057,7 @@ def _tuned_runs(prob_spec: dict, seed: int, opt_specs: dict, prefix: str, **run)
 
 def figure2_suite(kind: str = "lowrank", c: int = 100, seed: int = 0,
                   d: int = 196, B: int = 400, T: int = 400,
-                  paper_dims: bool = False, out_dir: Optional[str] = None):
+                  out_dir: Optional[str] = None):
     """Four tuned optimizers on the linear classification MSE.
 
     kind selects the feature matrix: 'lowrank' targets the concentrated
@@ -1067,8 +1067,6 @@ def figure2_suite(kind: str = "lowrank", c: int = 100, seed: int = 0,
     """
     if kind not in ("lowrank", "gaussian"):
         raise ValueError("kind must be lowrank or gaussian")
-    if paper_dims:
-        d, B = 784, 1000
     prob_spec = {"kind": "linear_mse", "features": kind, "d": d, "B": B,
                  "c": c, "seed": seed}
     if kind == "lowrank":
@@ -1203,6 +1201,11 @@ VERIFY_CHECKS = {
 }
 
 
+# the paper's sizes, which fig2 and fig3 take with --paper-dims
+PAPER_DIMS = {"fig2": {"d": 784, "B": 1000},
+              "fig3": {"input_dim": 784, "dims": (128, 64, 10)}}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="muonlab",
@@ -1223,7 +1226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ratio.add_argument("--n", type=int, default=20)
     p_ratio.add_argument("--samples", type=int, default=1000)
     p_ratio.add_argument("--cond", type=float, default=1e4)
-    p_ratio.add_argument("--decay", default="two_cluster")
+    p_ratio.add_argument("--decay", choices=CONFIG_SCHEMA["problem"][1]["quadratic"]["decay"],
+                         default="two_cluster")
     p_ratio.add_argument("--seed", type=int, default=0)
     p_ratio.add_argument("--out")
 
@@ -1232,20 +1236,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig2.add_argument("--classes", type=int, default=100)
     p_fig2.add_argument("--seed", type=int, default=0)
     p_fig2.add_argument("--iters", type=int, default=400)
-    p_fig2.add_argument("--paper-dims", action="store_true")
+    p_fig2.add_argument("--paper-dims", dest="sizes", action="store_const",
+                        const=PAPER_DIMS["fig2"], default={})
     p_fig2.add_argument("--out")
 
     p_fig3 = sub.add_parser("fig3", help="MLP curvature diagnostics")
     p_fig3.add_argument("--seed", type=int, default=0)
     p_fig3.add_argument("--iters", type=int, default=200)
     p_fig3.add_argument("--cadence", type=int, default=10)
-    p_fig3.add_argument("--paper-dims", action="store_true",
+    p_fig3.add_argument("--paper-dims", dest="sizes", action="store_const",
+                        const=PAPER_DIMS["fig3"], default={},
                         help="use the 784-input 128/64/10 network instead of the desk 8/6/4")
     p_fig3.add_argument("--out")
 
     p_spec = sub.add_parser("spectra", help="singular values of a feature matrix")
-    p_spec.add_argument("--csv", help="load the matrix from a CSV file")
-    p_spec.add_argument("--kind", choices=("gaussian", "lowrank"))
+    source = p_spec.add_mutually_exclusive_group(required=True)
+    source.add_argument("--csv", help="load the matrix from a CSV file")
+    source.add_argument("--kind", choices=("gaussian", "lowrank"))
     p_spec.add_argument("--d", type=int, default=784)
     p_spec.add_argument("--B", type=int, default=1000)
     p_spec.add_argument("--ratio", type=float, default=1.41)
@@ -1305,15 +1312,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectra(args) -> int:
-    if args.csv:
+    if args.csv is not None:
         A = problems.load_features_csv(args.csv)
     elif args.kind == "gaussian":
         A = problems.gaussian_features(args.d, args.B, seed=args.seed)
-    elif args.kind == "lowrank":
-        A = _lowrank_features(("--ratio", "--d", "--B"), args.d, args.B, args.ratio, args.seed)
     else:
-        print("error: pass --csv or --kind", file=sys.stderr)
-        return 2
+        A = _lowrank_features(("--ratio", "--d", "--B"), args.d, args.B, args.ratio, args.seed)
     sv = matcore.svd(A)
     if sv[0] == 0.0:
         raise ValueError(f"{args.csv or 'the feature matrix'} is all zeros: "
@@ -1347,17 +1351,14 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.cmd == "fig2":
             _, summary = figure2_suite(kind=args.kind, c=args.classes,
-                                       seed=args.seed, T=args.iters,
-                                       paper_dims=args.paper_dims, out_dir=args.out)
+                                       seed=args.seed, T=args.iters, out_dir=args.out,
+                                       **args.sizes)
             print(f"comparison ratio {summary['comparison_ratio']:.4f}; "
                   f"final losses {summary['final_f']}")
             return 0
         if args.cmd == "fig3":
-            mlp_kw = ({"input_dim": 784, "dims": (128, 64, 10)}
-                      if args.paper_dims else {})
             _, summary = figure3_suite(seed=args.seed, T=args.iters,
-                                       cadence=args.cadence, out_dir=args.out,
-                                       **mlp_kw)
+                                       cadence=args.cadence, out_dir=args.out, **args.sizes)
             print(f"Muon side wins at {summary['muon_side_wins']} of "
                   f"{summary['sampled_steps']} sampled steps")
             return 0

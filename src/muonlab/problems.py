@@ -34,19 +34,16 @@ class Problem:
         hvp_exact: False when hvp is a finite-difference approximation.
         kink_margin: optional callable giving the distance of the nearest
             hidden-layer preactivation to zero (MLPs only).
-        probe_clean: optional predicate, true when the hvp(W, D) probe keeps
-            every hidden ReLU mask unchanged (MLPs only).
         metadata: known constants, e.g. L, L_star, W_star, f_star.
     """
 
     def __init__(self, shape, value_grad, hvp, hvp_exact=True, metadata=None,
-                 kink_margin=None, probe_clean=None):
+                 kink_margin=None):
         self.shape = tuple(shape)
         self.value_grad = value_grad
         self.hvp = hvp
         self.hvp_exact = hvp_exact
         self.kink_margin = kink_margin
-        self.probe_clean = probe_clean
         self.metadata = dict(metadata or {})
 
     def value(self, W):
@@ -352,7 +349,7 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
     evaluated once here: every oracle starts its forward pass at the trained
     layer from the cached activations.  The problem keeps its own copies of
     those activations and of Y, so changing the caller's X or Y afterwards
-    does not change the problem.  hvp, kink_margin and probe_clean take one W.
+    does not change the problem.  hvp and kink_margin take one W.
     """
     if loss not in ("mse", "softmax_ce"):
         raise ValueError(f"unknown loss {loss!r}")
@@ -409,21 +406,8 @@ def mlp_new(layer_shapes: Sequence[tuple], X, Y, loss: str = "softmax_ce",
             return float("inf")
         return float(min(margins))
 
-    def probe_clean(W, D):
-        """True when the central-difference probe for hvp(W, D) keeps every
-        hidden ReLU mask unchanged, i.e. the fd value is a genuine Hessian
-        product rather than a kink artifact.  One forward pass runs W and
-        both probe points; the masks below train_layer never depend on W."""
-        W = matcore.as_matrix(W)
-        D = matcore.as_matrix(D)
-        eps = _fd_step(W, D)
-        if eps is None:
-            return True
-        _, pres, _ = forward(np.stack((W, W + eps * D, W - eps * D)))
-        return all(bool(np.all((Z[1:] > 0) == (Z[0] > 0))) for Z in pres[:-1])
-
     meta = {"kind": "mlp", "loss": loss, "train_layer": train_layer,
             "layer_shapes": shapes, "W_init": frozen[train_layer].copy()}
     return Problem(shapes[train_layer], value_grad, hvp, hvp_exact=False,
-                   metadata=meta, kink_margin=kink_margin, probe_clean=probe_clean)
+                   metadata=meta, kink_margin=kink_margin)
 

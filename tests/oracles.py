@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from muonlab import matcore
+from muonlab import matcore, problems
 
 
 def kron(P, Q, max_entries: int = 1_000_000) -> np.ndarray:
@@ -116,6 +116,71 @@ def quadratic_value_grad_2d(Q, W_star, c: float, W) -> tuple:
     E = W - W_star
     QE = Q @ E
     return c * float(np.sum(E * QE)), 2.0 * c * QE
+
+
+def uncached_mlp_oracles(shapes, X, Y, loss, seed, train_layer):
+    """The oracles of mlp_new(shapes, X, Y, loss, seed, train_layer), computed
+    with a full forward pass from X on every call, and probe_clean(W, D): true
+    when the central-difference probe of hvp(W, D) keeps every hidden ReLU mask
+    of W unchanged, so the fd value is a Hessian product, not a kink artifact."""
+    rng = np.random.default_rng(seed)
+    frozen = [rng.standard_normal(s) * np.sqrt(2.0 / s[1]) for s in shapes]
+
+    def assemble(W):
+        ws = list(frozen)
+        ws[train_layer] = W
+        return ws
+
+    def forward(W):
+        acts, pres, H = [X], [], X
+        ws = assemble(W)
+        for idx, Wi in enumerate(ws):
+            Z = Wi @ H
+            pres.append(Z)
+            H = np.maximum(Z, 0.0) if idx < len(ws) - 1 else Z
+            acts.append(H)
+        return ws, pres, acts
+
+    def value_grad(W):
+        ws, pres, acts = forward(W)
+        f, delta = problems._mlp_loss_and_delta(acts[-1], Y, loss)
+        for idx in range(len(ws) - 1, -1, -1):
+            G = delta @ acts[idx].T
+            if idx == train_layer:
+                return f, G
+            delta = ws[idx].T @ delta
+            if idx > 0:
+                delta = delta * (pres[idx - 1] > 0)
+
+    def grad(W):
+        return value_grad(W)[1]
+
+    def hvp(W, D):
+        # central differences at one point at a time: two calls of the 2-D grad
+        eps = problems._fd_step(W, D)
+        if eps is None:
+            return np.zeros_like(D)
+        return (grad(W + eps * D) - grad(W - eps * D)) / (2.0 * eps)
+
+    def kink_margin(W):
+        hidden = forward(W)[1][:-1]
+        return float(min(np.abs(Z).min() for Z in hidden)) if hidden else float("inf")
+
+    def masks(W):
+        return [Z > 0 for Z in forward(W)[1][:-1]]
+
+    def probe_clean(W, D):
+        dn = float(np.linalg.norm(D, "fro"))
+        if dn == 0.0:
+            return True
+        eps = 1e-4 * (1.0 + float(np.linalg.norm(W, "fro"))) / (1.0 + dn)
+        ref = masks(W)
+        return all(np.array_equal(got, want)
+                   for signed in (W + eps * D, W - eps * D)
+                   for got, want in zip(masks(signed), ref))
+
+    return {"value": lambda W: value_grad(W)[0], "value_grad": value_grad, "grad": grad,
+            "hvp": hvp, "kink_margin": kink_margin, "probe_clean": probe_clean}
 
 
 # Closed forms of two verify bounds, written from the statements they check

@@ -14,7 +14,8 @@ import numpy as np
 
 from muonlab import diagnostics as dg
 from muonlab import harness, matcore, problems, verify
-from oracles import concentration_ratio, direction_rank, kron, vec_row, vonneumann_bound
+from oracles import (concentration_ratio, direction_rank, kron, uncached_mlp_oracles, vec_row,
+                     vonneumann_bound)
 
 
 def _report(num, desc, ok, elapsed, budget):
@@ -218,6 +219,12 @@ def test_criterion_12_mlp_diagnostics_pipeline():
     prob = harness.build_problem({"kind": "mlp", "input_dim": 10, "dims": (8, 6, 4),
                                   "B": 120, "loss": "softmax_ce", "data": "lowrank",
                                   "seed": 0}, 0)
+    # the same network from its data, as build_problem draws them, with the
+    # brute-force oracles' mask predicate
+    X = problems.lowrank_features(10, 120, 2.0, seed=0)
+    X = X * (np.sqrt(120) / matcore.frobenius_norm(X))
+    Y = problems.onehot_labels(4, 120, seed=1)
+    ref = uncached_mlp_oracles(prob.metadata["layer_shapes"], X, Y, "softmax_ce", 2, 1)
     rng = np.random.default_rng(112)
     D1 = rng.standard_normal(prob.shape)
     D2 = rng.standard_normal(prob.shape)
@@ -226,10 +233,11 @@ def test_criterion_12_mlp_diagnostics_pipeline():
     W = None
     for k in range(12):
         cand = prob.metadata["W_init"] + 0.02 * k * offset
-        if all(prob.probe_clean(cand, D) for D in (D1, D2, Dc)):
+        if all(ref["probe_clean"](cand, D) for D in (D1, D2, Dc)):
             W = cand
             break
     assert W is not None, "no kink-free probe point found near the initialization"
+    assert ref["value"](W) == prob.value(W), "the reference is not the problem's network"
     h1, h2 = prob.hvp(W, D1), prob.hvp(W, D2)
     scale = max(1.0, np.linalg.norm(h1), np.linalg.norm(h2))
     sym = abs(float(np.sum(D1 * h2)) - float(np.sum(D2 * h1))) <= 1e-4 * scale

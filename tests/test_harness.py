@@ -74,25 +74,24 @@ _WHOLE = st.integers(-10 ** 9, 10 ** 9)
 _COUNT = st.integers(1, 10 ** 9)
 _WIDTH = st.integers(1, 4096)  # a size key's range
 _RATIO = st.floats(min_value=1.0, allow_infinity=False)
-_SEED_MODE = st.sampled_from(("fixed", "per_run"))
 
 
 @settings(max_examples=200, deadline=None)
 @given(problem=st.one_of(
-           st.fixed_dictionaries({"kind": st.just("linear_mse"), "seed_mode": _SEED_MODE,
+           st.fixed_dictionaries({"kind": st.just("linear_mse"),
                                   "features": st.sampled_from(("gaussian", "lowrank", "csv")),
                                   "path": _TEXT, "c": _WIDTH,
                                   "skip_header": st.booleans()}),
-           st.fixed_dictionaries({"kind": st.just("mlp"), "loss": _TEXT,
-                                  "seed_mode": _SEED_MODE,
+           st.fixed_dictionaries({"kind": st.just("mlp"),
+                                  "loss": st.sampled_from(("softmax_ce", "mse")),
                                   "data": st.sampled_from(("lowrank", "gaussian")),
                                   "dims": st.lists(_WIDTH, min_size=1, max_size=4).map(tuple),
                                   "target_ratio": _RATIO}),
            st.fixed_dictionaries({"kind": st.just("quadratic"), "m": st.integers(2, 4096),
-                                  "seed_mode": _SEED_MODE,
+                                  "seed_mode": st.sampled_from(("fixed", "per_run")),
                                   "wstar": st.sampled_from(("uniform", "gaussian")),
                                   "cond": _RATIO.filter(lambda c: c > 1),
-                                  "decay": _TEXT})),
+                                  "decay": st.sampled_from(("two_cluster", "geometric"))})),
        optimizer=st.fixed_dictionaries({"kind": st.just("muon"),
                                         "beta": st.floats(0.0, 1.0, exclude_max=True),
                                         "orthogonalizer": st.sampled_from(("svd", "ns"))}),
@@ -207,7 +206,9 @@ def test_config_validation():
     ({"kind": "linear_mse", "d": 8, "B": 12, "c": 3}, "problem.features = low_rank"),
     (MLP_SPEC, "problem.data = gaussain"),
     (QUAD_SPEC, "run.w0 = zero"),
-], ids=["seed_mode", "wstar", "features", "data", "w0"])
+    (QUAD_SPEC, "problem.decay = geometirc"),
+    (MLP_SPEC, "problem.loss = mae"),
+], ids=["seed_mode", "wstar", "features", "data", "w0", "decay", "loss"])
 def test_cli_run_misspelt_word_exits_2(tmp_path, capsys, problem, line):
     cfg_path = tmp_path / "bad.toml"
     cfg_path.write_text(with_line(quad_config(problem=problem, T=5).to_text(), line))
@@ -216,6 +217,23 @@ def test_cli_run_misspelt_word_exits_2(tmp_path, capsys, problem, line):
     assert rc == 2
     key = line.split(" = ")[0]
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {key} takes one of ")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.toml"]
+
+
+@pytest.mark.parametrize("problem", [{"kind": "linear_mse", "d": 8, "B": 12, "c": 3}, MLP_SPEC],
+                         ids=lambda problem: problem["kind"])
+def test_cli_run_seed_mode_on_a_kind_that_never_reads_it_exits_2(tmp_path, capsys, no_work,
+                                                                 problem):
+    cfg_path = tmp_path / "bad.toml"
+    text = quad_config(problem=problem, T=5).to_text()
+    cfg_path.write_text(with_line(text, "problem.seed_mode = per_run"))
+    rc = harness.cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    reads = ", ".join(("kind", *harness.CONFIG_SCHEMA["problem"][1][problem["kind"]]))
+    assert "seed_mode" not in reads
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: problem.seed_mode is not read by problem kind {problem['kind']!r}, "
+        f"which reads: {reads}"]
     assert [p.name for p in tmp_path.iterdir()] == ["bad.toml"]
 
 
@@ -313,7 +331,8 @@ def test_build_problem_kinds():
 
 
 def test_build_problem_rejects_unknown_mlp_loss():
-    with pytest.raises(ValueError, match="unknown loss 'bogus'"):
+    with pytest.raises(ValueError, match="^problem.loss takes one of softmax_ce, mse, "
+                                         "got 'bogus'$"):
         harness.build_problem(dict(MLP_SPEC, loss="bogus"), 0)
 
 
@@ -644,10 +663,10 @@ def test_cli_run_unread_optimizer_key_exits_2(tmp_path, capsys, optimizer, key):
     {"kind": "quadratic", "seed": 1, "seed_mode": "per_run", "m": 4, "n": 5,
      "cond": 10.0, "decay": "geometric", "half": False, "wstar_scale": 2.0,
      "wstar": "gaussian"},
-    {"kind": "linear_mse", "seed": 1, "seed_mode": "fixed", "d": 5, "B": 9, "c": 2,
+    {"kind": "linear_mse", "seed": 1, "d": 5, "B": 9, "c": 2,
      "features": "lowrank", "target_ratio": 1.5, "path": "unread.csv",
      "skip_header": True},
-    {"kind": "mlp", "seed": 1, "seed_mode": "fixed", "input_dim": 6, "dims": (5, 4, 3),
+    {"kind": "mlp", "seed": 1, "input_dim": 6, "dims": (5, 4, 3),
      "B": 20, "loss": "mse", "data": "lowrank", "target_ratio": 1.5, "train_layer": 1},
 ], ids=lambda spec: spec["kind"])
 def test_problem_accepts_every_key_its_kind_reads(spec):
@@ -884,6 +903,13 @@ def test_step_record_fields_are_the_csv_columns(tmp_path):
 
 def _good_row() -> str:
     return ",".join(["0", "1.0", "2.0", "3.0"] + [""] * (len(harness.CSV_COLUMNS) - 4))
+
+
+def test_read_records_csv_refuses_a_wrong_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(harness.CSV_COLUMNS[::-1]) + "\n" + _good_row() + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"unexpected CSV header in {path}")):
+        harness.read_records_csv(path)
 
 
 @pytest.mark.parametrize("bad", ["0,1.0,2.0", _good_row().replace("1.0", "abc"),
@@ -2458,6 +2484,58 @@ def test_cli_ratio_study(tmp_path, capsys):
                            "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "ratio_study.csv").exists()
+
+
+@pytest.mark.parametrize("argv,suite,params", [
+    (["fig2"], "figure2_suite", {"kind": "lowrank", "c": 100, "seed": 0, "T": 400,
+                                 "out_dir": None}),
+    (["fig2", "--kind", "gaussian", "--classes", "10", "--seed", "3", "--iters", "7",
+      "--out", "o", "--paper-dims"], "figure2_suite",
+     {"kind": "gaussian", "c": 10, "seed": 3, "T": 7, "out_dir": "o", "d": 784, "B": 1000}),
+    (["fig3"], "figure3_suite", {"seed": 0, "T": 200, "cadence": 10, "out_dir": None}),
+    (["fig3", "--seed", "3", "--iters", "7", "--cadence", "2", "--out", "o", "--paper-dims"],
+     "figure3_suite", {"seed": 3, "T": 7, "cadence": 2, "out_dir": "o", "input_dim": 784,
+                       "dims": (128, 64, 10)}),
+], ids=["fig2", "fig2-flags", "fig3", "fig3-flags"])
+def test_cli_fig_flags_reach_their_parameters(monkeypatch, capsys, argv, suite, params):
+    calls = []
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return {}, {"comparison_ratio": 1.0, "final_f": {}, "muon_side_wins": 0,
+                    "sampled_steps": 0}
+
+    monkeypatch.setattr(harness, suite, spy)
+    assert harness.cli_main(argv) == 0
+    assert calls == [params]
+
+
+def test_cli_fig3_tiny_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert harness.cli_main(["fig3", "--iters", "2", "--cadence", "1", "--out", str(out)]) == 0
+    assert "Muon side wins at " in capsys.readouterr().out
+    summary = json.loads((out / "fig3_summary.json").read_text())
+    assert summary["T"] == 2 and summary["cadence"] == 1
+    for name in ("gd", "muon"):
+        assert len(harness.read_records_csv(out / f"fig3_{name}_seed0.csv")) == 3
+
+
+def test_cli_ratio_study_refuses_an_unknown_decay(tmp_path, capsys, no_work):
+    rc = harness.cli_main(["ratio-study", "--decay", "foo", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "argument --decay: invalid choice: 'foo'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "one of the arguments --csv --kind is required"),
+    (["--csv", "x.csv", "--kind", "gaussian"], "argument --kind: not allowed with argument --csv"),
+], ids=["neither", "both"])
+def test_cli_spectra_takes_one_matrix_source(tmp_path, capsys, no_work, argv, message):
+    rc = harness.cli_main(["spectra", *argv, "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_spectra(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import contextlib
+import re
 
 import numpy as np
 import pytest
 
 from muonlab import harness, matcore, problems, verify
 from muonlab.problems import fd_hvp
-from oracles import kron, ky_fan_constant, vec_row
+from oracles import kron, ky_fan_constant, uncached_mlp_oracles, vec_row
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +373,21 @@ def test_csv_malformed_row_reports_index(tmp_path):
         problems.load_features_csv(path)
 
 
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("1.0,2.0\n\n  \n3.0,4.0\n")
+    np.testing.assert_array_equal(problems.load_features_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("text,skip_header", [("", False), ("\n\n", False), ("a,b\n", True)],
+                         ids=["empty", "blank-lines", "header-only"])
+def test_csv_without_data_rows_names_the_file(tmp_path, text, skip_header):
+    path = tmp_path / "none.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"no data rows in {path}")):
+        problems.load_features_csv(path, skip_header=skip_header)
+
+
 def test_csv_header_skip(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("a,b\n1.0,2.0\n")
@@ -540,81 +556,22 @@ def test_mlp_kink_margin():
 
 def test_mlp_probe_clean_detects_mask_stability():
     rng = np.random.default_rng(33)
-    prob = _small_mlp(rng)
+    X = rng.standard_normal((5, 16))
+    Y = problems.onehot_labels(3, 16, seed=20)
+    shapes = [(6, 5), (4, 6), (3, 4)]
+    prob = problems.mlp_new(shapes, X, Y, seed=21)
+    probe_clean = uncached_mlp_oracles(shapes, X, Y, "softmax_ce", 21, 1)["probe_clean"]
     W = prob.metadata["W_init"]
     D = rng.standard_normal(prob.shape)
-    assert prob.probe_clean(W, np.zeros(prob.shape))
+    assert probe_clean(W, np.zeros(prob.shape))
     # when the probe is clean the fd product is machine-accurate in the
     # symmetry sense; when it is not, nothing is guaranteed
-    if prob.probe_clean(W, D):
+    if probe_clean(W, D):
         D2 = rng.standard_normal(prob.shape)
-        if prob.probe_clean(W, D2):
+        if probe_clean(W, D2):
             s1 = float(np.sum(D * prob.hvp(W, D2)))
             s2 = float(np.sum(D2 * prob.hvp(W, D)))
             assert abs(s1 - s2) <= 1e-6 * max(1.0, abs(s1))
-
-
-def _uncached_mlp_oracles(shapes, X, Y, loss, seed, train_layer):
-    """The MLP oracles computed with a full forward pass from X on every call."""
-    rng = np.random.default_rng(seed)
-    frozen = [rng.standard_normal(s) * np.sqrt(2.0 / s[1]) for s in shapes]
-
-    def assemble(W):
-        ws = list(frozen)
-        ws[train_layer] = W
-        return ws
-
-    def forward(W):
-        acts, pres, H = [X], [], X
-        ws = assemble(W)
-        for idx, Wi in enumerate(ws):
-            Z = Wi @ H
-            pres.append(Z)
-            H = np.maximum(Z, 0.0) if idx < len(ws) - 1 else Z
-            acts.append(H)
-        return ws, pres, acts
-
-    def value_grad(W):
-        ws, pres, acts = forward(W)
-        f, delta = problems._mlp_loss_and_delta(acts[-1], Y, loss)
-        for idx in range(len(ws) - 1, -1, -1):
-            G = delta @ acts[idx].T
-            if idx == train_layer:
-                return f, G
-            delta = ws[idx].T @ delta
-            if idx > 0:
-                delta = delta * (pres[idx - 1] > 0)
-
-    def grad(W):
-        return value_grad(W)[1]
-
-    def hvp(W, D):
-        # central differences at one point at a time: two calls of the 2-D grad
-        eps = problems._fd_step(W, D)
-        if eps is None:
-            return np.zeros_like(D)
-        return (grad(W + eps * D) - grad(W - eps * D)) / (2.0 * eps)
-
-    def kink_margin(W):
-        hidden = forward(W)[1][:-1]
-        return float(min(np.abs(Z).min() for Z in hidden)) if hidden else float("inf")
-
-    def masks(W):
-        return [Z > 0 for Z in forward(W)[1][:-1]]
-
-    def probe_clean(W, D):
-        dn = float(np.linalg.norm(D, "fro"))
-        if dn == 0.0:
-            return True
-        eps = 1e-4 * (1.0 + float(np.linalg.norm(W, "fro"))) / (1.0 + dn)
-        ref = masks(W)
-        return all(np.array_equal(got, want)
-                   for signed in (W + eps * D, W - eps * D)
-                   for got, want in zip(masks(signed), ref))
-
-    return {"value": lambda W: value_grad(W)[0], "value_grad": value_grad, "grad": grad,
-            "hvp": hvp, "kink_margin": kink_margin,
-            "probe_clean": probe_clean}
 
 
 def _assert_oracles_equal(prob, ref, W, D):
@@ -625,7 +582,6 @@ def _assert_oracles_equal(prob, ref, W, D):
     assert np.array_equal(prob.grad(W), ref["grad"](W))
     assert np.array_equal(prob.hvp(W, D), ref["hvp"](W, D))
     assert prob.kink_margin(W) == ref["kink_margin"](W)
-    assert prob.probe_clean(W, D) == ref["probe_clean"](W, D)
 
 
 @pytest.mark.parametrize("loss", ["softmax_ce", "mse"])
@@ -636,13 +592,13 @@ def test_mlp_cached_prefix_matches_full_forward(loss, train_layer):
     Y = problems.onehot_labels(3, 16, seed=20)
     shapes = [(6, 5), (4, 6), (3, 4)]
     prob = problems.mlp_new(shapes, X, Y, loss=loss, seed=21, train_layer=train_layer)
-    ref = _uncached_mlp_oracles(shapes, X, Y, loss, 21, train_layer)
+    ref = uncached_mlp_oracles(shapes, X, Y, loss, 21, train_layer)
     W0 = prob.metadata["W_init"]
     probes = []
     for W in (W0, W0 + 0.3 * rng.standard_normal(prob.shape), 1e-7 * W0):
         for D in (rng.standard_normal(prob.shape), np.zeros(prob.shape)):
             _assert_oracles_equal(prob, ref, W, D)
-            probes.append(prob.probe_clean(W, D))
+            probes.append(ref["probe_clean"](W, D))
     # below the last layer, a tiny W puts preactivations at the kinks
     assert all(probes) == (train_layer == 2)
 
@@ -658,7 +614,7 @@ def test_mlp_cached_prefix_matches_full_forward_with_dead_relus():
     Y = rng.standard_normal((3, 12))
     shapes = [(6, 5), (5, 6), (4, 5), (3, 4)]
     prob = problems.mlp_new(shapes, X, Y, loss="mse", seed=36, train_layer=2)
-    ref = _uncached_mlp_oracles(shapes, X, Y, "mse", 36, 2)
+    ref = uncached_mlp_oracles(shapes, X, Y, "mse", 36, 2)
     first = (np.random.default_rng(36).standard_normal(shapes[0]) * np.sqrt(2.0 / 5)) @ X
     assert np.any(np.all(first <= 0, axis=1)), "no dead unit in the frozen prefix"
     W0 = prob.metadata["W_init"]
@@ -673,7 +629,7 @@ def test_mlp_probe_across_a_relu_kink_is_not_clean():
     Y = problems.onehot_labels(3, 16, seed=20)
     shapes = [(6, 5), (4, 6), (3, 4)]
     prob = problems.mlp_new(shapes, X, Y, loss="mse", seed=21, train_layer=0)
-    ref = _uncached_mlp_oracles(shapes, X, Y, "mse", 21, 0)
+    ref = uncached_mlp_oracles(shapes, X, Y, "mse", 21, 0)
     # move unit 0's preactivation on sample 0 onto the kink; the probe's
     # +-eps*D steps then put it on either side of zero
     W = prob.metadata["W_init"].copy()
@@ -681,7 +637,7 @@ def test_mlp_probe_across_a_relu_kink_is_not_clean():
     W[0] -= (W[0] @ x) / (x @ x) * x
     D = rng.standard_normal(prob.shape)
     assert abs((W @ X)[0, 0]) < 1e-12 < abs((D @ X)[0, 0]) * problems._fd_step(W, D)
-    assert not prob.probe_clean(W, D)
+    assert not ref["probe_clean"](W, D)
     _assert_oracles_equal(prob, ref, W, D)
 
 
@@ -697,7 +653,7 @@ def test_mlp_copies_its_data():
 
         def outputs():
             return [prob.value(W), *prob.value_grad(W), prob.grad(W), prob.hvp(W, D),
-                    prob.kink_margin(W), prob.probe_clean(W, D)]
+                    prob.kink_margin(W)]
 
         before = outputs()
         X_saved, Y_saved = X.copy(), Y.copy()

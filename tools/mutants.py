@@ -104,6 +104,16 @@ MUTANTS = {
         "while item is not None and not failed:",
         "while item is not None:",
         "a _run_jobs worker keeps taking jobs after one failed"),
+    "seed-mode-every-kind": (
+        "src/muonlab/harness.py",
+        '{kind: {"seed": int, **keys} for kind, keys in (',
+        '{kind: {"seed": int, "seed_mode": ("fixed", "per_run"), **keys} for kind, keys in (',
+        "every problem kind accepts seed_mode, which only the quadratic reads"),
+    "decay-free-text": (
+        "src/muonlab/harness.py",
+        '"decay": ("two_cluster", "geometric"),',
+        '"decay": str,',
+        "problem.decay takes any text, refused only when the quadratic is built"),
 }
 
 # Tier-1 without the two long acceptance studies
